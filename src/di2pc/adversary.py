@@ -75,19 +75,46 @@ _GAME_CAP_ROUNDS = 6
 _ENCODING_CAP_ROUNDS = 3
 
 
-def _basis_bra(angle: float) -> tuple[Array, Array]:
-    """Row-vector bras of the qubit basis at ``angle`` from the Z axis."""
+def _round_kraus(angle: float | None, dim_b: int) -> Array:
+    """One round's Kraus factors, shape (branches, mem, dim_b): the identity
+    for a kept round (None), else the two bras of the qubit basis at
+    ``angle`` from the Z axis."""
+    if angle is None:
+        return np.eye(dim_b, dtype=complex)[None]
     c, s = math.cos(angle), math.sin(angle)
-    return (np.array([[c, s]], dtype=complex),
-            np.array([[-s, c]], dtype=complex))
+    return np.array([[[c, s]], [[-s, c]]], dtype=complex)
+
+
+def _kron_axes(factors: list[Array], ndim: int) -> Array:
+    """Kronecker product of per-round factors taken axis by axis.
+
+    Every factor has ``ndim`` axes; axis i of the result indexes the tuple of
+    the factors' axis-i indices, round 0 most significant, which is the
+    index order of a chained ``np.kron``.
+    """
+    out = np.ones((1,) * ndim, dtype=complex)
+    interleave = [j for i in range(ndim) for j in (i, i + ndim)]
+    for f in factors:
+        shape = [a * b for a, b in zip(out.shape, f.shape)]
+        out = np.multiply.outer(out, f).transpose(interleave).reshape(shape)
+    return out
 
 
 # ---------------------------------------------------------------------------
 # attack strategies: each yields per-classical-outcome Kraus lists B^(x)n -> memory
 # ---------------------------------------------------------------------------
 
+class _ProductStrategy:
+    """An attack that treats every round on its own: ``rounds(dim_b, n)``
+    gives, per round, the measurement angle or ``None`` for a kept round."""
+
+    def kraus_branches(self, dim_b: int, n: int) -> list[list[Array]]:
+        e = _kron_axes([_round_kraus(a, dim_b) for a in self.rounds(dim_b, n)], 3)
+        return [[branch] for branch in e]
+
+
 @dataclass(frozen=True)
-class MeasureAll:
+class MeasureAll(_ProductStrategy):
     """Measure every round immediately in a fixed basis; keep only the record.
 
     ``angles`` gives one qubit measurement angle per round (a single float is
@@ -101,27 +128,20 @@ class MeasureAll:
     def memory_dim(self, dim_b: int, n: int) -> int:
         return 1
 
-    def kraus_branches(self, dim_b: int, n: int) -> list[list[Array]]:
+    def rounds(self, dim_b: int, n: int) -> tuple[float, ...]:
         if dim_b != 2:
             raise StrategyError("measure_all is parameterized for qubit wires only")
         angles = self.angles if len(self.angles) == n else tuple(self.angles) * n
         if len(angles) != n:
             raise StrategyError(f"need {n} angles, got {len(self.angles)}")
-        per_round = [_basis_bra(a) for a in angles]
-        branches = []
-        for outcome in itertools.product((0, 1), repeat=n):
-            e = np.array([[1.0]], dtype=complex)
-            for k, m in enumerate(outcome):
-                e = np.kron(e, per_round[k][m])
-            branches.append([e])
-        return branches
+        return tuple(angles)
 
     def to_obj(self) -> dict:
         return {"kind": self.kind, "angles": list(self.angles)}
 
 
 @dataclass(frozen=True)
-class StoreSubset:
+class StoreSubset(_ProductStrategy):
     """Keep the rounds in ``keep`` in quantum memory, measure out the rest.
 
     The kept factors must fit the memory (product of their dimensions <= d is
@@ -135,7 +155,7 @@ class StoreSubset:
     def memory_dim(self, dim_b: int, n: int) -> int:
         return dim_b ** len(self.keep)
 
-    def kraus_branches(self, dim_b: int, n: int) -> list[list[Array]]:
+    def rounds(self, dim_b: int, n: int) -> tuple[float | None, ...]:
         keep = set(self.keep)
         if any(k < 0 or k >= n for k in keep):
             raise StrategyError(f"keep indices {sorted(keep)} out of range for n={n}")
@@ -144,18 +164,8 @@ class StoreSubset:
             raise StrategyError("measured-out rounds are parameterized for qubits only")
         angles = self.angles if len(self.angles) == len(discarded) \
             else tuple(self.angles or (BREIDBART_ANGLE,)) * len(discarded)
-        angles = angles[:len(discarded)]
-        bras = {k: _basis_bra(a) for k, a in zip(discarded, angles)}
-        branches = []
-        for outcome in itertools.product((0, 1), repeat=len(discarded)):
-            picks = dict(zip(discarded, outcome))
-            e = np.array([[1.0]], dtype=complex)
-            for k in range(n):
-                factor = np.eye(dim_b, dtype=complex) if k in keep \
-                    else bras[k][picks[k]]
-                e = np.kron(e, factor)
-            branches.append([e])
-        return branches
+        measured = iter(angles)
+        return tuple(None if k in keep else next(measured) for k in range(n))
 
     def to_obj(self) -> dict:
         return {"kind": self.kind, "keep": list(self.keep), "angles": list(self.angles)}
@@ -242,7 +252,7 @@ class PostMeasurementEnsemble:
     """
 
     theta: tuple[int, ...]
-    branch_ops: list[list[Array]]
+    branch_ops: np.ndarray
     q: np.ndarray
 
     @property
@@ -259,48 +269,11 @@ class PostMeasurementEnsemble:
         return out
 
 
-def _conditional_b_ops(device: DeviceModel, theta: tuple[int, ...]) -> list[Array]:
-    """Unnormalized B^(x)n operators conditioned on each Alice outcome string."""
-    dims = [device.dim_a, device.dim_b]
-    per_round = []
-    for t in theta:
-        meas = device.alice_measurement(t)
-        conds = []
-        for p in (meas.p0, meas.p1):
-            op = partial_trace(np.kron(p, np.eye(device.dim_b)) @ device.sigma_ab,
-                               dims, [1])
-            conds.append(op)
-        per_round.append(conds)
-    ops = []
-    for x_bits in itertools.product((0, 1), repeat=len(theta)):
-        op = np.array([[1.0]], dtype=complex)
-        for k, xk in enumerate(x_bits):
-            op = np.kron(op, per_round[k][xk])
-        ops.append(op)
-    return ops
-
-
 def post_measurement_ensemble(device: DeviceModel, strategy: Strategy,
                               n: int, theta) -> PostMeasurementEnsemble:
     """Apply the strategy's instrument to the conditional states for ``theta``."""
-    theta = tuple(int(t) for t in theta)
-    if len(theta) != n:
-        raise ShapeError(f"theta must have length {n}")
-    _check_caps(strategy, n)
-    rho_x = _conditional_b_ops(device, theta)
-    branches = strategy.kraus_branches(device.dim_b, n)
-    branch_ops = []
-    for kraus in branches:
-        ops = []
-        for rho in rho_x:
-            w = sum(e @ rho @ dagger(e) for e in kraus)
-            ops.append(np.asarray(w, dtype=complex))
-        branch_ops.append(ops)
-    q = np.array([float(np.trace(r).real) for r in rho_x])
-    total = q.sum()
-    if abs(total - 1.0) > 1e-10:
-        raise DomainError(f"outcome probabilities sum to {total!r}")
-    return PostMeasurementEnsemble(theta=theta, branch_ops=branch_ops, q=q)
+    ctx = _GameContext(device, n, 0.0)
+    return ctx.ensemble(ctx.rewards(strategy), theta)
 
 
 def _check_caps(strategy: Strategy, n: int) -> None:
@@ -565,19 +538,26 @@ class GuessResult:
             raise DomainError("per-theta values do not average to win_prob")
 
 
-def _hamming_balls(n: int, radius: int) -> list[np.ndarray]:
-    """ball[y] = indices x with popcount(x xor y) <= radius."""
-    size = 1 << n
-    pop = np.array([bin(i).count("1") for i in range(size)])
-    return [np.flatnonzero(pop[np.arange(size) ^ y] <= radius) for y in range(size)]
+def _product_rewards(table: Array, rounds: tuple[float | None, ...]) -> Array:
+    """Branch operators of a product instrument for every basis string.
+
+    ``table[t, x]`` is the per-round conditional operator tr_A[(P^t_x (x) I)
+    sigma_AB]. Returns shape (thetas, branches, outcomes, mem, mem), each axis
+    in big-endian round order; entry [theta, m, x] is E_m rho^theta_x E_m^+.
+    """
+    factors = []
+    for angle in rounds:
+        k = _round_kraus(angle, table.shape[-1])
+        factors.append(np.einsum("mai,txij,mbj->tmxab", k, table, k.conj()))
+    return _kron_axes(factors, 5)
 
 
 class _GameContext:
     """Strategy-independent game data for one (device, n, gamma) triple.
 
-    Caches the conditional B-side operators per basis string and the
-    Hamming-ball membership matrix, so that repeated strategy evaluations
-    (the see-saw inner loop in particular) skip the setup cost.
+    Caches the per-round conditional B-side operators and the Hamming-ball
+    membership matrix, so that repeated strategy evaluations (the see-saw
+    inner loop in particular) skip the setup cost.
     """
 
     def __init__(self, device: DeviceModel, n: int, gamma: float):
@@ -588,37 +568,56 @@ class _GameContext:
         self.gamma = gamma
         self.radius = math.floor(gamma * n)
         self.thetas = list(itertools.product((0, 1), repeat=n))
-        self.rho_x = {theta: np.stack(_conditional_b_ops(device, theta))
-                      for theta in self.thetas}
-        size = 1 << n
+        dims = [device.dim_a, device.dim_b]
+        eye_b = np.eye(device.dim_b)
+        self.table = np.array([
+            [partial_trace(np.kron(p, eye_b) @ device.sigma_ab, dims, [1])
+             for p in (meas.p0, meas.p1)]
+            for meas in (device.alice_measurement(0), device.alice_measurement(1))])
+        self._dense = None       # (thetas, outcomes, Din, Din), built on first use
         if self.radius > 0:
-            balls = _hamming_balls(n, self.radius)
-            mask = np.zeros((size, size))
-            for y, ball in enumerate(balls):
-                mask[y, ball] = 1.0
-            self.ball_mask = mask
+            # ball_mask[y, x] = 1 when popcount(x xor y) <= radius
+            idx = np.arange(1 << n)
+            pop = np.array([bin(i).count("1") for i in idx])
+            self.ball_mask = (pop[idx[:, None] ^ idx] <= self.radius).astype(float)
         else:
             self.ball_mask = None
 
     def rewards(self, strategy: Strategy) -> np.ndarray:
         """Stacked reward operators, shape (thetas*branches, guesses, mem, mem)."""
         _check_caps(strategy, self.n)
-        branches = strategy.kraus_branches(self.device.dim_b, self.n)
-        single = all(len(br) == 1 for br in branches)
-        gs = []
-        for theta in self.thetas:
-            rho = self.rho_x[theta]                      # (k, Din, Din)
-            if single:
-                e = np.stack([br[0] for br in branches])  # (M, mem, Din)
-                w = np.einsum("mab,xbc,mdc->mxad", e, rho, e.conj())
-            else:
-                w = np.stack([
-                    sum(np.einsum("ab,xbc,dc->xad", e, rho, e.conj())
-                        for e in br) for br in branches])
-            if self.ball_mask is not None:
-                w = np.einsum("yx,mxad->myad", self.ball_mask, w)
-            gs.append(w)
-        return np.concatenate(gs, axis=0)
+        if isinstance(strategy, GeneralEncoding):
+            branches = strategy.kraus_branches(self.device.dim_b, self.n)
+            if self._dense is None:
+                self._dense = _product_rewards(self.table, (None,) * self.n)[:, 0]
+            # (M, K, mem, Din): each branch's Kraus elements, zero-padded to K
+            e = np.zeros((len(branches), max(map(len, branches)),
+                          *branches[0][0].shape), dtype=complex)
+            for m, br in enumerate(branches):
+                e[m, :len(br)] = br
+            w = np.einsum("mkab,txbc,mkdc->tmxad", e, self._dense, e.conj())
+        else:
+            w = _product_rewards(self.table,
+                                 strategy.rounds(self.device.dim_b, self.n))
+        w = w.reshape(-1, *w.shape[2:])
+        if self.ball_mask is not None:
+            w = np.einsum("yx,mxad->myad", self.ball_mask, w)
+        return w
+
+    def ensemble(self, g: np.ndarray, theta) -> PostMeasurementEnsemble:
+        """The slice of unmasked rewards ``g`` that belongs to ``theta``."""
+        theta = tuple(int(t) for t in theta)
+        if len(theta) != self.n:
+            raise ShapeError(f"theta must have length {self.n}")
+        probs = np.trace(self.table[list(theta)], axis1=2, axis2=3)
+        q = _kron_axes(probs, 1).real
+        total = q.sum()
+        if abs(total - 1.0) > 1e-10:
+            raise DomainError(f"outcome probabilities sum to {total!r}")
+        m_count = g.shape[0] // len(self.thetas)
+        ti = self.thetas.index(theta)
+        return PostMeasurementEnsemble(
+            theta=theta, branch_ops=g[ti * m_count:(ti + 1) * m_count], q=q)
 
     def result(self, lower: np.ndarray, upper: np.ndarray, f: np.ndarray,
                converged: bool, want_decoders: bool) -> GuessResult:
@@ -677,20 +676,17 @@ def replay_win_probability(device: DeviceModel, strategy: Strategy, n: int,
     rng = RandomSuite(seed).rng
     radius = math.floor(gamma * n)
     wins = 0
-    thetas = list(itertools.product((0, 1), repeat=n))
-    cache = {}
+    ctx = _GameContext(device, n, 0.0)
+    g = ctx.rewards(strategy)
     for _ in range(trials):
-        theta = thetas[rng.integers(len(thetas))]
-        key = "".join(str(t) for t in theta)
-        if key not in cache:
-            cache[key] = post_measurement_ensemble(device, strategy, n, theta)
-        ens = cache[key]
+        theta = ctx.thetas[rng.integers(len(ctx.thetas))]
+        ens = ctx.ensemble(g, theta)
         x = int(rng.choice(len(ens.q), p=ens.q / ens.q.sum()))
         joint = np.array([max(0.0, float(np.trace(ops[x]).real))
                           for ops in ens.branch_ops])
         m = int(rng.choice(len(joint), p=joint / joint.sum()))
         rho = ens.branch_ops[m][x] / joint[m]
-        povm = decoders[key][m]
+        povm = decoders["".join(str(t) for t in theta)][m]
         probs = np.array([max(0.0, float(np.trace(f @ rho).real)) for f in povm])
         y = int(rng.choice(len(probs), p=probs / probs.sum()))
         wins += int(bin(x ^ y).count("1") <= radius)
@@ -707,17 +703,6 @@ def _haar_isometry(suite: RandomSuite, rows: int, cols: int) -> Array:
     return q * (diag / np.abs(diag))
 
 
-def _isometry_from_kraus(kraus: list[Array], d: int, m_count: int,
-                         dim_in: int) -> Array:
-    """Stack single-element Kraus branches into the (d*M, Din) isometry layout."""
-    v = np.zeros((d * m_count, dim_in), dtype=complex)
-    for m, e in enumerate(kraus):
-        rows = e.shape[0]
-        for i in range(rows):
-            v[i * m_count + m, :] = e[i, :]
-    return v
-
-
 def _structured_isometries(device: DeviceModel, n: int, d: int,
                            m_count: int) -> list[Array]:
     """Known-good starting points: store-what-fits and intercept measurements."""
@@ -728,11 +713,12 @@ def _structured_isometries(device: DeviceModel, n: int, d: int,
         keep_size += 1
     for keep in itertools.combinations(range(n), keep_size):
         strat = StoreSubset(keep=keep) if keep else breidbart(n)
-        branches = strat.kraus_branches(device.dim_b, n)
-        kraus = [np.vstack([br[0], np.zeros((d - br[0].shape[0], dim_in))])
-                 if br[0].shape[0] < d else br[0] for br in branches]
-        if len(kraus) <= m_count:
-            inits.append(_isometry_from_kraus(kraus, d, m_count, dim_in))
+        e = np.array([br[0] for br in strat.kraus_branches(device.dim_b, n)])
+        if len(e) <= m_count:
+            # row i * m_count + m is row i of branch m (GeneralEncoding.from_isometry)
+            v = np.zeros((d, m_count, dim_in), dtype=complex)
+            v[:e.shape[1], :len(e)] = e.transpose(1, 0, 2)
+            inits.append(v.reshape(d * m_count, dim_in))
     return inits
 
 
@@ -889,7 +875,11 @@ def _run_trials(worker, trials: int, threads: int) -> list[dict]:
 
     Each worker derives its randomness from its own trial index, so results
     are identical for any thread count; records come back sorted by index.
+    A campaign needs at least one trial: with none, the reports' worst slack
+    would stay at infinity and ``passed`` would hold vacuously.
     """
+    if trials < 1:
+        raise DomainError(f"trials must be at least 1, got {trials}")
     if threads <= 1:
         return [worker(t) for t in range(trials)]
     from concurrent.futures import ThreadPoolExecutor

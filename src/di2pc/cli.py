@@ -4,8 +4,9 @@ One binary, subcommand style, machine-readable output. Every subcommand is a
 thin adapter over the library; numbers printed here equal direct library
 calls exactly.
 
-Exit codes: 0 success, 2 usage or input error, 3 verification failure,
-4 dimension-cap error. Errors go to stderr as one-line JSON
+Exit codes: 0 success, 2 usage or input error, 3 verification failure
+(a violated inequality, or an attack value whose certificate did not
+converge), 4 dimension-cap error. Errors go to stderr as one-line JSON
 {"error": kind, "detail": ...}.
 """
 
@@ -224,7 +225,7 @@ def _cmd_attack(args) -> int:
                                 tol=tol.dual_gap / 10)
     _emit({"win_prob": res.win_prob, "per_theta": res.per_theta,
            "certified_gap": res.certified_gap, "converged": res.converged}, args)
-    return _EXIT_OK
+    return _EXIT_OK if res.converged else _EXIT_VERIFY
 
 
 def _cmd_verify(args) -> int:

@@ -1,11 +1,13 @@
 """Tests for strategies, discrimination, the exact game, and the verifiers."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from di2pc.adversary import (
+    _GameContext,
     GeneralEncoding,
     MeasureAll,
     StoreSubset,
@@ -24,9 +26,9 @@ from di2pc.adversary import (
 )
 from di2pc.bounds import bound_perfect
 from di2pc.errors import DimensionCapError, StrategyError
-from di2pc.jordan import epsilon_plus_direct
-from di2pc.matcore import RandomSuite, trace_norm
-from di2pc.protocols import ideal_bb84_device
+from di2pc.jordan import BinaryMeasurement, epsilon_plus_direct
+from di2pc.matcore import RandomSuite, partial_trace, trace_norm
+from di2pc.protocols import DeviceModel, ideal_bb84_device
 
 COS2_PI8 = math.cos(math.pi / 8) ** 2
 
@@ -123,6 +125,153 @@ def test_ensemble_probabilities_sum_to_one_fuzz():
         theta = tuple(int(b) for b in suite.rng.integers(0, 2, n))
         ens = post_measurement_ensemble(device, strat, n, theta)
         assert ens.q.sum() == pytest.approx(1.0, abs=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# game rewards against the dense construction
+# ---------------------------------------------------------------------------
+
+def _dense_conditional_ops(device, theta):
+    """Unnormalized B^(x)n operators per Alice outcome string, chained np.kron."""
+    dims = [device.dim_a, device.dim_b]
+    per_round = []
+    for t in theta:
+        meas = device.alice_measurement(t)
+        per_round.append([
+            partial_trace(np.kron(p, np.eye(device.dim_b)) @ device.sigma_ab,
+                          dims, [1]) for p in (meas.p0, meas.p1)])
+    ops = []
+    for x_bits in itertools.product((0, 1), repeat=len(theta)):
+        op = np.array([[1.0]], dtype=complex)
+        for k, xk in enumerate(x_bits):
+            op = np.kron(op, per_round[k][xk])
+        ops.append(op)
+    return np.stack(ops)
+
+
+def _dense_bras(angle):
+    c, s = math.cos(angle), math.sin(angle)
+    return (np.array([[c, s]], dtype=complex), np.array([[-s, c]], dtype=complex))
+
+
+def _dense_branches(strategy, dim_b, n):
+    """Kraus branches by chained np.kron of bras and identities."""
+    if isinstance(strategy, GeneralEncoding):
+        return [[np.asarray(e) for e in br] for br in strategy.kraus]
+    if isinstance(strategy, MeasureAll):
+        keep = set()
+        angles = strategy.angles if len(strategy.angles) == n \
+            else tuple(strategy.angles) * n
+    else:
+        keep = set(strategy.keep)
+        count = n - len(keep)
+        angles = strategy.angles if len(strategy.angles) == count \
+            else tuple(strategy.angles or (math.pi / 8,)) * count
+    discarded = [k for k in range(n) if k not in keep]
+    bras = {k: _dense_bras(a) for k, a in zip(discarded, angles)}
+    branches = []
+    for outcome in itertools.product((0, 1), repeat=len(discarded)):
+        picks = dict(zip(discarded, outcome))
+        e = np.array([[1.0]], dtype=complex)
+        for k in range(n):
+            factor = np.eye(dim_b, dtype=complex) if k in keep \
+                else bras[k][picks[k]]
+            e = np.kron(e, factor)
+        branches.append([e])
+    return branches
+
+
+def _dense_rewards(rho_by_theta, strategy, dim_b, n, gamma):
+    branches = _dense_branches(strategy, dim_b, n)
+    pop = np.array([bin(i).count("1") for i in range(1 << n)])
+    ball = (pop[np.arange(1 << n)[:, None] ^ np.arange(1 << n)[None, :]]
+            <= math.floor(gamma * n)).astype(float)
+    gs = []
+    for theta in itertools.product((0, 1), repeat=n):
+        rho = rho_by_theta[theta]
+        w = np.stack([sum(e @ rho @ e.conj().T for e in br) for br in branches])
+        gs.append(np.einsum("yx,mxad->myad", ball, w))
+    return np.concatenate(gs)
+
+
+def _qutrit_device():
+    psi = np.zeros((6, 1), dtype=complex)
+    psi[0, 0] = psi[4, 0] = 1.0 / math.sqrt(2.0)
+    ideal = ideal_bb84_device()
+    proj = np.diag([1.0, 0.0, 0.0]).astype(complex)
+    bob = BinaryMeasurement.from_projector(proj)
+    obs = np.diag([1.0, -1.0, -1.0]).astype(complex)
+    return DeviceModel(dim_a=2, dim_b=3, sigma_ab=psi @ psi.conj().T,
+                       alice_meas_0=ideal.alice_meas_0,
+                       alice_meas_1=ideal.alice_meas_1,
+                       bob_meas_0=bob, bob_meas_1=bob, test_t0=obs, test_t1=obs)
+
+
+def _grid_strategies(n, suite):
+    angles = tuple(float(a) for a in suite.rng.random(n) * (math.pi / 2))
+    strats = [MeasureAll(angles=(0.3,)), MeasureAll(angles=angles),
+              StoreSubset(keep=(0,)), StoreSubset(keep=(n - 1,), angles=angles[1:]),
+              StoreSubset(keep=(n // 2,), angles=(0.2,))]
+    if n >= 2:
+        strats.append(StoreSubset(keep=(0, n - 1)))
+    if n <= 3:
+        strats.append(StoreSubset(keep=tuple(range(n))))
+        dim_in = 2 ** n
+        strats.append(GeneralEncoding.from_isometry(
+            np.linalg.qr(suite.ginibre(2 * dim_in, dim_in))[0], 2))
+        # two Kraus elements per branch, each a pair of rows of a unitary
+        u, v = (np.linalg.qr(suite.ginibre(dim_in, dim_in))[0] / math.sqrt(2.0)
+                for _ in range(2))
+        strats.append(GeneralEncoding(tuple(
+            (u[i:i + 2], v[i:i + 2]) for i in range(0, dim_in, 2))))
+    return strats
+
+
+def test_rewards_match_dense_construction():
+    rs = RandomSuite(313)
+    devices = [ideal_bb84_device(), random_qubit_device(rs.child(0)),
+               random_qubit_device(rs.child(1))]
+    worst = 0.0
+    for di, device in enumerate(devices):
+        for n in range(1, 6):
+            rho = {theta: _dense_conditional_ops(device, theta)
+                   for theta in itertools.product((0, 1), repeat=n)}
+            strats = _grid_strategies(n, rs.child(100 + 10 * di + n))
+            for gamma in (0.0, 0.5):
+                ctx = _GameContext(device, n, gamma)
+                for strat in strats:
+                    got = ctx.rewards(strat)
+                    want = _dense_rewards(rho, strat, device.dim_b, n, gamma)
+                    assert got.shape == want.shape, (n, strat)
+                    worst = max(worst, float(np.max(np.abs(got - want))))
+    assert worst <= 1e-12
+
+
+def test_rewards_match_dense_construction_qutrit_memory():
+    device = _qutrit_device()
+    for n in (1, 2):
+        rho = {theta: _dense_conditional_ops(device, theta)
+               for theta in itertools.product((0, 1), repeat=n)}
+        strat = StoreSubset(keep=tuple(range(n)))
+        for gamma in (0.0, 0.5):
+            got = _GameContext(device, n, gamma).rewards(strat)
+            want = _dense_rewards(rho, strat, 3, n, gamma)
+            assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_product_strategy_validation_errors():
+    qutrit = _qutrit_device()
+    ideal = ideal_bb84_device()
+    cases = [(qutrit, MeasureAll(angles=(0.1,)), 2, 1),
+             (qutrit, StoreSubset(keep=(0,)), 2, 3),
+             (ideal, MeasureAll(angles=(0.1, 0.2)), 3, 1),
+             (ideal, StoreSubset(keep=(2,)), 2, 2),
+             (ideal, StoreSubset(keep=(-1,)), 2, 2)]
+    for device, strat, n, d in cases:
+        with pytest.raises(StrategyError):
+            exact_win_probability(device, strat, n, d, 0.0)
+        with pytest.raises(StrategyError):
+            strat.kraus_branches(device.dim_b, n)
 
 
 # ---------------------------------------------------------------------------

@@ -267,3 +267,27 @@ def test_argparse_errors_are_json(capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert json.loads(err.strip())["error"] == "usage"
+
+
+@pytest.mark.parametrize("lemma", ["key-lemma", "norm-lemma", "overlap-lemma"])
+def test_verify_rejects_zero_trials(capsys, lemma):
+    code, out, err = run_cli(capsys, "verify", lemma, "--trials", "0")
+    assert code == 2
+    assert out == ""
+    payload = json.loads(err.strip())
+    assert payload["error"] == "DomainError" and "trials" in payload["detail"]
+
+
+def test_attack_unconverged_exit_code(capsys, device_file, monkeypatch):
+    from di2pc import cli as cli_mod
+    from di2pc.adversary import GuessResult
+
+    def fake(*a, **k):
+        return GuessResult(win_prob=0.5, per_theta={"0": 0.5, "1": 0.5},
+                           certified_gap=0.25, converged=False)
+    monkeypatch.setattr(cli_mod, "exact_win_probability", fake)
+    code, out, _ = run_cli(capsys, "attack", "--device", device_file,
+                           "--strategy", "breidbart", "--n", "1", "--d", "1")
+    assert code == 3
+    assert json.loads(out) == {"win_prob": 0.5, "per_theta": {"0": 0.5, "1": 0.5},
+                               "certified_gap": 0.25, "converged": False}
