@@ -8,10 +8,12 @@ output a guess y with d_H(x, y) <= floor(gamma n).
 For a concrete encoding strategy the winning probability is computed
 exactly: for every theta the post-measurement ensemble on Bob's memory is
 built branch by classical branch, and the optimal decoding is a quantum
-state discrimination problem solved by a fixed-point iteration with a dual
-certificate (eigenvalue lifting), so every reported value comes with a
-certified optimality gap. Closed forms are used where they exist (scalar
-memories, two-outcome Helstrom).
+state discrimination problem with a dual certificate (eigenvalue lifting),
+so every reported value comes with a certified optimality gap. Guesses whose
+reward operator another guess dominates are dropped first; closed forms
+solve what is left where they exist (scalar memories, one guess, two-outcome
+Helstrom), and a fixed-point iteration with an interior-point fallback
+solves the rest.
 
 The module also hosts the see-saw encoding search (a heuristic lower bound
 on the game value) and the three fuzzed inequality verifiers backing the
@@ -42,7 +44,6 @@ from .matcore import (
     operator_norm,
     partial_trace,
     psd_sqrt,
-    trace_norm,
 )
 from .protocols import DeviceModel, ideal_bb84_device
 
@@ -146,11 +147,16 @@ class StoreSubset(_ProductStrategy):
 
     The kept factors must fit the memory (product of their dimensions <= d is
     checked at evaluation time); discarded rounds are measured at ``angles``.
+    A round is kept at most once, so ``memory_dim`` counts what is stored.
     """
 
     keep: tuple[int, ...]
     angles: tuple[float, ...] = ()
     kind: str = field(default="store_subset", init=False)
+
+    def __post_init__(self):
+        if len(set(self.keep)) != len(self.keep):
+            raise StrategyError(f"keep indices {list(self.keep)} repeat a round")
 
     def memory_dim(self, dim_b: int, n: int) -> int:
         return dim_b ** len(self.keep)
@@ -182,11 +188,17 @@ class GeneralEncoding:
     kraus: tuple[tuple[Array, ...], ...]
     kind: str = field(default="general_encoding", init=False)
 
+    def __post_init__(self):
+        if not self.kraus or not all(self.kraus):
+            raise StrategyError("an encoding needs at least one branch, and "
+                                "every branch at least one Kraus element")
+
     def memory_dim(self, dim_b: int, n: int) -> int:
         return int(self.kraus[0][0].shape[0])
 
     def kraus_branches(self, dim_b: int, n: int) -> list[list[Array]]:
         dim_in = dim_b ** n
+        mem = self.memory_dim(dim_b, n)
         total = None
         for branch in self.kraus:
             for e in branch:
@@ -194,6 +206,10 @@ class GeneralEncoding:
                 if e.shape[1] != dim_in:
                     raise ShapeError(
                         f"Kraus input dimension {e.shape[1]} != {dim_in}")
+                if e.shape[0] != mem:
+                    raise StrategyError(
+                        f"Kraus output dimension {e.shape[0]} != {mem}: every "
+                        "element must map into the same memory")
                 total = dagger(e) @ e if total is None else total + dagger(e) @ e
         if total is None or np.max(np.abs(total - np.eye(dim_in))) > 1e-9:
             raise StrategyError("encoding is not trace preserving within 1e-9")
@@ -297,28 +313,63 @@ class DiscriminationResult:
     converged: bool
 
 
-def _helstrom_pair(g0: Array, g1: Array) -> DiscriminationResult:
-    """Closed-form two-operator discrimination with an exact dual."""
-    delta = g0 - g1
-    value = 0.5 * float((np.trace(g0) + np.trace(g1)).real + trace_norm(delta))
-    w, v = np.linalg.eigh((delta + dagger(delta)) / 2)
-    pos = v[:, w > 0]
-    f0 = pos @ dagger(pos) if pos.size else np.zeros_like(delta)
-    f1 = np.eye(delta.shape[0]) - f0
-    achieved = float((np.trace(f0 @ g0) + np.trace(f1 @ g1)).real)
-    return DiscriminationResult(win_prob=achieved, upper_bound=value,
-                                dual_gap=max(0.0, value - achieved),
-                                povm=[f0, f1], converged=True)
+def _herm(a: np.ndarray) -> np.ndarray:
+    return (a + np.conj(np.swapaxes(a, -1, -2))) / 2
 
 
-def _dual_upper(g: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Feasible dual values from the lift Y = herm(sum_y G_y F_y) + max(0,mu) I."""
+def _dual_upper(g: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Feasible dual values tr(Y) + max(0, mu) dim, where mu is the largest
+    eigenvalue of any G_y - Y, so that Y + max(0, mu) I >= G_y for every y."""
     d = g.shape[-1]
-    z = np.einsum("bkij,bkjl->bil", g, f)
-    y0 = (z + np.conj(np.transpose(z, (0, 2, 1)))) / 2
-    excess = np.linalg.eigvalsh(g - y0[:, None, :, :])
+    excess = np.linalg.eigvalsh(g - y[:, None, :, :])
     mu = np.clip(excess[:, :, -1].max(axis=1), 0.0, None)
-    return np.einsum("bii->b", y0).real + mu * d
+    return np.einsum("bii->b", y).real + mu * d
+
+
+def _dual_operator(g: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """The dual candidate herm(sum_y G_y F_y), optimal at the optimal POVM."""
+    return _herm(np.einsum("bkij,bkjl->bil", g, f))
+
+
+def _undominated(g: np.ndarray) -> np.ndarray:
+    """Mask (batch, outcomes) of the outcomes no other outcome dominates.
+
+    Outcome y is dropped when some kept z has G_z >= G_y (to a relative
+    1e-13): moving F_y onto F_z then loses nothing, so the optimum over the
+    kept outcomes is the optimum over all. Domination implies a larger
+    trace, so outcomes are taken in decreasing trace, each tested against the
+    outcomes kept before it only; among equal operators the lowest index is
+    kept. Nothing larger than (batch, kept, dim, dim) is allocated.
+    """
+    b, k, _, _ = g.shape
+    tr = np.einsum("bkii->bk", g).real
+    scale = tr.max(axis=1)
+    order = np.argsort(-np.round(tr / np.where(scale > 0, scale, 1.0)[:, None], 12),
+                       axis=1, kind="stable")
+    eps = 1e-13 * scale[:, None]
+    rows = np.arange(b)
+    kept = order[:, :1].copy()           # per problem, padded by its first entry
+    count = np.ones(b, dtype=int)
+    for j in range(1, k):
+        y = order[:, j]
+        low = np.linalg.eigvalsh(g[rows[:, None], kept] - g[rows, y][:, None])[..., 0]
+        new = ~(low >= -eps).any(axis=1)
+        if not new.any():
+            continue
+        if count[new].max() == kept.shape[1]:
+            kept = np.concatenate([kept, kept[:, :1]], axis=1)
+        kept[new, count[new]] = y[new]
+        count += new
+    keep = np.zeros((b, k), dtype=bool)
+    keep[rows[:, None], kept] = True
+    return keep
+
+
+def _helstrom(g0: np.ndarray, g1: np.ndarray) -> np.ndarray:
+    """Optimal two-outcome POVM element F_0 (Helstrom): the projector onto
+    the positive part of G_0 - G_1, one eigendecomposition per problem."""
+    w, v = np.linalg.eigh(_herm(g0 - g1))
+    return np.einsum("bij,bj,bkj->bik", v, (w > 0).astype(float), np.conj(v))
 
 
 @lru_cache(maxsize=None)
@@ -342,15 +393,15 @@ def _hermitian_basis(dim: int) -> np.ndarray:
     return np.stack(basis)
 
 
-def _ipm_single(g: np.ndarray, gap_target: float) -> tuple[float, float, np.ndarray]:
+def _ipm_single(g: np.ndarray, gap_target: float) -> tuple[np.ndarray, np.ndarray]:
     """Central-path solver for min tr(Y) s.t. Y >= G_y on one small problem.
 
     Newton steps on the log-det barrier; at parameter t the matrices
     F_y = (1/t)(Y - G_y)^{-1} form an (almost) exact POVM with duality gap
-    k*dim/t, so driving t past k*dim/gap_target certifies the target. The
-    returned POVM is repaired to sum to the identity exactly, and the upper
-    bound comes from the (lifted) dual operator, so both sides stay sound
-    independently of solver accuracy.
+    k*dim/t, so driving t past k*dim/gap_target certifies the target.
+    Returns the POVM, repaired to sum to the identity exactly, and the dual
+    operator Y; the caller evaluates both (``_dual_upper`` lifts Y), so both
+    sides stay sound independently of solver accuracy.
     """
     k, dim, _ = g.shape
     basis = _hermitian_basis(dim)
@@ -358,16 +409,14 @@ def _ipm_single(g: np.ndarray, gap_target: float) -> tuple[float, float, np.ndar
     eye = np.eye(dim, dtype=complex)
     lam0 = max(float(np.linalg.eigvalsh(gy)[-1]) for gy in g)
     if lam0 <= 0.0:
-        return 0.0, 0.0, np.broadcast_to(eye / k, g.shape).copy()
+        return np.broadcast_to(eye / k, g.shape).copy(), np.zeros_like(eye)
     y = (lam0 + 1.0) * eye
     t = max(1.0, k * dim)
     t_final = 4.0 * k * dim / max(gap_target, 1e-12)
     grad_eye = np.array([float(np.trace(b).real) for b in basis])
     while True:
         for _ in range(40):
-            slacks = y[None] - g
-            inv = np.linalg.inv(slacks)
-            inv = (inv + np.conj(np.transpose(inv, (0, 2, 1)))) / 2
+            inv = _herm(np.linalg.inv(y[None] - g))
             grad = t * grad_eye - np.einsum("aij,yji->a", basis, inv).real
             bp = np.einsum("yij,ajk,ykl->yail", inv, basis, inv)
             hess = np.einsum("bij,yaji->ab", basis, bp).real
@@ -394,47 +443,46 @@ def _ipm_single(g: np.ndarray, gap_target: float) -> tuple[float, float, np.ndar
         if t >= t_final:
             break
         t = min(t * 20.0, t_final)
-    slacks = y[None] - g
-    inv = np.linalg.inv(slacks)
-    inv = (inv + np.conj(np.transpose(inv, (0, 2, 1)))) / 2
-    f = inv / t
+    f = _herm(np.linalg.inv(y[None] - g)) / t
     total = f.sum(axis=0)
     w, v = np.linalg.eigh(total)
     fix = (v / np.sqrt(np.clip(w, 1e-300, None))) @ np.conj(v.T)
     f = fix[None] @ f @ fix[None]
-    lower = float(np.einsum("yij,yji->", f, g).real)
-    mu = max(0.0, float(np.linalg.eigvalsh(g - y[None]).max()))
-    upper = float(np.trace(y).real) + mu * dim
-    return lower, upper, f
+    return f, y
 
 
-def _discriminate_batch(g: np.ndarray, tol: float = 1e-9,
-                        max_iter: int = 10_000, dual_every: int = 1,
-                        refine: bool = True,
-                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
-    """Batched fixed-point discrimination.
+# The fixed point and its fallback aim at this fraction of ``tol``. A batch
+# stops once every gap in it is within the aim, and pruned batches are small,
+# so aiming at ``tol`` itself would leave values anywhere up to ``tol`` below
+# the optimum; a problem still open by more than ``tol`` gets the fallback.
+_TARGET = 1e-3
 
-    ``g`` has shape (batch, outcomes, dim, dim): PSD reward operators. The
-    optimal POVM maximizes sum_y tr(F_y G_y). Returns (lower, upper, povm,
-    converged): ``lower`` is achieved by the returned POVM, ``upper`` by a
-    lifted dual-feasible operator, evaluated every ``dual_every`` sweeps
+
+def _fixed_point(g: np.ndarray, tol: float, max_iter: int, dual_every: int,
+                 refine: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Ježek–Řeháček–Fiurášek fixed point on a batch of problems.
+
+    Returns the best POVM found per problem and the best dual operator Y
+    (unlifted). The dual is evaluated every ``dual_every`` sweeps
     (certification is not needed at every step of a search). Problems whose
     gap the iteration fails to close are handed to the central-path solver
     when ``refine`` is set; its certificates replace the weaker ones.
     """
     b, k, d, _ = g.shape
-    if d == 1:
-        vals = g[:, :, 0, 0].real
-        best = vals.argmax(axis=1)
-        f = np.zeros_like(g)
-        f[np.arange(b), best, 0, 0] = 1.0
-        top = vals.max(axis=1)
-        return top, top, f, True
     eye = np.broadcast_to(np.eye(d, dtype=complex), (b, d, d))
     f = np.broadcast_to(np.eye(d, dtype=complex) / k, g.shape).copy()
     best_lower = np.full(b, -np.inf)
     best_upper = np.full(b, np.inf)
     best_f = f.copy()
+    best_y = np.zeros((b, d, d), dtype=complex)
+
+    def certify(f: np.ndarray) -> None:
+        y = _dual_operator(g, f)
+        upper = _dual_upper(g, y)
+        better = upper < best_upper
+        best_upper[better] = upper[better]
+        best_y[better] = y[better]
+
     converged = False
     stale = 0
     window_mark = -np.inf
@@ -449,8 +497,8 @@ def _discriminate_batch(g: np.ndarray, tol: float = 1e-9,
             stale += 1
         best_lower = np.maximum(best_lower, lower)
         if it % dual_every == 0:
-            best_upper = np.minimum(best_upper, _dual_upper(g, f))
-            if np.all(best_upper - best_lower <= tol):
+            certify(f)
+            if np.all(best_upper - best_lower <= _TARGET * tol):
                 converged = True
                 break
         if it % 25 == 24:
@@ -460,8 +508,7 @@ def _discriminate_batch(g: np.ndarray, tol: float = 1e-9,
             window_mark = total
         if stale >= 12:
             break
-        m = np.einsum("bkij,bkjl,bklm->bim", g, f, g)
-        m = (m + np.conj(np.transpose(m, (0, 2, 1)))) / 2
+        m = _herm(np.einsum("bkij,bkjl,bklm->bim", g, f, g))
         w, v = np.linalg.eigh(m)
         wmax = np.clip(w[:, -1:], 1e-300, None)
         inv_sqrt = np.where(w > 1e-14 * wmax, 1.0 / np.sqrt(np.clip(w, 1e-300, None)), 0.0)
@@ -469,17 +516,68 @@ def _discriminate_batch(g: np.ndarray, tol: float = 1e-9,
         f = s[:, None] @ g @ f @ g @ s[:, None]
         slack = eye - f.sum(axis=1)
         f = f + slack[:, None] / k
-    best_upper = np.minimum(best_upper, _dual_upper(g, best_f))
+    certify(best_f)
     if refine and not converged:
-        open_idx = np.flatnonzero(best_upper - best_lower > tol)
-        for i in open_idx:
-            lo, up, fi = _ipm_single(g[i], gap_target=tol / 2)
-            if lo > best_lower[i]:
-                best_lower[i] = lo
+        for i in np.flatnonzero(best_upper - best_lower > tol):
+            fi, yi = _ipm_single(g[i], gap_target=_TARGET * tol)
+            if np.einsum("yij,yji->", fi, g[i]).real > best_lower[i]:
                 best_f[i] = fi
-            best_upper[i] = min(best_upper[i], up)
-    converged = bool(np.all(best_upper - best_lower <= tol))
-    return best_lower, best_upper, best_f, converged
+            upper = _dual_upper(g[i:i + 1], yi[None])[0]
+            if upper < best_upper[i]:
+                best_upper[i] = upper
+                best_y[i] = yi
+    return best_f, best_y
+
+
+def _discriminate_batch(g: np.ndarray, tol: float = 1e-9,
+                        max_iter: int = 10_000, dual_every: int = 1,
+                        refine: bool = True,
+                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
+    """Batched certified discrimination.
+
+    ``g`` has shape (batch, outcomes, dim, dim): PSD reward operators. The
+    optimal POVM maximizes sum_y tr(F_y G_y). Returns (lower, upper, povm,
+    converged): ``lower`` is achieved by the returned POVM and ``upper`` by a
+    lifted dual-feasible operator, both evaluated on the full ``g``, and
+    ``converged`` says whether every gap is within ``tol``.
+
+    Dominated outcomes are dropped first (``_undominated``) and get zero POVM
+    elements. Problems left with one outcome take the identity, those with
+    two the Helstrom measurement; the rest run the fixed point on their kept
+    outcomes only (``_fixed_point``). Soundness does not rest on the
+    pruning: a wrong drop can only widen the certified gap.
+    """
+    b, k, d, _ = g.shape
+    if d == 1:
+        vals = g[:, :, 0, 0].real
+        best = vals.argmax(axis=1)
+        f = np.zeros_like(g)
+        f[np.arange(b), best, 0, 0] = 1.0
+        top = vals.max(axis=1)
+        return top, top, f, True
+    keep = _undominated(g)
+    count = keep.sum(axis=1)
+    idx = np.argsort(~keep, axis=1, kind="stable")   # kept outcomes first
+    eye = np.eye(d, dtype=complex)
+    f = np.zeros_like(g)
+    y = np.empty((b, d, d), dtype=complex)
+    one = np.flatnonzero(count == 1)
+    f[one, idx[one, 0]] = eye
+    two = np.flatnonzero(count == 2)
+    f0 = _helstrom(g[two, idx[two, 0]], g[two, idx[two, 1]])
+    f[two, idx[two, 0]] = f0
+    f[two, idx[two, 1]] = eye - f0
+    closed = count <= 2
+    y[closed] = _dual_operator(g[closed], f[closed])
+    for c in np.unique(count[count > 2]):
+        sel = np.flatnonzero(count == c)
+        cols = idx[sel, :c]
+        fc, y[sel] = _fixed_point(g[sel[:, None], cols], tol, max_iter,
+                                  dual_every, refine)
+        f[sel[:, None], cols] = fc
+    lower = np.einsum("bkij,bkji->b", f, g).real
+    upper = _dual_upper(g, y)
+    return lower, upper, f, bool(np.all(upper - lower <= tol))
 
 
 def optimal_discrimination(ensemble, tol: float = 1e-9,
@@ -502,8 +600,6 @@ def optimal_discrimination(ensemble, tol: float = 1e-9,
     d = ops[0].shape[0]
     if any(o.shape != (d, d) for o in ops):
         raise ShapeError("ensemble operators must share one dimension")
-    if len(ops) == 2:
-        return _helstrom_pair(ops[0], ops[1])
     g = np.stack(ops)[None]
     lower, upper, f, conv = _discriminate_batch(g, tol, max_iter)
     return DiscriminationResult(

@@ -7,7 +7,10 @@ import numpy as np
 import pytest
 
 from di2pc.adversary import (
+    _discriminate_batch,
+    _dual_upper,
     _GameContext,
+    _ipm_single,
     GeneralEncoding,
     MeasureAll,
     StoreSubset,
@@ -88,6 +91,59 @@ def test_discrimination_multi_state_certificate():
             assert np.linalg.eigvalsh((f + f.conj().T) / 2).min() > -1e-9
         # value cannot beat always-guessing-the-likeliest baseline by less
         assert res.win_prob >= max(p for p, _ in ens) - 1e-9
+
+
+def _planted_batch(suite, dim, free, planted):
+    """Reward operators: ``free`` random ones plus ``planted`` dominated ones,
+    each either c * G_z (0 <= c < 1) or a G_z that G_z + PSD outranks.
+    Returns the operators in shuffled order and the dominated positions."""
+    ops = [float(suite.rng.uniform(0.5, 1.0)) * suite.density_operator(dim)
+           for _ in range(free)]
+    dominated = []
+    for _ in range(planted):
+        z = int(suite.rng.integers(len(ops)))
+        if suite.rng.random() < 0.5:
+            ops.append(float(suite.rng.uniform(0.0, 0.9)) * ops[z])
+            dominated.append(len(ops) - 1)
+        else:
+            ops.append(ops[z] + 0.3 * suite.psd(dim))
+            dominated.append(z)
+    perm = suite.rng.permutation(len(ops))
+    where = np.argsort(perm)
+    return np.stack([ops[i] for i in perm]), sorted(int(where[i]) for i in set(dominated))
+
+
+def test_discriminate_batch_prunes_planted_dominated_outcomes():
+    rs = RandomSuite(307)
+    for trial in range(24):
+        suite = rs.child(trial)
+        dim = 2 + trial % 2
+        free = 1 + trial % 4          # one, two and more undominated outcomes
+        g, dominated = _planted_batch(suite, dim, free, planted=3)
+        lower, upper, f, conv = _discriminate_batch(g[None])
+        # both sides carry float64 roundoff, so lower <= upper holds to 1e-12
+        assert conv and lower[0] - 1e-12 <= upper[0] <= lower[0] + 1e-9
+        f_ipm, y_ipm = _ipm_single(g, gap_target=1e-10)
+        value_ipm = float(np.einsum("yij,yji->", f_ipm, g).real)
+        assert lower[0] == pytest.approx(value_ipm, abs=1e-8)
+        assert _dual_upper(g[None], y_ipm[None])[0] >= lower[0] - 1e-12
+        assert np.max(np.abs(f[0].sum(axis=0) - np.eye(dim))) < 1e-10
+        for fy in f[0]:
+            assert np.linalg.eigvalsh((fy + fy.conj().T) / 2).min() > -1e-10
+        for y in dominated:
+            assert not f[0, y].any()
+
+
+def test_two_outcome_batch_matches_helstrom():
+    rs = RandomSuite(309)
+    g = np.stack([np.stack([float(s.rng.random()) * s.density_operator(3)
+                            for _ in range(2)])
+                  for s in (rs.child(i) for i in range(30))])
+    lower, upper, f, conv = _discriminate_batch(g)
+    expect = [0.5 * float(np.trace(a + b).real + trace_norm(a - b)) for a, b in g]
+    assert conv
+    assert lower == pytest.approx(expect, abs=1e-12)
+    assert np.all(np.abs(upper - lower) <= 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -333,6 +389,13 @@ def test_general_encoding_must_be_trace_preserving():
     bad = GeneralEncoding(((0.5 * np.eye(2, dtype=complex),),))
     with pytest.raises(StrategyError):
         exact_win_probability(ideal_bb84_device(), bad, 1, 2, 0.0)
+
+
+def test_store_subset_rejects_repeated_rounds():
+    with pytest.raises(StrategyError):
+        StoreSubset(keep=(0, 0))
+    with pytest.raises(StrategyError):
+        strategy_from_obj({"kind": "store_subset", "keep": [1, 0, 1]})
 
 
 def test_strategy_objects_roundtrip():

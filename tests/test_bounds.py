@@ -1,17 +1,23 @@
 """Tests for the closed-form security bounds."""
 
 import math
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import di2pc
 from di2pc.bounds import (
     INSECURE,
     binary_entropy,
     bound_imperfect,
     bound_perfect,
+    bound_perfect_log2,
     bound_perfect_raw,
     bound_perfect_sumform,
+    bound_perfect_sumform_log2,
     bound_report,
     decay_condition,
     gamma_star,
@@ -90,6 +96,32 @@ def test_forms_agree_on_small_grid():
                 raw = bound_perfect_raw(n, d, zeta)
                 sf = bound_perfect_sumform(n, d, zeta)
                 assert raw == pytest.approx(sf, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [2000, 20000, 100000])
+def test_log_space_forms_match_mpmath(n):
+    # Past the linear range both forms run in log2 space; a 60-digit
+    # evaluation of the closed form is the reference for both (they are
+    # equal algebraically).
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        for d, zeta in ((2, 0.0), (16, 0.5), (2 ** 20, 0.9)):
+            q = mpmath.sqrt((1 + mpmath.mpf(zeta)) / 2)
+            t = min(int(mpmath.floor(-mpmath.log(d, 2) / mpmath.log(q ** 2, 2))), n)
+            main = mpmath.sqrt(d) * ((1 + q) / 2) ** n
+            corr = mpmath.fsum(mpmath.binomial(n, k) * (mpmath.sqrt(d) * q ** k - 1)
+                               for k in range(t + 1)) / mpmath.mpf(2) ** n
+            expect = float(mpmath.log(main - corr, 2))
+            assert abs(bound_perfect_log2(n, d, zeta) - expect) <= 1e-9
+            assert abs(bound_perfect_sumform_log2(n, d, zeta) - expect) <= 1e-9
+
+
+def test_import_leaves_scipy_unloaded():
+    src = str(pathlib.Path(di2pc.__file__).resolve().parents[1])
+    code = f"import sys; sys.path.insert(0, {src!r}); import di2pc; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_binary_entropy_examples():

@@ -162,6 +162,28 @@ def test_attack_from_strategy_file(capsys, tmp_path, device_file):
     assert json.loads(out)["win_prob"] == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("strategy, n, d", [
+    # a repeated round would claim memory 4 while storing one qubit
+    ({"kind": "store_subset", "keep": [0, 0], "angles": []}, 2, 4),
+    # Kraus elements mapping into memories of different sizes
+    ({"kind": "general_encoding", "kraus": [
+        [{"rows": 1, "cols": 2, "data": [[1, 0], [0, 0]]}],
+        [{"rows": 2, "cols": 2, "data": [[0, 0], [0, 0], [0, 0], [1, 0]]}]]}, 1, 2),
+    # no branch at all, or a branch without Kraus elements
+    ({"kind": "general_encoding", "kraus": []}, 1, 2),
+    ({"kind": "general_encoding", "kraus": [[]]}, 1, 2),
+])
+def test_attack_rejects_malformed_strategy_file(capsys, tmp_path, device_file,
+                                                strategy, n, d):
+    strat = tmp_path / "strat.json"
+    strat.write_text(json.dumps(strategy))
+    code, out, err = run_cli(capsys, "attack", "--device", device_file,
+                             "--strategy", f"file:{strat}", "--n", str(n), "--d", str(d))
+    assert code == 2
+    assert out == ""
+    assert json.loads(err.strip())["error"] == "StrategyError"
+
+
 def test_verify_deterministic_output(capsys):
     code1, out1, _ = run_cli(capsys, "verify", "norm-lemma", "--trials", "20",
                              "--seed", "1")
