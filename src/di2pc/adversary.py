@@ -13,12 +13,18 @@ so every reported value comes with a certified optimality gap. Guesses whose
 reward operator another guess dominates are dropped first; closed forms
 solve what is left where they exist (scalar memories, one guess, two-outcome
 Helstrom), and a fixed-point iteration with an interior-point fallback
-solves the rest.
+solves the rest. The dual bound is rounded outward, so it stays at or above
+the value of the returned POVM in float64.
 
 The module also hosts the see-saw encoding search (a heuristic lower bound
 on the game value) and the three fuzzed inequality verifiers backing the
 security statement: the key-lemma bound itself, the norm-of-sum inequality,
-and the per-block overlap bounds.
+and the per-block overlap bounds. The search scores candidates with the
+solver's uncertified search mode, in which qubit memories with any number
+of guesses get an exact closed form (the Bloch-vector dual solved over its
+active sets, ``_qubit_optimum``) instead of the fixed point; the value it
+returns is re-certified on the certified path, which the closed form does
+not enter.
 """
 
 from __future__ import annotations
@@ -74,6 +80,8 @@ BREIDBART_ANGLE = math.pi / 8
 
 _GAME_CAP_ROUNDS = 6
 _ENCODING_CAP_ROUNDS = 3
+
+_EPS = float(np.finfo(float).eps)
 
 
 def _round_kraus(angle: float | None, dim_b: int) -> Array:
@@ -317,13 +325,27 @@ def _herm(a: np.ndarray) -> np.ndarray:
     return (a + np.conj(np.swapaxes(a, -1, -2))) / 2
 
 
-def _dual_upper(g: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _dual_upper(g: np.ndarray, y: np.ndarray, outward: bool = True) -> np.ndarray:
     """Feasible dual values tr(Y) + max(0, mu) dim, where mu is the largest
-    eigenvalue of any G_y - Y, so that Y + max(0, mu) I >= G_y for every y."""
+    eigenvalue of any G_y - Y, so that Y + max(0, mu) I >= G_y for every y.
+
+    Rounded ``outward`` for a reported certificate: ``eigvalsh`` and the
+    trace are backward stable, so their float64 error is a small multiple of
+    eps times the magnitudes that enter (the diagonal of Y and the spectra of
+    G_y - Y); a few ulps of those are added, so that the bound stays at or
+    above what a POVM achieves. The solver's inner loops, which only compare
+    candidate duals, skip it.
+    """
     d = g.shape[-1]
     excess = np.linalg.eigvalsh(g - y[:, None, :, :])
     mu = np.clip(excess[:, :, -1].max(axis=1), 0.0, None)
-    return np.einsum("bii->b", y).real + mu * d
+    upper = np.einsum("bii->b", y).real + mu * d
+    if not outward:
+        return upper
+    # the spectra are sorted, so their largest magnitude sits at an end
+    spread = np.maximum(-excess[:, :, 0], excess[:, :, -1]).max(axis=1)
+    magnitude = np.abs(np.diagonal(y, axis1=1, axis2=2).real).sum(axis=1) + d * spread
+    return upper + 4 * d * _EPS * magnitude
 
 
 def _dual_operator(g: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -365,11 +387,150 @@ def _undominated(g: np.ndarray) -> np.ndarray:
     return keep
 
 
+def _complete(f: np.ndarray) -> np.ndarray:
+    """Repair POVMs, shape (..., outcomes, dim, dim), to sum to the identity
+    exactly: F_y -> S F_y S with S = (sum_y F_y)^(-1/2), which keeps them PSD."""
+    w, v = np.linalg.eigh(f.sum(axis=-3))
+    root = np.sqrt(np.clip(w, 1e-300, None))[..., None, :]
+    fix = (v / root) @ np.conj(np.swapaxes(v, -1, -2))
+    return fix[..., None, :, :] @ f @ fix[..., None, :, :]
+
+
 def _helstrom(g0: np.ndarray, g1: np.ndarray) -> np.ndarray:
     """Optimal two-outcome POVM element F_0 (Helstrom): the projector onto
     the positive part of G_0 - G_1, one eigendecomposition per problem."""
     w, v = np.linalg.eigh(_herm(g0 - g1))
     return np.einsum("bij,bj,bkj->bik", v, (w > 0).astype(float), np.conj(v))
+
+
+_PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]],
+                  dtype=complex)
+
+
+@lru_cache(maxsize=None)
+def _active_sets(k: int) -> tuple[np.ndarray, ...]:
+    """The subsets of k guesses with 1..min(k, 4) members, one (count, size)
+    index array per size."""
+    return tuple(np.array(list(itertools.combinations(range(k), s)))
+                 for s in range(1, min(k, 4) + 1))
+
+
+def _polish(t: np.ndarray, roots: np.ndarray, diff: np.ndarray, be: np.ndarray,
+            e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Two Newton steps on the active equations of ``_qubit_optimum`` as they
+    stand, |b - beta_y| = a' - (alpha_y - alpha_0) in the unknowns (t, a').
+    Their squares, which the closed form solves, lose up to all digits of a
+    root when two guesses nearly dominate one another (both sides of the
+    quadratic then share a factor that cancels); these equations do not.
+    A step whose Jacobian is singular or undefined is skipped."""
+    lift = np.concatenate([np.zeros_like(e[..., :1]), e], axis=-1)[..., None, :]
+    span = np.swapaxes(diff, -1, -2)[..., None, :, :]
+    for _ in range(2):
+        b = be[..., None, 0, :] + np.einsum("...rj,...jx->...rx", t, diff)
+        vec = b[..., None, :] - be[..., None, :, :]
+        dist = np.linalg.norm(vec, axis=-1)
+        jac = np.concatenate([(vec / dist[..., None]) @ span,
+                              -np.ones(dist.shape + (1,))], axis=-1)
+        det = np.linalg.det(jac)
+        ok = np.isfinite(det) & (det != 0)
+        step = np.linalg.solve(np.where(ok[..., None, None], jac, np.eye(jac.shape[-1])),
+                               (dist - roots[..., None] + lift)[..., None])[..., 0]
+        step[~ok] = 0.0
+        t, roots = t - step[..., :-1], roots - step[..., -1]
+    return t, roots
+
+
+def _qubit_optimum(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact optima of 2 x 2 discrimination problems (Deconinck & Terhal,
+    PRA 81, 062304, 2010), batched; returns (POVM, dual operator Y).
+
+    With G_y = alpha_y I + beta_y . sigma and Y = a I + b . sigma, the dual
+    min tr Y s.t. Y >= G_y reads min 2a s.t. a >= alpha_y + |b - beta_y|. At
+    the optimum a set S of guesses is active (equality) and b lies in the
+    convex hull of their beta_y; S can be taken affinely independent, so it
+    has one to four members (one only where a guess dominates). Every such S
+    is solved at once: with b = beta_0 + sum_j t_j (beta_j - beta_0), the
+    differences of the active equations are linear in (t, a), and
+    |b - beta_0| = a - alpha_0 leaves one quadratic in a, whose roots
+    ``_polish`` refines. A root is kept when it is dual feasible, its active
+    equations hold and its hull weights c are nonnegative. Such a root is
+    optimal: F_y = w_y (I - n_y . sigma), with n_y = (b - beta_y) /
+    (a - alpha_y) and w_y proportional to c_y (a - alpha_y), sums to I and
+    achieves 2a. The smallest kept a wins; a problem with no kept root gets
+    the uniform POVM and its dual operator, which a gap check rejects.
+    """
+    nb, k = g.shape[:2]
+    alpha = (g[..., 0, 0].real + g[..., 1, 1].real) / 2
+    beta = np.stack([(g[..., 0, 1].real + g[..., 1, 0].real) / 2,
+                     (g[..., 1, 0].imag - g[..., 0, 1].imag) / 2,
+                     (g[..., 0, 0].real - g[..., 1, 1].real) / 2], axis=-1)
+    cands_a, cands_b, cands_c, active = [], [], [], []
+    # degenerate sets give inf or nan roots, which the checks below discard
+    with np.errstate(all="ignore"):
+        for sets in _active_sets(k):
+            s = sets.shape[1]
+            al, be = alpha[:, sets], beta[:, sets]      # (nb, sets, s), (.., 3)
+            diff = be[..., 1:, :] - be[..., :1, :]      # rows beta_j - beta_0
+            e = al[..., 1:] - al[..., :1]
+            gram = diff @ np.swapaxes(diff, -1, -2)
+            # det over the product of the diagonal, in [0, 1], flags sets whose
+            # Bloch vectors are (nearly) affinely dependent
+            ratio = np.linalg.det(gram) / np.prod(np.einsum("...ii->...i", gram), axis=-1)
+            solvable = ratio > 1e-10
+            gram = np.where(solvable[..., None, None], gram, np.eye(s - 1))
+            # t = p + a' q with a' = a - alpha_0
+            pq = np.linalg.solve(2 * gram, np.stack([(diff ** 2).sum(-1) - e ** 2,
+                                                     2 * e], axis=-1))
+            p_vec = np.einsum("...j,...jx->...x", pq[..., 0], diff)
+            q_vec = np.einsum("...j,...jx->...x", pq[..., 1], diff)
+            # |p_vec + a' q_vec|^2 = a'^2, i.e. A a'^2 - 2 B a' - C = 0
+            qa = 1.0 - (q_vec ** 2).sum(-1)
+            qb = (p_vec * q_vec).sum(-1)
+            qc = (p_vec ** 2).sum(-1)
+            top = qb + np.copysign(np.sqrt(np.clip(qb ** 2 + qa * qc, 0.0, None)), qb)
+            roots = np.stack([top / qa, -qc / top], axis=-1)
+            roots[~solvable] = np.nan
+            t = pq[..., None, :, 0] + roots[..., None] * pq[..., None, :, 1]
+            if s > 1:
+                t, roots = _polish(t, roots, diff, be, e)
+            hull = np.concatenate([1.0 - t.sum(-1, keepdims=True), t], axis=-1)
+            onehot = np.eye(k)[sets]                     # (sets, s, k)
+            cands_a.append((al[..., :1] + roots).reshape(nb, -1))
+            cands_b.append(np.einsum("...rs,...sx->...rx", hull, be).reshape(nb, -1, 3))
+            cands_c.append(np.einsum("...rs,...sk->...rk", hull, onehot).reshape(nb, -1, k))
+            active.append(np.repeat(onehot.sum(axis=1), 2, axis=0) > 0)
+        a = np.concatenate(cands_a, axis=1)
+        b = np.concatenate(cands_b, axis=1)
+        c = np.concatenate(cands_c, axis=1)
+        active = np.concatenate(active)
+        slack = (a[..., None] - alpha[:, None]
+                 - np.linalg.norm(b[:, :, None] - beta[:, None], axis=-1))
+        eps = 1e-12 * np.abs(alpha).max(axis=1)[:, None, None]
+        kept = (np.isfinite(a) & (slack >= -eps).all(-1) & (c >= 0.0).all(-1)
+                & ((np.abs(slack) <= eps) | ~active).all(-1))
+        # the smallest a, and among the roots that reach it the first, which
+        # has the fewest active guesses: the POVM weights of a larger set
+        # are ill-determined where it reaches the same a
+        a_kept = np.where(kept, a, np.inf)
+        low = a_kept.min(axis=1)
+        best = np.argmax(a_kept <= (low + eps[:, 0, 0])[:, None], axis=1)
+        found = np.isfinite(low)
+        rows = np.arange(nb)
+        a, b, c = a[rows, best], b[rows, best], c[rows, best]
+        # F_y = c_y (r_y I - v_y . sigma) / sum_y c_y r_y with v_y = b - beta_y and
+        # r_y = a - alpha_y, raised to |v_y| where roundoff left it below, so
+        # that every F_y is PSD; sum_y c_y v_y = 0 keeps the sum at I
+        v = b[:, None] - beta
+        r = c * np.maximum(a[:, None] - alpha, np.linalg.norm(v, axis=-1))
+        f = r[..., None, None] * np.eye(2) - np.einsum("bk,bkx,xij->bkij", c, v, _PAULI)
+        total = r.sum(axis=1)
+        single = ~(total > 0)             # one active guess, which takes F = I
+        f[single] = c[single, :, None, None] * np.eye(2)
+        f[~single] /= total[~single, None, None, None]
+        y = a[:, None, None] * np.eye(2) + np.einsum("bx,xij->bij", b, _PAULI)
+    f[~found] = np.eye(2) / k
+    y[~found] = _dual_operator(g[~found], f[~found])
+    return _complete(f), y
 
 
 @lru_cache(maxsize=None)
@@ -443,12 +604,7 @@ def _ipm_single(g: np.ndarray, gap_target: float) -> tuple[np.ndarray, np.ndarra
         if t >= t_final:
             break
         t = min(t * 20.0, t_final)
-    f = _herm(np.linalg.inv(y[None] - g)) / t
-    total = f.sum(axis=0)
-    w, v = np.linalg.eigh(total)
-    fix = (v / np.sqrt(np.clip(w, 1e-300, None))) @ np.conj(v.T)
-    f = fix[None] @ f @ fix[None]
-    return f, y
+    return _complete(_herm(np.linalg.inv(y[None] - g)) / t), y
 
 
 # The fixed point and its fallback aim at this fraction of ``tol``. A batch
@@ -478,7 +634,7 @@ def _fixed_point(g: np.ndarray, tol: float, max_iter: int, dual_every: int,
 
     def certify(f: np.ndarray) -> None:
         y = _dual_operator(g, f)
-        upper = _dual_upper(g, y)
+        upper = _dual_upper(g, y, outward=False)
         better = upper < best_upper
         best_upper[better] = upper[better]
         best_y[better] = y[better]
@@ -522,7 +678,7 @@ def _fixed_point(g: np.ndarray, tol: float, max_iter: int, dual_every: int,
             fi, yi = _ipm_single(g[i], gap_target=_TARGET * tol)
             if np.einsum("yij,yji->", fi, g[i]).real > best_lower[i]:
                 best_f[i] = fi
-            upper = _dual_upper(g[i:i + 1], yi[None])[0]
+            upper = _dual_upper(g[i:i + 1], yi[None], outward=False)[0]
             if upper < best_upper[i]:
                 best_upper[i] = upper
                 best_y[i] = yi
@@ -544,8 +700,10 @@ def _discriminate_batch(g: np.ndarray, tol: float = 1e-9,
     Dominated outcomes are dropped first (``_undominated``) and get zero POVM
     elements. Problems left with one outcome take the identity, those with
     two the Helstrom measurement; the rest run the fixed point on their kept
-    outcomes only (``_fixed_point``). Soundness does not rest on the
-    pruning: a wrong drop can only widen the certified gap.
+    outcomes only (``_fixed_point``). In search mode (``refine`` off) qubit
+    problems first try the closed form ``_qubit_optimum``, kept where its
+    gap on the kept outcomes is within ``tol``. Soundness does not rest on
+    the pruning: a wrong drop can only widen the certified gap.
     """
     b, k, d, _ = g.shape
     if d == 1:
@@ -572,9 +730,17 @@ def _discriminate_batch(g: np.ndarray, tol: float = 1e-9,
     for c in np.unique(count[count > 2]):
         sel = np.flatnonzero(count == c)
         cols = idx[sel, :c]
-        fc, y[sel] = _fixed_point(g[sel[:, None], cols], tol, max_iter,
-                                  dual_every, refine)
+        gc = g[sel[:, None], cols]
+        if d == 2 and not refine:
+            fc, yc = _qubit_optimum(gc)
+            rest = _dual_upper(gc, yc) - np.einsum("bkij,bkji->b", fc, gc).real > tol
+            if rest.any():
+                fc[rest], yc[rest] = _fixed_point(gc[rest], tol, max_iter,
+                                                  dual_every, refine)
+        else:
+            fc, yc = _fixed_point(gc, tol, max_iter, dual_every, refine)
         f[sel[:, None], cols] = fc
+        y[sel] = yc
     lower = np.einsum("bkij,bkji->b", f, g).real
     upper = _dual_upper(g, y)
     return lower, upper, f, bool(np.all(upper - lower <= tol))
@@ -818,6 +984,16 @@ def _structured_isometries(device: DeviceModel, n: int, d: int,
     return inits
 
 
+def _search_value(ctx: _GameContext, v: Array, d: int) -> float:
+    """The see-saw's objective: the winning probability of the isometry's
+    encoding under the solver's search mode (no certificate; on qubit
+    memories the closed form, so the value is exact to roundoff)."""
+    g = ctx.rewards(GeneralEncoding.from_isometry(v, d))
+    lower, _, _, _ = _discriminate_batch(g, tol=1e-7, max_iter=80,
+                                         dual_every=10 ** 9, refine=False)
+    return float(lower.reshape(len(ctx.thetas), -1).sum(axis=1).mean())
+
+
 def seesaw_search(device: DeviceModel, n: int, d: int, restarts: int = 4,
                   seed: int = 0, gamma: float = 0.0, iters: int = 60,
                   tol: float = 1e-9) -> tuple[GuessResult, GeneralEncoding]:
@@ -838,13 +1014,6 @@ def seesaw_search(device: DeviceModel, n: int, d: int, restarts: int = 4,
     best_val = -math.inf
     best_v: Array | None = None
 
-    def value_of(v: Array) -> float:
-        enc = GeneralEncoding.from_isometry(v, d)
-        g = ctx.rewards(enc)
-        lower, _, _, _ = _discriminate_batch(g, tol=1e-7, max_iter=80,
-                                             dual_every=10 ** 9, refine=False)
-        return float(lower.reshape(len(ctx.thetas), -1).sum(axis=1).mean())
-
     structured = _structured_isometries(device, n, d, m_count)
     for r in range(restarts):
         suite = RandomSuite(child_seed(seed, r))
@@ -852,7 +1021,7 @@ def seesaw_search(device: DeviceModel, n: int, d: int, restarts: int = 4,
             v = structured[r]
         else:
             v = _haar_isometry(suite, d * m_count, dim_in)
-        val = value_of(v)
+        val = _search_value(ctx, v, d)
         step = 0.35
         stale = 0
         for _ in range(iters):
@@ -860,7 +1029,7 @@ def seesaw_search(device: DeviceModel, n: int, d: int, restarts: int = 4,
             q, rr = np.linalg.qr(cand)
             diag = np.diagonal(rr)
             cand = q * (diag / np.abs(diag))
-            cval = value_of(cand)
+            cval = _search_value(ctx, cand, d)
             if cval > val + 1e-12:
                 v, val = cand, cval
                 stale = 0
@@ -1002,24 +1171,25 @@ def verify_key_lemma(trials: int, n: int, d: int, gamma: float = 0.0,
                                   device.sigma_a)
         bound = bound_imperfect(n, d, eps, gamma)
         ctx = _GameContext(device, n, gamma)
-        best_win = 0.0
+        best: GuessResult | None = None
         best_kind = ""
         for strat in strategy_family(n, d, device.dim_b, suite):
             if strat.memory_dim(device.dim_b, n) > d:
                 continue
             res = exact_win_probability(device, strat, n, d, gamma, _ctx=ctx)
-            if res.win_prob > best_win:
-                best_win, best_kind = res.win_prob, strat.kind
+            if best is None or res.win_prob > best.win_prob:
+                best, best_kind = res, strat.kind
         # A saturated bound (B' = 1) cannot be challenged by any probability;
         # the see-saw search only adds information below it.
         if bound < 1.0:
             res, _enc = seesaw_search(device, n, d, restarts=seesaw_restarts,
                                       seed=int(suite.rng.integers(2 ** 32)),
                                       gamma=gamma, iters=seesaw_iters)
-            if res.win_prob > best_win:
-                best_win, best_kind = res.win_prob, "seesaw"
+            if res.win_prob > best.win_prob:
+                best, best_kind = res, "seesaw"
         return {"trial": trial, "epsilon_plus": eps, "bound": bound,
-                "win_prob": best_win, "strategy": best_kind, "device": device}
+                "win_prob": best.win_prob, "strategy": best_kind, "device": device,
+                "certified_gap": best.certified_gap, "converged": best.converged}
 
     records = _run_trials(work, trials, threads)
     max_ratio = 0.0
@@ -1038,7 +1208,9 @@ def verify_key_lemma(trials: int, n: int, d: int, gamma: float = 0.0,
     return VerificationReport(
         name="key-lemma", trials=trials, passed=not violations,
         max_ratio=max_ratio, worst_slack=worst_slack, violations=violations,
-        details={"n": n, "d": d, "gamma": gamma, "seed": seed})
+        details={"n": n, "d": d, "gamma": gamma, "seed": seed,
+                 "worst_certified_gap": max(r["certified_gap"] for r in records),
+                 "converged": all(r["converged"] for r in records)})
 
 
 def verify_norm_lemma(trials: int, max_dim: int = 16, max_terms: int = 8,

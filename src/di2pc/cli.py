@@ -6,7 +6,9 @@ calls exactly.
 
 Exit codes: 0 success, 2 usage or input error, 3 verification failure
 (a violated inequality, or an attack value whose certificate did not
-converge), 4 dimension-cap error. Errors go to stderr as one-line JSON
+converge, in ``attack`` or inside ``verify key-lemma``), 4 dimension-cap
+error (also an input past a size cap, such as ``simulate --n`` or a device's
+dimensions). Errors go to stderr as one-line JSON
 {"error": kind, "detail": ...}.
 """
 
@@ -41,6 +43,10 @@ _EXIT_OK = 0
 _EXIT_USAGE = 2
 _EXIT_VERIFY = 3
 _EXIT_CAP = 4
+
+# a transcript is about 8.4 MB of JSON per 10^6 rounds, so this cap keeps one
+# near 84 MB
+_SIMULATE_CAP_ROUNDS = 10 ** 7
 
 
 class _UsageError(Exception):
@@ -178,6 +184,9 @@ def _cmd_jordan(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    if args.n > _SIMULATE_CAP_ROUNDS:
+        raise DimensionCapError(
+            f"simulate is capped at n <= {_SIMULATE_CAP_ROUNDS}, got {args.n}")
     device = _load_device(args.device)
     test_rounds = args.test_rounds or None
     if args.what == "wse":
@@ -249,7 +258,8 @@ def _cmd_verify(args) -> int:
     payload = {"reports": [r.to_dict() for r in reports],
                "passed": all(r.passed for r in reports)}
     _emit(payload, args)
-    return _EXIT_OK if payload["passed"] else _EXIT_VERIFY
+    certified = all(r.details.get("converged", True) for r in reports)
+    return _EXIT_OK if payload["passed"] and certified else _EXIT_VERIFY
 
 
 def _add_global_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ShapeError
+from .errors import DimensionCapError, DomainError, ShapeError
 from .chsh import ChshSetup
 from .jordan import BinaryMeasurement
 from .matcore import (
@@ -47,6 +47,10 @@ __all__ = [
     "completeness_report",
     "wilson_interval",
 ]
+
+# Largest wire dimension a device file may declare; checked before any of its
+# matrices is built (sigma_AB is then at most 256 x 256).
+_DEVICE_DIM_CAP = 16
 
 
 @dataclass(frozen=True)
@@ -150,6 +154,10 @@ class DeviceModel:
         try:
             dim_a = int(obj["dim_a"])
             dim_b = int(obj["dim_b"])
+            if max(dim_a, dim_b) > _DEVICE_DIM_CAP:
+                raise DimensionCapError(
+                    f"device wires are capped at dimension {_DEVICE_DIM_CAP}, "
+                    f"got dim_a={dim_a}, dim_b={dim_b}")
             noise_q = float(obj.get("noise_q", 0.0))
             mats = {k: matrix_from_obj(obj[k]) for k in (
                 "sigma_ab", "alice_p0_b0", "alice_p0_b1",

@@ -10,7 +10,10 @@ from di2pc.adversary import (
     _discriminate_batch,
     _dual_upper,
     _GameContext,
+    _haar_isometry,
     _ipm_single,
+    _qubit_optimum,
+    _search_value,
     GeneralEncoding,
     MeasureAll,
     StoreSubset,
@@ -144,6 +147,78 @@ def test_two_outcome_batch_matches_helstrom():
     assert conv
     assert lower == pytest.approx(expect, abs=1e-12)
     assert np.all(np.abs(upper - lower) <= 1e-12)
+
+
+def test_dual_upper_not_below_lower_without_clipping():
+    # the batches that showed upper - lower = -5e-16 before the outward lift
+    rs = RandomSuite(307)
+    for trial in range(24):
+        g, _ = _planted_batch(rs.child(trial), 2 + trial % 2, 1 + trial % 4, planted=3)
+        lower, upper, _, _ = _discriminate_batch(g[None])
+        assert upper[0] >= lower[0]
+    # closed-form qubit answers, where the true gap is zero
+    g = _qubit_batch(np.random.default_rng(311), 400, 5, "complex")
+    f, y = _qubit_optimum(g)
+    lower = np.einsum("bkij,bkji->b", f, g).real
+    assert np.all(_dual_upper(g, y) >= lower)
+
+
+def _qubit_batch(rng, batch, k, kind):
+    """Random 2 x 2 PSD reward operators, shape (batch, k, 2, 2): ``complex``
+    (Bloch vectors in general position), ``real`` (coplanar, as on the ideal
+    device), ``diagonal`` (collinear), or ``repeated`` (complex, with one
+    operator repeated and one zero)."""
+    a = rng.normal(size=(batch, k, 2, 2)).astype(complex)
+    if kind in ("complex", "repeated"):
+        a += 1j * rng.normal(size=a.shape)
+    g = a @ np.conj(np.swapaxes(a, -1, -2)) * rng.random((batch, k, 1, 1))
+    if kind == "diagonal":
+        g *= np.eye(2)
+    if kind == "repeated":
+        g[:, 1] = g[:, 0]
+        g[:, 2] = 0.0
+    return g
+
+
+@pytest.mark.parametrize("kind", ["complex", "real", "diagonal", "repeated"])
+@pytest.mark.parametrize("k", [3, 4, 5, 6])
+def test_qubit_optimum_matches_certified_solver(kind, k):
+    g = _qubit_batch(np.random.default_rng(1000 * k + len(kind)), 60, k, kind)
+    f, y = _qubit_optimum(g)
+    value = np.einsum("bkij,bkji->b", f, g).real
+    lower, upper, _, _ = _discriminate_batch(g, tol=1e-12)
+    # the certified pair brackets the closed form, whose value meets the
+    # certified upper bound (the fixed point's own lower side can lag)
+    assert np.all(value >= lower - 1e-12)
+    assert np.all(np.abs(upper - value) <= 1e-10)
+    assert np.all(_dual_upper(g, y) - value <= 1e-10)
+    assert np.max(np.abs(f.sum(axis=1) - np.eye(2))) <= 1e-12
+    assert np.linalg.eigvalsh(f).min() >= -1e-12
+
+
+# The see-saw's objective on fixed (device, isometry) pairs as the fixed
+# point computed it before the qubit closed form: (gamma, device seed,
+# isometry seed) -> value. The closed form must not score any of them lower.
+_SEARCH_VALUES_BEFORE = {
+    (0.0, 100, 7): 0.4642466093518042,
+    (0.0, 101, 8): 0.43050699072076726,
+    (0.0, 102, 9): 0.6411399708363184,
+    (0.5, 100, 7): 0.9175387385241633,
+    (0.5, 101, 8): 0.8781142368766577,
+    (0.5, 102, 9): 0.9643711374367786,
+}
+
+
+def test_search_value_no_weaker_than_fixed_point():
+    for (gamma, dev_seed, iso_seed), before in _SEARCH_VALUES_BEFORE.items():
+        ctx = _GameContext(random_qubit_device(RandomSuite(dev_seed)), 2, gamma)
+        v = _haar_isometry(RandomSuite(iso_seed), 8, 4)
+        value = _search_value(ctx, v, 2)
+        g = ctx.rewards(GeneralEncoding.from_isometry(v, 2))
+        _, upper, _, _ = _discriminate_batch(g, tol=1e-12)
+        optimum = float(upper.reshape(4, -1).sum(axis=1).mean())
+        assert value >= before - 1e-9
+        assert optimum - 1e-9 <= value <= optimum
 
 
 # ---------------------------------------------------------------------------
@@ -453,6 +528,12 @@ def test_verify_key_lemma_small_runs():
         rep = verify_key_lemma(8, n, d, seed=23)
         assert rep.passed, rep.violations[:1]
         assert rep.max_ratio <= 1.0 + 1e-6
+
+
+def test_verify_key_lemma_reports_certificate_quality():
+    rep = verify_key_lemma(4, 2, 2, gamma=0.5, seed=23)
+    assert rep.details["converged"] is True
+    assert 0.0 <= rep.details["worst_certified_gap"] <= 1e-9
 
 
 def test_verify_key_lemma_imperfect_game():

@@ -313,3 +313,39 @@ def test_attack_unconverged_exit_code(capsys, device_file, monkeypatch):
     assert code == 3
     assert json.loads(out) == {"win_prob": 0.5, "per_theta": {"0": 0.5, "1": 0.5},
                                "certified_gap": 0.25, "converged": False}
+
+
+def test_verify_key_lemma_unconverged_exit_code(capsys, monkeypatch):
+    from di2pc import adversary
+
+    solve = adversary._discriminate_batch
+
+    def unconverged(*a, **k):
+        lower, upper, f, _ = solve(*a, **k)
+        return lower, upper, f, False
+    monkeypatch.setattr(adversary, "_discriminate_batch", unconverged)
+    code, out, _ = run_cli(capsys, "verify", "key-lemma", "--trials", "2",
+                           "--n", "1", "--d", "2")
+    payload = json.loads(out)
+    assert code == 3
+    assert payload["passed"] is True
+    assert payload["reports"][0]["details"]["converged"] is False
+
+
+def test_simulate_rounds_capped_before_work(capsys, device_file):
+    code, out, err = run_cli(capsys, "simulate", "wse", "--device", device_file,
+                             "--n", str(10 ** 7 + 1))
+    assert code == 4
+    assert out == ""
+    assert json.loads(err.strip())["error"] == "dimension-cap"
+
+
+def test_device_dimensions_capped_before_matrices(capsys, tmp_path):
+    obj = ideal_bb84_device().to_obj()
+    obj["dim_b"] = 10 ** 6
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run_cli(capsys, "jordan", "--device", str(path))
+    assert code == 4
+    assert out == ""
+    assert json.loads(err.strip())["error"] == "dimension-cap"
