@@ -44,8 +44,9 @@ _EXIT_USAGE = 2
 _EXIT_VERIFY = 3
 _EXIT_CAP = 4
 
-# a transcript is about 8.4 MB of JSON per 10^6 rounds, so this cap keeps one
-# near 84 MB
+# A `simulate wse` transcript is about 8.4 MB of JSON per 10^6 rounds. On a
+# 2-core x86-64 Linux machine one run of 10^6 rounds took 0.6 s of CPU and
+# 99 MB peak RSS, and one at this cap 2.5 s and 497 MB (84 MB of JSON).
 _SIMULATE_CAP_ROUNDS = 10 ** 7
 
 
@@ -190,7 +191,12 @@ def _cmd_simulate(args) -> int:
     device = _load_device(args.device)
     test_rounds = args.test_rounds or None
     if args.what == "wse":
+        if args.runs < 1:
+            raise _UsageError(f"--runs must be at least 1, got {args.runs}")
         if args.runs > 1:
+            if test_rounds:
+                raise _UsageError("--test-rounds applies to a single run, "
+                                  "not to --runs above 1")
             matches = 0
             sizes = 0
             for r in range(args.runs):

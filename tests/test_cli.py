@@ -1,5 +1,6 @@
 """CLI adapter tests: golden equality with the library, exit codes, formats."""
 
+import hashlib
 import json
 import math
 
@@ -128,6 +129,23 @@ def test_simulate_wse_aggregate(capsys, device_file):
     assert 0.0 <= payload["match_rate"] <= 1.0
 
 
+@pytest.mark.parametrize("runs", ["0", "-5"])
+def test_simulate_wse_rejects_runs_below_one(capsys, device_file, runs):
+    code, out, err = run_cli(capsys, "simulate", "wse", "--device", device_file,
+                             "--n", "64", "--runs", runs)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err.strip())["error"] == "usage"
+
+
+def test_simulate_wse_rejects_test_rounds_with_runs(capsys, device_file):
+    code, out, err = run_cli(capsys, "simulate", "wse", "--device", device_file,
+                             "--n", "64", "--runs", "3", "--test-rounds", "1000")
+    assert code == 2
+    assert out == ""
+    assert json.loads(err.strip())["error"] == "usage"
+
+
 def test_simulate_pv(capsys, device_file):
     code, out, _ = run_cli(capsys, "simulate", "pv", "--device", device_file,
                            "--n", "1000", "--gamma", "0.05", "--v1", "0",
@@ -252,6 +270,43 @@ def test_verify_all_byte_identical(capsys):
     code2, out2, _ = run_cli(capsys, *args)
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+# sha256 of stdout, recorded from the per-element bit-string encoder, the
+# (n, 4) sampler and the loop outcome table that the array code replaced;
+# "noisy" is the device_file fixture, "clean" the noise-free ideal device
+_SIMULATE_GOLDENS = [
+    ("noisy", ["--seed", "11", "simulate", "wse", "--n", "100000"],
+     "efa28b7ddbf09bfdc350a3e1a08dc3da57080dc595cdda8d4a313cff3f3c0345"),
+    ("clean", ["--seed", "11", "simulate", "wse", "--n", "100000"],
+     "d0b06fa3fd1f1a0c96520745974e930648c2cedb88b20a475f9e19db4a0d71f2"),
+    ("noisy", ["--seed", "12", "simulate", "wse", "--n", "100000",
+               "--test-rounds", "20000"],
+     "75f1e3d198e7923a8b7b710b604d1fbe5bd798c4a90dfd9279566cb46eac12eb"),
+    ("clean", ["--seed", "12", "simulate", "wse", "--n", "100000",
+               "--test-rounds", "20000"],
+     "4b42033e937be98682a74b1cd2f785eba2a495830cfacba9989a9a89f925769d"),
+    ("noisy", ["--seed", "13", "simulate", "pv", "--n", "100000",
+               "--gamma", "0.05"],
+     "00331c240b248a6901e7cabf5dde0dd4e6ac0f6a607af07d5d48e93ec7c57f99"),
+    ("noisy", ["--seed", "14", "simulate", "pv", "--n", "100000",
+               "--gamma", "0.05", "--test-rounds", "20000"],
+     "382c77dbbf3b5e6bd2f5581baa3230958b6a75e3ff48ef81c9f3135d69c24493"),
+    ("noisy", ["--seed", "15", "simulate", "wse", "--n", "1000", "--runs", "7"],
+     "6df11342d3e6bbbe864ed0e6e39830de0a7c18405a3b6b5d5c64b895e1a0d7eb"),
+]
+
+
+@pytest.mark.parametrize("device, argv, digest", _SIMULATE_GOLDENS)
+def test_simulate_byte_identical_to_golden(capsys, tmp_path, device_file,
+                                           device, argv, digest):
+    if device == "clean":
+        device_file = str(tmp_path / "clean.json")
+        with open(device_file, "w") as fh:
+            fh.write(json.dumps(ideal_bb84_device().to_obj()))
+    code, out, _ = run_cli(capsys, *argv[:4], "--device", device_file, *argv[4:])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_region_json_matches_library(capsys):

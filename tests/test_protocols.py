@@ -7,12 +7,15 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
+from di2pc.adversary import random_qubit_device, random_rotated_ideal_device
 from di2pc.chsh import TSIRELSON, chsh_value
 from di2pc.errors import DomainError
-from di2pc.jordan import epsilon_plus_direct
+from di2pc.jordan import BinaryMeasurement, epsilon_plus_direct
+from di2pc.matcore import RandomSuite
 from di2pc.protocols import (
     DeviceModel,
     PvConfig,
+    _sample_rounds,
     apply_depolarizing,
     completeness_report,
     ideal_bb84_device,
@@ -20,6 +23,106 @@ from di2pc.protocols import (
     run_wse,
     wilson_interval,
 )
+
+
+# ---------------------------------------------------------------------------
+# oracles: the per-element implementations the array code replaced
+# ---------------------------------------------------------------------------
+
+def oracle_outcome_table(device, noisy=True):
+    """One np.kron and one trace per (bases, outcomes) entry."""
+    state = device.noisy_sigma_ab() if noisy else device.sigma_ab
+    table = np.zeros((2, 2, 2, 2))
+    for ta, am in enumerate((device.alice_meas_0, device.alice_meas_1)):
+        for tb, bm in enumerate((device.bob_meas_0, device.bob_meas_1)):
+            for x, pa in enumerate((am.p0, am.p1)):
+                for y, pb in enumerate((bm.p0, bm.p1)):
+                    table[ta, tb, x, y] = max(0.0, float(
+                        np.trace(np.kron(pa, pb) @ state).real))
+    sums = table.sum(axis=(2, 3))
+    assert np.max(np.abs(sums - 1.0)) <= 1e-8
+    return table / sums[:, :, None, None]
+
+
+def oracle_sample_rounds(table, theta, theta_prime, rng):
+    """Sampling through an (n, 4) array of per-round cdf rows."""
+    cdf = np.cumsum(table.reshape(2, 2, 4), axis=-1)
+    rows = cdf[theta, theta_prime]
+    u = rng.random(theta.size)
+    joint = (u[:, None] > rows).sum(axis=1)
+    return (joint >> 1).astype(np.uint8), (joint & 1).astype(np.uint8)
+
+
+def oracle_bits(a):
+    return "".join(str(int(b)) for b in a)
+
+
+def oracle_wse_obj(device, n, seed):
+    """``run_wse(device, n, seed).to_obj()`` computed element by element."""
+    rng = RandomSuite(seed).rng
+    theta = rng.integers(0, 2, size=n).astype(np.uint8)
+    theta_prime = rng.integers(0, 2, size=n).astype(np.uint8)
+    x, x_prime = oracle_sample_rounds(oracle_outcome_table(device), theta,
+                                      theta_prime, rng)
+    index_set = [k for k in range(n) if theta[k] == theta_prime[k]]
+    return {"n": n, "theta": oracle_bits(theta), "x": oracle_bits(x),
+            "theta_prime": oracle_bits(theta_prime),
+            "x_prime": oracle_bits(x_prime), "index_set": index_set,
+            "substring": oracle_bits(x_prime[k] for k in index_set)}
+
+
+def oracle_pv_obj(device, n, gamma, seed):
+    """``run_pv(device, unit_line_config(n, gamma), seed).to_obj()``, element
+    by element; the honest prover at the midpoint answers in exactly 1.0."""
+    rng = RandomSuite(seed).rng
+    theta = rng.integers(0, 2, size=n).astype(np.uint8)
+    x, y = oracle_sample_rounds(oracle_outcome_table(device), theta, theta, rng)
+    errors = sum(int(a != b) for a, b in zip(x, y))
+    return {"n": n, "x": oracle_bits(x), "y": oracle_bits(y), "qber": errors / n,
+            "rt_v1": 1.0, "rt_v2": 1.0,
+            "accepted": errors <= math.floor(gamma * n)}
+
+
+def unit_line_config(n, gamma):
+    return PvConfig(pos_v1=0.0, pos_v2=1.0, pos_claimed=0.5, n=n, gamma=gamma,
+                    delta_t=1.0)
+
+
+def random_device(suite, dim_a, dim_b, noise_q):
+    """Random state and projective measurements of random rank (0 to full,
+    so some outcomes are certain and some impossible)."""
+    def meas(dim):
+        rank = int(suite.rng.integers(0, dim + 1))
+        return BinaryMeasurement.from_projector(suite.projector(dim, rank))
+    return DeviceModel(
+        dim_a=dim_a, dim_b=dim_b, sigma_ab=suite.density_operator(dim_a * dim_b),
+        alice_meas_0=meas(dim_a), alice_meas_1=meas(dim_a),
+        bob_meas_0=meas(dim_b), bob_meas_1=meas(dim_b),
+        test_t0=suite.observable(dim_b), test_t1=suite.observable(dim_b),
+        noise_q=noise_q)
+
+
+def product_device(bits):
+    """Product basis state |a b> measured in Z in both bases: every table row
+    is a point mass, so three of the four cdf entries tie."""
+    ket = np.zeros((4, 1))
+    ket[2 * bits[0] + bits[1], 0] = 1.0
+    ideal = ideal_bb84_device()
+    z = ideal.alice_meas_0
+    return DeviceModel(dim_a=2, dim_b=2, sigma_ab=ket @ ket.T,
+                       alice_meas_0=z, alice_meas_1=z, bob_meas_0=z, bob_meas_1=z,
+                       test_t0=ideal.test_t0, test_t1=ideal.test_t1)
+
+
+def oracle_devices():
+    devices = [ideal_bb84_device(), ideal_bb84_device(noise_q=0.1),
+               ideal_bb84_device(noise_q=1.0)]
+    devices += [product_device(b) for b in ((0, 0), (0, 1), (1, 0), (1, 1))]
+    devices += [random_qubit_device(RandomSuite(s)) for s in range(8)]
+    devices += [random_rotated_ideal_device(RandomSuite(s)) for s in range(8)]
+    devices += [random_device(RandomSuite(s), 1 + s % 4, 1 + (s // 4) % 4,
+                              (s % 5) / 4) for s in range(16)]
+    return devices
 
 
 def test_ideal_device_reaches_tsirelson():
@@ -249,3 +352,59 @@ def test_pv_transcript_records_conservative_zeta():
                    delta_t=1.0)
     tr = run_pv(device, cfg, seed=5, test_rounds=20_000)
     assert tr.zeta_conservative is not None and tr.accepted
+
+
+# ---------------------------------------------------------------------------
+# the array code against the oracles
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("noisy", [True, False])
+def test_outcome_table_equals_loop_oracle(noisy):
+    for device in oracle_devices():
+        assert np.array_equal(device.outcome_table(noisy),
+                              oracle_outcome_table(device, noisy))
+
+
+class _FixedDraws:
+    """Stands in for a Generator whose ``random`` returns chosen values."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=float)
+
+    def random(self, size):
+        assert size == self.u.size
+        return self.u
+
+
+def test_sample_rounds_equals_oracle_on_cdf_ties():
+    # rows with zero-probability outcomes make cdf entries tie, and draws that
+    # hit a cdf value exactly test the strict comparison
+    table = np.array([[0.5, 0.0, 0.0, 0.5], [0.0, 1.0, 0.0, 0.0],
+                      [1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.25, 0.75]]).reshape(2, 2, 2, 2)
+    draws = np.array([0.0, 0.25, 0.5, 0.75, 1.0 - 2.0 ** -53, 0.1, 0.6])
+    theta = np.repeat(np.array([0, 0, 1, 1], dtype=np.uint8), draws.size)
+    theta_prime = np.repeat(np.array([0, 1, 0, 1], dtype=np.uint8), draws.size)
+    u = np.tile(draws, 4)
+    got = _sample_rounds(table, theta, theta_prime, _FixedDraws(u))
+    want = oracle_sample_rounds(table, theta, theta_prime, _FixedDraws(u))
+    for g, w in zip(got, want):
+        assert g.dtype == np.uint8 and np.array_equal(g, w)
+
+
+def test_sample_rounds_equals_oracle_on_devices():
+    for i, device in enumerate(oracle_devices()):
+        table = device.outcome_table()
+        bases = np.random.default_rng(i).integers(0, 2, size=(2, 5000)).astype(np.uint8)
+        got = _sample_rounds(table, bases[0], bases[1], np.random.default_rng(100 + i))
+        want = oracle_sample_rounds(table, bases[0], bases[1],
+                                    np.random.default_rng(100 + i))
+        for g, w in zip(got, want):
+            assert g.dtype == np.uint8 and np.array_equal(g, w)
+
+
+def test_transcripts_equal_oracle_encodings_on_listed_devices():
+    for i, device in enumerate(oracle_devices()):
+        n = 1 + 97 * i
+        assert run_wse(device, n, seed=i).to_obj() == oracle_wse_obj(device, n, i)
+        assert (run_pv(device, unit_line_config(n, 0.1), seed=i).to_obj()
+                == oracle_pv_obj(device, n, 0.1, i))
