@@ -19,12 +19,14 @@ the value of the returned POVM in float64.
 The module also hosts the see-saw encoding search (a heuristic lower bound
 on the game value) and the three fuzzed inequality verifiers backing the
 security statement: the key-lemma bound itself, the norm-of-sum inequality,
-and the per-block overlap bounds. The search scores candidates with the
-solver's uncertified search mode, in which qubit memories with any number
-of guesses get an exact closed form (the Bloch-vector dual solved over its
-active sets, ``_qubit_optimum``) instead of the fixed point; the value it
-returns is re-certified on the certified path, which the closed form does
-not enter.
+and the per-block overlap bounds. The search's restarts climb in lockstep:
+at each step the candidates of all live restarts are scored in one call of
+the solver's uncertified search mode, their rewards built straight from the
+stacked isometries. In that mode qubit memories with any number of guesses
+get an exact closed form (the Bloch-vector dual solved over its active
+sets, ``_qubit_optimum``) instead of the fixed point, one closed-form call
+for the whole batch; the value the search returns is re-certified on the
+certified path, which the closed form does not enter.
 """
 
 from __future__ import annotations
@@ -701,9 +703,10 @@ def _discriminate_batch(g: np.ndarray, tol: float = 1e-9,
     elements. Problems left with one outcome take the identity, those with
     two the Helstrom measurement; the rest run the fixed point on their kept
     outcomes only (``_fixed_point``). In search mode (``refine`` off) qubit
-    problems first try the closed form ``_qubit_optimum``, kept where its
-    gap on the kept outcomes is within ``tol``. Soundness does not rest on
-    the pruning: a wrong drop can only widen the certified gap.
+    problems first try the closed form ``_qubit_optimum``, all in one call,
+    kept where its gap on the kept outcomes is within ``tol``. Soundness
+    does not rest on the pruning: a wrong drop can only widen the certified
+    gap.
     """
     b, k, d, _ = g.shape
     if d == 1:
@@ -722,25 +725,30 @@ def _discriminate_batch(g: np.ndarray, tol: float = 1e-9,
     one = np.flatnonzero(count == 1)
     f[one, idx[one, 0]] = eye
     two = np.flatnonzero(count == 2)
-    f0 = _helstrom(g[two, idx[two, 0]], g[two, idx[two, 1]])
-    f[two, idx[two, 0]] = f0
-    f[two, idx[two, 1]] = eye - f0
+    if two.size:                 # a one-outcome batch has no second column
+        f0 = _helstrom(g[two, idx[two, 0]], g[two, idx[two, 1]])
+        f[two, idx[two, 0]] = f0
+        f[two, idx[two, 1]] = eye - f0
     closed = count <= 2
     y[closed] = _dual_operator(g[closed], f[closed])
-    for c in np.unique(count[count > 2]):
-        sel = np.flatnonzero(count == c)
+    rest = np.flatnonzero(~closed)
+    if d == 2 and not refine and rest.size:
+        # one closed-form call: each problem is padded to the widest kept
+        # count with copies of its last kept guess, which add only degenerate
+        # sets and later duplicates of its own sets, so its root is unchanged
+        slot = np.arange(count[rest].max())
+        pos = np.minimum(slot, count[rest, None] - 1)
+        gc = g[rest[:, None], np.take_along_axis(idx[rest], pos, axis=1)]
+        fc, yc = _qubit_optimum(gc)
+        fc[pos < slot] = 0.0
+        f[rest[:, None], idx[rest, :slot.size]] = fc
+        y[rest] = yc
+        rest = rest[_dual_upper(gc, yc) - np.einsum("bkij,bkji->b", fc, gc).real > tol]
+    for c in np.unique(count[rest]):
+        sel = rest[count[rest] == c]
         cols = idx[sel, :c]
-        gc = g[sel[:, None], cols]
-        if d == 2 and not refine:
-            fc, yc = _qubit_optimum(gc)
-            rest = _dual_upper(gc, yc) - np.einsum("bkij,bkji->b", fc, gc).real > tol
-            if rest.any():
-                fc[rest], yc[rest] = _fixed_point(gc[rest], tol, max_iter,
-                                                  dual_every, refine)
-        else:
-            fc, yc = _fixed_point(gc, tol, max_iter, dual_every, refine)
-        f[sel[:, None], cols] = fc
-        y[sel] = yc
+        f[sel[:, None], cols], y[sel] = _fixed_point(g[sel[:, None], cols], tol,
+                                                     max_iter, dual_every, refine)
     lower = np.einsum("bkij,bkji->b", f, g).real
     upper = _dual_upper(g, y)
     return lower, upper, f, bool(np.all(upper - lower <= tol))
@@ -850,21 +858,43 @@ class _GameContext:
         _check_caps(strategy, self.n)
         if isinstance(strategy, GeneralEncoding):
             branches = strategy.kraus_branches(self.device.dim_b, self.n)
-            if self._dense is None:
-                self._dense = _product_rewards(self.table, (None,) * self.n)[:, 0]
             # (M, K, mem, Din): each branch's Kraus elements, zero-padded to K
             e = np.zeros((len(branches), max(map(len, branches)),
                           *branches[0][0].shape), dtype=complex)
             for m, br in enumerate(branches):
                 e[m, :len(br)] = br
-            w = np.einsum("mkab,txbc,mkdc->tmxad", e, self._dense, e.conj())
+            w = np.einsum("mkab,txbc,mkdc->tmxad", e, self.dense(), e.conj())
         else:
             w = _product_rewards(self.table,
                                  strategy.rounds(self.device.dim_b, self.n))
-        w = w.reshape(-1, *w.shape[2:])
-        if self.ball_mask is not None:
-            w = np.einsum("yx,mxad->myad", self.ball_mask, w)
-        return w
+        return self._masked(w.reshape(-1, *w.shape[2:]))
+
+    def isometry_rewards(self, v: np.ndarray, d: int) -> np.ndarray:
+        """Rewards of a stack of isometries, shape (c, d*M, Din), each split
+        into M single-Kraus branches as ``GeneralEncoding.from_isometry``
+        splits it: equal to stacking ``rewards`` of those encodings, shape
+        (c*thetas*M, guesses, d, d). The encodings' trace-preservation check
+        is skipped, so ``v`` must hold isometries (QR output does)."""
+        c, rows, dim_in = v.shape
+        # (c, M, d, Din): branch m of isometry i is e[i, m]
+        e = np.ascontiguousarray(
+            v.reshape(c, d, rows // d, dim_in).transpose(0, 2, 1, 3))
+        w = np.einsum("nmab,txbc,nmdc->ntmxad", e, self.dense(), e.conj())
+        return self._masked(w.reshape(-1, *w.shape[3:]))
+
+    def dense(self) -> np.ndarray:
+        """Conditional operators on all of B^(x)n, shape (thetas, outcomes,
+        Din, Din), built on first use."""
+        if self._dense is None:
+            self._dense = _product_rewards(self.table, (None,) * self.n)[:, 0]
+        return self._dense
+
+    def _masked(self, w: np.ndarray) -> np.ndarray:
+        """Hamming-ball rewards: guess y collects every outcome within the
+        radius of it."""
+        if self.ball_mask is None:
+            return w
+        return np.einsum("yx,mxad->myad", self.ball_mask, w)
 
     def ensemble(self, g: np.ndarray, theta) -> PostMeasurementEnsemble:
         """The slice of unmasked rewards ``g`` that belongs to ``theta``."""
@@ -959,10 +989,16 @@ def replay_win_probability(device: DeviceModel, strategy: Strategy, n: int,
 # see-saw search over encodings
 # ---------------------------------------------------------------------------
 
+def _isometry(a: np.ndarray) -> np.ndarray:
+    """Q factors of a matrix or a stack of them, column phases fixed so that
+    R has a positive diagonal."""
+    q, r = np.linalg.qr(a)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[..., None, :]
+
+
 def _haar_isometry(suite: RandomSuite, rows: int, cols: int) -> Array:
-    q, r = np.linalg.qr(suite.ginibre(rows, cols))
-    diag = np.diagonal(r)
-    return q * (diag / np.abs(diag))
+    return _isometry(suite.ginibre(rows, cols))
 
 
 def _structured_isometries(device: DeviceModel, n: int, d: int,
@@ -984,14 +1020,15 @@ def _structured_isometries(device: DeviceModel, n: int, d: int,
     return inits
 
 
-def _search_value(ctx: _GameContext, v: Array, d: int) -> float:
-    """The see-saw's objective: the winning probability of the isometry's
-    encoding under the solver's search mode (no certificate; on qubit
-    memories the closed form, so the value is exact to roundoff)."""
-    g = ctx.rewards(GeneralEncoding.from_isometry(v, d))
-    lower, _, _, _ = _discriminate_batch(g, tol=1e-7, max_iter=80,
-                                         dual_every=10 ** 9, refine=False)
-    return float(lower.reshape(len(ctx.thetas), -1).sum(axis=1).mean())
+def _search_values(ctx: _GameContext, v: np.ndarray, d: int) -> np.ndarray:
+    """The see-saw's objective for a stack of isometries ``v``, shape (c, d*M,
+    Din), in one solver call: each one's winning probability under the
+    solver's search mode (no certificate; on qubit memories the closed form,
+    so the value is exact to roundoff)."""
+    lower, _, _, _ = _discriminate_batch(ctx.isometry_rewards(v, d), tol=1e-7,
+                                         max_iter=80, dual_every=10 ** 9,
+                                         refine=False)
+    return lower.reshape(len(v), len(ctx.thetas), -1).sum(axis=2).mean(axis=1)
 
 
 def seesaw_search(device: DeviceModel, n: int, d: int, restarts: int = 4,
@@ -1003,47 +1040,47 @@ def seesaw_search(device: DeviceModel, n: int, d: int, restarts: int = 4,
     encoding step perturbs the instrument's isometry with shrinking random
     steps, accepting improvements. Structured starts (store what fits, the
     intercept measurement) seed the first restarts, Haar isometries the
-    rest. The returned value is re-certified at full precision and is a
-    valid lower bound on the game optimum for this device.
+    rest. The restarts climb in lockstep: at each step every live restart
+    draws its perturbation from its own random stream, all candidates are
+    scored in one solver call, and each restart applies its own accept,
+    shrink and stop rule, so each one follows the path it would follow
+    alone. The best value (the first restart among equals) is re-certified
+    at full precision and is a valid lower bound on the game optimum for
+    this device.
     """
+    if restarts < 1:
+        raise DomainError(f"restarts must be at least 1, got {restarts}")
     if n > 2 or d > max(2, device.dim_b):
         raise DimensionCapError("see-saw is capped at n <= 2 and qubit-size memories")
     dim_in = device.dim_b ** n
     m_count = dim_in
     ctx = _GameContext(device, n, gamma)
-    best_val = -math.inf
-    best_v: Array | None = None
-
     structured = _structured_isometries(device, n, d, m_count)
-    for r in range(restarts):
-        suite = RandomSuite(child_seed(seed, r))
-        if r < len(structured):
-            v = structured[r]
-        else:
-            v = _haar_isometry(suite, d * m_count, dim_in)
-        val = _search_value(ctx, v, d)
-        step = 0.35
-        stale = 0
-        for _ in range(iters):
-            cand = v + step * suite.ginibre(*v.shape)
-            q, rr = np.linalg.qr(cand)
-            diag = np.diagonal(rr)
-            cand = q * (diag / np.abs(diag))
-            cval = _search_value(ctx, cand, d)
-            if cval > val + 1e-12:
-                v, val = cand, cval
-                stale = 0
-            else:
-                stale += 1
-                if stale >= 4:
-                    step *= 0.6
-                    stale = 0
-                    if step < 1e-3:
-                        break
-        if val > best_val:
-            best_val, best_v = val, v
-    assert best_v is not None
-    enc = GeneralEncoding.from_isometry(best_v, d)
+    suites = [RandomSuite(child_seed(seed, r)) for r in range(restarts)]
+    v = np.stack([structured[r] if r < len(structured)
+                  else _haar_isometry(suites[r], d * m_count, dim_in)
+                  for r in range(restarts)])
+    val = _search_values(ctx, v, d)
+    step = np.full(restarts, 0.35)
+    stale = np.zeros(restarts, dtype=int)
+    live = list(range(restarts))
+    for _ in range(iters):
+        noise = np.stack([suites[r].ginibre(*v.shape[1:]) for r in live])
+        cand = _isometry(v[live] + step[live, None, None] * noise)
+        cval = _search_values(ctx, cand, d)
+        for r, c, cv in zip(list(live), cand, cval):
+            if cv > val[r] + 1e-12:
+                v[r], val[r], stale[r] = c, cv, 0
+                continue
+            stale[r] += 1
+            if stale[r] >= 4:
+                step[r] *= 0.6
+                stale[r] = 0
+                if step[r] < 1e-3:
+                    live.remove(r)
+        if not live:
+            break
+    enc = GeneralEncoding.from_isometry(v[int(np.argmax(val))], d)
     res = exact_win_probability(device, enc, n, d, gamma, tol=tol, _ctx=ctx)
     return res, enc
 

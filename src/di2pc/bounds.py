@@ -36,7 +36,6 @@ from .chsh import zeta_from_violation
 
 __all__ = [
     "INSECURE",
-    "BoundInput",
     "BoundReport",
     "SecurityRegion",
     "threshold",
@@ -75,17 +74,6 @@ def _validate(n: int, d: int, zeta: float, gamma: float = 0.0) -> None:
         raise DomainError(f"zeta must lie in [0, 1], got {zeta!r}")
     if not 0.0 <= gamma <= 0.5:
         raise DomainError(f"gamma must lie in [0, 0.5], got {gamma!r}")
-
-
-@dataclass(frozen=True)
-class BoundInput:
-    n: int
-    d: int
-    zeta: float
-    gamma: float = 0.0
-
-    def __post_init__(self):
-        _validate(self.n, self.d, self.zeta, self.gamma)
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,6 @@ Array = np.ndarray
 __all__ = [
     "as_matrix",
     "tensor_product",
-    "tensor_all",
     "partial_trace",
     "operator_norm",
     "trace_norm",
@@ -78,16 +77,6 @@ def tensor_product(a: Array, b: Array, max_dim: int = DIMENSION_CAP) -> Array:
             f"tensor product would be {rows}x{cols}, above the cap {max_dim}"
         )
     return np.kron(a, b)
-
-
-def tensor_all(factors: Sequence[Array], max_dim: int = DIMENSION_CAP) -> Array:
-    """Left-to-right Kronecker product of a non-empty sequence."""
-    if not factors:
-        raise DomainError("tensor_all needs at least one factor")
-    out = as_matrix(factors[0])
-    for f in factors[1:]:
-        out = tensor_product(out, f, max_dim=max_dim)
-    return out
 
 
 def partial_trace(rho: Array, dims: Sequence[int], keep: Iterable[int]) -> Array:

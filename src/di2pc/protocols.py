@@ -97,9 +97,6 @@ class DeviceModel:
     def alice_measurement(self, basis: int) -> BinaryMeasurement:
         return self.alice_meas_0 if basis == 0 else self.alice_meas_1
 
-    def bob_measurement(self, basis: int) -> BinaryMeasurement:
-        return self.bob_meas_0 if basis == 0 else self.bob_meas_1
-
     @property
     def sigma_a(self) -> Array:
         return partial_trace(self.sigma_ab, [self.dim_a, self.dim_b], [0])

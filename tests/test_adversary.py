@@ -13,7 +13,8 @@ from di2pc.adversary import (
     _haar_isometry,
     _ipm_single,
     _qubit_optimum,
-    _search_value,
+    _search_values,
+    _structured_isometries,
     GeneralEncoding,
     MeasureAll,
     StoreSubset,
@@ -31,9 +32,9 @@ from di2pc.adversary import (
     verify_overlap_lemma,
 )
 from di2pc.bounds import bound_perfect
-from di2pc.errors import DimensionCapError, StrategyError
+from di2pc.errors import DimensionCapError, DomainError, StrategyError
 from di2pc.jordan import BinaryMeasurement, epsilon_plus_direct
-from di2pc.matcore import RandomSuite, partial_trace, trace_norm
+from di2pc.matcore import RandomSuite, child_seed, partial_trace, trace_norm
 from di2pc.protocols import DeviceModel, ideal_bb84_device
 
 COS2_PI8 = math.cos(math.pi / 8) ** 2
@@ -56,6 +57,12 @@ def test_discrimination_orthogonal_pure_states():
 def test_discrimination_identical_states():
     res = optimal_discrimination([(0.5, KET0), (0.5, KET0)])
     assert res.win_prob == pytest.approx(0.5, abs=1e-10)
+
+
+def test_discrimination_single_state():
+    res = optimal_discrimination([(1.0, PLUS)])
+    assert res.converged and res.win_prob == pytest.approx(1.0, abs=1e-12)
+    assert np.allclose(res.povm[0], np.eye(2))
 
 
 def test_discrimination_helstrom_value():
@@ -213,7 +220,7 @@ def test_search_value_no_weaker_than_fixed_point():
     for (gamma, dev_seed, iso_seed), before in _SEARCH_VALUES_BEFORE.items():
         ctx = _GameContext(random_qubit_device(RandomSuite(dev_seed)), 2, gamma)
         v = _haar_isometry(RandomSuite(iso_seed), 8, 4)
-        value = _search_value(ctx, v, 2)
+        value = _search_values(ctx, v[None], 2)[0]
         g = ctx.rewards(GeneralEncoding.from_isometry(v, 2))
         _, upper, _, _ = _discriminate_batch(g, tol=1e-12)
         optimum = float(upper.reshape(4, -1).sum(axis=1).mean())
@@ -390,6 +397,20 @@ def test_rewards_match_dense_construction_qutrit_memory():
             assert np.max(np.abs(got - want)) <= 1e-12
 
 
+def test_isometry_rewards_equal_stacked_encoding_rewards():
+    rs = RandomSuite(317)
+    for n, d, gamma in itertools.product((1, 2), (1, 2), (0.0, 0.5)):
+        dim_in = 2 ** n
+        for trial in range(3):
+            ctx = _GameContext(random_qubit_device(rs.child(10 * n + trial)), n, gamma)
+            for count in range(1, 5):
+                v = np.stack([_haar_isometry(rs.child(100 * count + i), d * dim_in, dim_in)
+                              for i in range(count)])
+                want = np.concatenate([ctx.rewards(GeneralEncoding.from_isometry(vi, d))
+                                       for vi in v])
+                assert np.array_equal(ctx.isometry_rewards(v, d), want)
+
+
 def test_product_strategy_validation_errors():
     qutrit = _qutrit_device()
     ideal = ideal_bb84_device()
@@ -506,6 +527,86 @@ def test_seesaw_finds_breidbart_optimum():
     res, _ = seesaw_search(ideal_bb84_device(), 1, 1, restarts=3, seed=17,
                            iters=25)
     assert res.win_prob >= COS2_PI8 - 1e-4
+
+
+def _sequential_seesaw(device, n, d, restarts, seed, gamma, iters):
+    """The see-saw as one restart after another, each candidate scored in its
+    own solver call; also returns how many steps each restart took."""
+    dim_in = device.dim_b ** n
+    ctx = _GameContext(device, n, gamma)
+
+    def score(v):
+        g = ctx.rewards(GeneralEncoding.from_isometry(v, d))
+        lower, _, _, _ = _discriminate_batch(g, tol=1e-7, max_iter=80,
+                                             dual_every=10 ** 9, refine=False)
+        return float(lower.reshape(len(ctx.thetas), -1).sum(axis=1).mean())
+
+    def phase_fixed_qr(a):
+        q, r = np.linalg.qr(a)
+        diag = np.diagonal(r)
+        return q * (diag / np.abs(diag))
+
+    structured = _structured_isometries(device, n, d, dim_in)
+    best_val, best_v, steps = -math.inf, None, []
+    for r in range(restarts):
+        suite = RandomSuite(child_seed(seed, r))
+        v = structured[r] if r < len(structured) \
+            else phase_fixed_qr(suite.ginibre(d * dim_in, dim_in))
+        val = score(v)
+        step, stale, taken = 0.35, 0, 0
+        for _ in range(iters):
+            taken += 1
+            cand = phase_fixed_qr(v + step * suite.ginibre(*v.shape))
+            cval = score(cand)
+            if cval > val + 1e-12:
+                v, val, stale = cand, cval, 0
+            else:
+                stale += 1
+                if stale >= 4:
+                    step *= 0.6
+                    stale = 0
+                    if step < 1e-3:
+                        break
+        steps.append(taken)
+        if val > best_val:
+            best_val, best_v = val, v
+    enc = GeneralEncoding.from_isometry(best_v, d)
+    return exact_win_probability(device, enc, n, d, gamma, _ctx=ctx), enc, steps
+
+
+def _assert_same_search(device, n, d, restarts, seed, gamma, iters):
+    want, want_enc, steps = _sequential_seesaw(device, n, d, restarts, seed, gamma, iters)
+    got, got_enc = seesaw_search(device, n, d, restarts=restarts, seed=seed,
+                                 gamma=gamma, iters=iters)
+    assert (got.win_prob, got.certified_gap, got.converged) == \
+        (want.win_prob, want.certified_gap, want.converged)
+    assert all(np.array_equal(a[0], b[0]) for a, b in zip(got_enc.kraus, want_enc.kraus))
+    return steps
+
+
+@pytest.mark.parametrize("n, d, gamma", [(1, 1, 0.0), (1, 2, 0.0), (2, 1, 0.0),
+                                         (2, 2, 0.0), (2, 2, 0.5)])
+def test_lockstep_seesaw_matches_sequential_restarts(n, d, gamma):
+    # restarts 1..4 reach past the structured starts to Haar ones
+    for trial in range(8):
+        device = random_qubit_device(RandomSuite(child_seed(331, trial)))
+        _assert_same_search(device, n, d, 1 + trial % 4, 40 + trial, gamma, 16)
+
+
+def test_lockstep_seesaw_matches_when_one_restart_stops_early():
+    # the second restart shrinks its step below 1e-3 and stops after 78 steps
+    # while the first climbs on to the cap; had the second gone on, its later
+    # accepts would change the result
+    device = random_qubit_device(RandomSuite(child_seed(337, 0)))
+    steps = _assert_same_search(device, 1, 1, 2, 7, 0.0, 100)
+    assert steps[1] < steps[0] == 100
+
+
+def test_seesaw_needs_a_restart():
+    with pytest.raises(DomainError):
+        seesaw_search(ideal_bb84_device(), 1, 2, restarts=0)
+    with pytest.raises(DomainError):
+        verify_key_lemma(1, 1, 1, seed=3, seesaw_restarts=0)
 
 
 def test_seesaw_never_beats_bound():

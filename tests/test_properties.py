@@ -1,16 +1,18 @@
 """Hypothesis property tests (the ``test`` extra installs Hypothesis)."""
 
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra import numpy as hnp  # noqa: E402
 
+from di2pc import adversary  # noqa: E402
 from di2pc.adversary import (  # noqa: E402
     _discriminate_batch,
     _dual_upper,
@@ -41,6 +43,41 @@ def test_qubit_optimum_on_random_psd_batches(parts):
     assert np.all(value <= _dual_upper(g, y))
     _, certified_upper, _, _ = _discriminate_batch(g, tol=1e-12)
     assert np.all(np.abs(certified_upper - value) <= 1e-10)
+
+
+def _kept_batch(parts, kept):
+    """Random 2 x 2 PSD reward operators, as above; guess j of problem i is
+    replaced by a dominated copy (half of guess 0) where j >= kept[i]."""
+    a = parts[..., 0] + 1j * parts[..., 1]
+    g = a @ np.conj(np.swapaxes(a, -1, -2))
+    drop = np.arange(g.shape[1]) >= np.asarray(kept)[:, None]
+    g[drop] = 0.5 * np.broadcast_to(g[:, :1], g.shape)[drop]
+    return g
+
+
+_qubit_batches = st.integers(3, 5).flatmap(lambda k: st.lists(
+    st.integers(2, 3).flatmap(lambda b: st.tuples(
+        hnp.arrays(np.float64, (b, k, 2, 2, 2), elements=st.floats(-1.0, 1.0),
+                   fill=st.nothing()),
+        st.lists(st.integers(1, k), min_size=b, max_size=b))),
+    min_size=2, max_size=4).map(lambda parts: [_kept_batch(*p) for p in parts]))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(_qubit_batches)
+def test_search_mode_batch_equals_separate_calls(batches):
+    # one call on the concatenation pads every problem with more than two kept
+    # guesses to the widest kept count; the fixed-point fallback's stopping
+    # rules see its whole batch, so only the closed form answers bit for bit.
+    # Every part holds two problems or more: einsum sums the final value of a
+    # one-problem batch in another order, which moves its last bit.
+    search = dict(tol=1e-7, max_iter=80, dual_every=10 ** 9, refine=False)
+    with mock.patch.object(adversary, "_fixed_point",
+                           wraps=adversary._fixed_point) as fallback:
+        joint = _discriminate_batch(np.concatenate(batches), **search)[0]
+        apart = np.concatenate([_discriminate_batch(g, **search)[0] for g in batches])
+    assume(not fallback.called)
+    assert np.array_equal(joint, apart)
 
 
 _devices = st.builds(
