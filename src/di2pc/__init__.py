@@ -7,7 +7,6 @@ honest protocol simulation, and exact desk-scale adversary evaluation that
 checks the bounds against concrete attacks.
 """
 
-from .config import DEFAULT, STRICT, Tolerances
 from .errors import (
     ArityError,
     CapExceededError,
@@ -86,7 +85,6 @@ from .adversary import (
     breidbart,
     exact_win_probability,
     optimal_discrimination,
-    post_measurement_ensemble,
     random_qubit_device,
     seesaw_search,
     verify_key_lemma,

@@ -62,8 +62,6 @@ __all__ = [
     "breidbart",
     "GuessResult",
     "DiscriminationResult",
-    "PostMeasurementEnsemble",
-    "post_measurement_ensemble",
     "optimal_discrimination",
     "exact_win_probability",
     "replay_win_probability",
@@ -262,44 +260,6 @@ def strategy_from_obj(obj: dict) -> Strategy:
         return GeneralEncoding(tuple(
             tuple(matrix_from_obj(e) for e in branch) for branch in obj["kraus"]))
     raise DomainError(f"unknown strategy kind {kind!r}")
-
-
-# ---------------------------------------------------------------------------
-# post-measurement ensembles
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PostMeasurementEnsemble:
-    """Bob's side of the game after Alice measured with input ``theta``.
-
-    ``branch_ops[m][x]`` is the unnormalized memory operator for classical
-    outcome m and Alice outcome x; its trace is the joint probability of
-    (x, m). ``q[x]`` marginalizes the branches.
-    """
-
-    theta: tuple[int, ...]
-    branch_ops: np.ndarray
-    q: np.ndarray
-
-    @property
-    def n_outcomes(self) -> int:
-        return len(self.q)
-
-    def branch_states(self, x: int) -> list[tuple[float, Array]]:
-        """Normalized conditional memory states per branch given outcome x."""
-        out = []
-        for ops in self.branch_ops:
-            p = float(np.trace(ops[x]).real)
-            if p > 1e-15:
-                out.append((p / max(self.q[x], 1e-300), ops[x] / p))
-        return out
-
-
-def post_measurement_ensemble(device: DeviceModel, strategy: Strategy,
-                              n: int, theta) -> PostMeasurementEnsemble:
-    """Apply the strategy's instrument to the conditional states for ``theta``."""
-    ctx = _GameContext(device, n, 0.0)
-    return ctx.ensemble(ctx.rewards(strategy), theta)
 
 
 def _check_caps(strategy: Strategy, n: int) -> None:
@@ -896,21 +856,6 @@ class _GameContext:
             return w
         return np.einsum("yx,mxad->myad", self.ball_mask, w)
 
-    def ensemble(self, g: np.ndarray, theta) -> PostMeasurementEnsemble:
-        """The slice of unmasked rewards ``g`` that belongs to ``theta``."""
-        theta = tuple(int(t) for t in theta)
-        if len(theta) != self.n:
-            raise ShapeError(f"theta must have length {self.n}")
-        probs = np.trace(self.table[list(theta)], axis1=2, axis2=3)
-        q = _kron_axes(probs, 1).real
-        total = q.sum()
-        if abs(total - 1.0) > 1e-10:
-            raise DomainError(f"outcome probabilities sum to {total!r}")
-        m_count = g.shape[0] // len(self.thetas)
-        ti = self.thetas.index(theta)
-        return PostMeasurementEnsemble(
-            theta=theta, branch_ops=g[ti * m_count:(ti + 1) * m_count], q=q)
-
     def result(self, lower: np.ndarray, upper: np.ndarray, f: np.ndarray,
                converged: bool, want_decoders: bool) -> GuessResult:
         n_thetas = len(self.thetas)
@@ -970,14 +915,21 @@ def replay_win_probability(device: DeviceModel, strategy: Strategy, n: int,
     wins = 0
     ctx = _GameContext(device, n, 0.0)
     g = ctx.rewards(strategy)
+    m_count = g.shape[0] // len(ctx.thetas)
     for _ in range(trials):
-        theta = ctx.thetas[rng.integers(len(ctx.thetas))]
-        ens = ctx.ensemble(g, theta)
-        x = int(rng.choice(len(ens.q), p=ens.q / ens.q.sum()))
-        joint = np.array([max(0.0, float(np.trace(ops[x]).real))
-                          for ops in ens.branch_ops])
+        ti = rng.integers(len(ctx.thetas))
+        theta = ctx.thetas[ti]
+        # Alice's outcome distribution for theta, a product over rounds
+        q = _kron_axes(np.trace(ctx.table[list(theta)], axis1=2, axis2=3), 1).real
+        total = q.sum()
+        if abs(total - 1.0) > 1e-10:
+            raise DomainError(f"outcome probabilities sum to {total!r}")
+        x = int(rng.choice(len(q), p=q / total))
+        # branch operators E_m rho^theta_x E_m^+ of the unmasked rewards
+        branch_ops = g[ti * m_count:(ti + 1) * m_count, x]
+        joint = np.array([max(0.0, float(np.trace(ops).real)) for ops in branch_ops])
         m = int(rng.choice(len(joint), p=joint / joint.sum()))
-        rho = ens.branch_ops[m][x] / joint[m]
+        rho = branch_ops[m] / joint[m]
         povm = decoders["".join(str(t) for t in theta)][m]
         probs = np.array([max(0.0, float(np.trace(f @ rho).real)) for f in povm])
         y = int(rng.choice(len(probs), p=probs / probs.sum()))
@@ -1172,26 +1124,21 @@ class VerificationReport:
         }
 
 
-def _run_trials(worker, trials: int, threads: int) -> list[dict]:
-    """Run independent trial workers, optionally on a thread pool.
+def _run_trials(worker, trials: int) -> list[dict]:
+    """Run independent trial workers in index order.
 
-    Each worker derives its randomness from its own trial index, so results
-    are identical for any thread count; records come back sorted by index.
-    A campaign needs at least one trial: with none, the reports' worst slack
-    would stay at infinity and ``passed`` would hold vacuously.
+    Each worker derives its randomness from its own trial index. A campaign
+    needs at least one trial: with none, the reports' worst slack would stay
+    at infinity and ``passed`` would hold vacuously.
     """
     if trials < 1:
         raise DomainError(f"trials must be at least 1, got {trials}")
-    if threads <= 1:
-        return [worker(t) for t in range(trials)]
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, range(trials)))
+    return [worker(t) for t in range(trials)]
 
 
 def verify_key_lemma(trials: int, n: int, d: int, gamma: float = 0.0,
                      seed: int = 0, seesaw_restarts: int = 2,
-                     seesaw_iters: int = 30, threads: int = 1) -> VerificationReport:
+                     seesaw_iters: int = 30) -> VerificationReport:
     """Pit strategy families and see-saw attacks against B'(n, d, eps_+, gamma).
 
     The certificate uses the device's exact effective anti-commutator, the
@@ -1228,7 +1175,7 @@ def verify_key_lemma(trials: int, n: int, d: int, gamma: float = 0.0,
                 "win_prob": best.win_prob, "strategy": best_kind, "device": device,
                 "certified_gap": best.certified_gap, "converged": best.converged}
 
-    records = _run_trials(work, trials, threads)
+    records = _run_trials(work, trials)
     max_ratio = 0.0
     worst_slack = math.inf
     violations: list[dict] = []
@@ -1251,7 +1198,7 @@ def verify_key_lemma(trials: int, n: int, d: int, gamma: float = 0.0,
 
 
 def verify_norm_lemma(trials: int, max_dim: int = 16, max_terms: int = 8,
-                      seed: int = 0, threads: int = 1) -> VerificationReport:
+                      seed: int = 0) -> VerificationReport:
     """Fuzz ||sum A_i|| <= max_j sum_i ||sqrt(A_i) sqrt(A_j)|| on random PSD sets.
 
     Also checks the proof's intermediate chain
@@ -1281,7 +1228,7 @@ def verify_norm_lemma(trials: int, max_dim: int = 16, max_terms: int = 8,
                 "rhs": rhs, "k_norm": k_norm, "l_norm": l_norm,
                 "hoelder": hoelder}
 
-    records = _run_trials(work, trials, threads)
+    records = _run_trials(work, trials)
     max_ratio = 0.0
     worst_slack = math.inf
     violations: list[dict] = []
@@ -1313,7 +1260,7 @@ def _block_measurement(beta: float) -> dict[tuple[int, int], Array]:
 
 
 def verify_overlap_lemma(trials: int, n: int, d: int,
-                         seed: int = 0, threads: int = 1) -> VerificationReport:
+                         seed: int = 0) -> VerificationReport:
     """Fuzz the per-block overlap bounds against random angles and POVMs.
 
     Builds Pi^theta = sum_x P^theta_{x|b} (x) F^theta_x from random block
@@ -1362,7 +1309,7 @@ def verify_overlap_lemma(trials: int, n: int, d: int,
         return {"trial": trial, "n": n_use, "d": d_use,
                 "betas": [float(x) for x in betas], "pairs": pairs}
 
-    records = _run_trials(work, trials, threads)
+    records = _run_trials(work, trials)
     max_ratio = 0.0
     worst_slack = math.inf
     violations: list[dict] = []

@@ -280,7 +280,8 @@ def bound_imperfect(n: int, d: int, zeta: float, gamma: float) -> float:
         # The entropy factor is exactly 1.0 at gamma = 0, so this reduces to
         # bound_perfect bit for bit.
         return min(1.0, 2.0 ** (binary_entropy(gamma) * n) * bound_perfect_raw(n, d, zeta))
-    return min(1.0, float(2.0 ** bound_imperfect_log2(n, d, zeta, gamma)))
+    # Clamped in the exponent: 2^log2 overflows once log2 passes 1024.
+    return float(2.0 ** min(0.0, bound_imperfect_log2(n, d, zeta, gamma)))
 
 
 def decay_margin(zeta: float, gamma: float) -> float:
@@ -423,9 +424,17 @@ def bound_report(n: int, d: int, zeta: float | None = None,
         raise DomainError(f"unknown report kind {kind!r}")
     _validate(n, d, zeta, gamma)
     t = min(threshold(d, zeta), n)
-    b = bound_perfect(n, d, zeta)
-    log2_bi = bound_imperfect_log2(n, d, zeta, gamma)
-    bi = min(1.0, float(2.0 ** log2_bi))
+    # One evaluation of B serves both forms, as bound_perfect_raw and
+    # bound_perfect_log2 derive one from the other on either path.
+    if n <= _LINEAR_N:
+        raw = bound_perfect_raw(n, d, zeta)
+        log2_b = math.log2(raw)
+    else:
+        log2_b = bound_perfect_log2(n, d, zeta)
+        raw = float(2.0 ** log2_b)
+    b = min(1.0, raw)
+    log2_bi = binary_entropy(gamma) * n + log2_b
+    bi = float(2.0 ** min(0.0, log2_bi))
     rate = 0.0 if log2_bi >= 0.0 else -min(0.0, log2_bi) / n
     return BoundReport(n=n, d=d, zeta=zeta, gamma=gamma, threshold_t=t,
                        b_perfect=b, b_imperfect=bi,

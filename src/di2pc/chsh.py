@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT
 from .errors import DomainError, NonphysicalViolationError, ShapeError
 from .matcore import (
     Array,
@@ -58,12 +57,11 @@ class ChshSetup:
     state: Array
 
     def __post_init__(self):
-        tol = DEFAULT
-        a0 = check_binary_observable(self.a0, tol)
-        a1 = check_binary_observable(self.a1, tol)
-        t0 = check_binary_observable(self.t0, tol)
-        t1 = check_binary_observable(self.t1, tol)
-        state = check_density_operator(self.state, tol)
+        a0 = check_binary_observable(self.a0)
+        a1 = check_binary_observable(self.a1)
+        t0 = check_binary_observable(self.t0)
+        t1 = check_binary_observable(self.t1)
+        state = check_density_operator(self.state)
         if a0.shape != a1.shape or t0.shape != t1.shape:
             raise ShapeError("observables on one side must share a dimension")
         if state.shape[0] != a0.shape[0] * t0.shape[0]:

@@ -33,7 +33,6 @@ from .adversary import (
     verify_overlap_lemma,
 )
 from .chsh import TSIRELSON, estimate_chsh, zeta_from_violation
-from .config import PROFILES
 from .errors import CapExceededError, Di2pcError, DimensionCapError
 from .jordan import block_probabilities, decompose_pair, epsilon_plus_blocks
 from .matcore import child_seed
@@ -48,6 +47,9 @@ _EXIT_CAP = 4
 # 2-core x86-64 Linux machine one run of 10^6 rounds took 0.6 s of CPU and
 # 99 MB peak RSS, and one at this cap 2.5 s and 497 MB (84 MB of JSON).
 _SIMULATE_CAP_ROUNDS = 10 ** 7
+
+# Certificate gap `attack` asks of the discrimination solver.
+_ATTACK_TOL = 1e-8
 
 
 class _UsageError(Exception):
@@ -174,10 +176,9 @@ def _cmd_chsh(args) -> int:
 
 def _cmd_jordan(args) -> int:
     device = _load_device(args.device)
-    tol = PROFILES[args.tol_profile]
-    dec = decompose_pair(device.alice_meas_0, device.alice_meas_1, tol)
-    probs = block_probabilities(dec, device.sigma_a, tol)
-    eps = epsilon_plus_blocks(dec, device.sigma_a, tol)
+    dec = decompose_pair(device.alice_meas_0, device.alice_meas_1)
+    probs = block_probabilities(dec, device.sigma_a)
+    eps = epsilon_plus_blocks(dec, device.sigma_a)
     _emit({"blocks": [{"dim": b.block_dim, "beta": b.angle_beta, "p": float(p)}
                       for b, p in zip(dec.blocks, probs)],
            "epsilon_plus": eps}, args)
@@ -235,9 +236,8 @@ def _cmd_attack(args) -> int:
             raise _UsageError(f"strategy file not found: {path}") from exc
     else:
         raise _UsageError(f"unknown strategy {args.strategy!r}")
-    tol = PROFILES[args.tol_profile]
     res = exact_win_probability(device, strategy, args.n, args.d, args.gamma,
-                                tol=tol.dual_gap / 10)
+                                tol=_ATTACK_TOL)
     _emit({"win_prob": res.win_prob, "per_theta": res.per_theta,
            "certified_gap": res.certified_gap, "converged": res.converged}, args)
     return _EXIT_OK if res.converged else _EXIT_VERIFY
@@ -250,17 +250,14 @@ def _cmd_verify(args) -> int:
         n = args.n if args.n is not None else 1
         d = args.d if args.d is not None else 1
         reports.append(verify_key_lemma(args.trials, n=n, d=d,
-                                        gamma=args.gamma, seed=args.seed,
-                                        threads=args.threads))
+                                        gamma=args.gamma, seed=args.seed))
     if which in ("norm-lemma", "all"):
-        reports.append(verify_norm_lemma(args.trials, seed=args.seed,
-                                         threads=args.threads))
+        reports.append(verify_norm_lemma(args.trials, seed=args.seed))
     if which in ("overlap-lemma", "all"):
         n = args.n if args.n is not None else 2
         d = args.d if args.d is not None else 3
         reports.append(verify_overlap_lemma(args.trials, n=n, d=d,
-                                            seed=args.seed,
-                                            threads=args.threads))
+                                            seed=args.seed))
     payload = {"reports": [r.to_dict() for r in reports],
                "passed": all(r.passed for r in reports)}
     _emit(payload, args)
@@ -282,17 +279,14 @@ def _add_global_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
                         default=d if suppress else "json")
     parser.add_argument("--out", default=d if suppress else None,
                         help="output path (default stdout)")
-    parser.add_argument("--tol-profile", choices=sorted(PROFILES),
-                        default=d if suppress else "default")
-    parser.add_argument("--threads", type=int, default=d if suppress else 1,
-                        help="worker cap for verification sweeps")
     parser.add_argument("--config", default=d if suppress else None,
                         help="JSON file whose keys mirror the flags")
 
 
 def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     """Construct the CLI parser; ``defaults`` (from --config) override flag
-    defaults on the top level and on every subcommand."""
+    defaults on the top level and on every subcommand. A key that names no
+    flag is a usage error."""
     parser = _Parser(
         prog="di2pc",
         description="CHSH-certified bounded-storage security bounds, "
@@ -392,28 +386,35 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
 
     # Applied last so argparse patches the already-registered action defaults.
     if defaults:
+        flags = {a.dest for sp in all_parsers for a in sp._actions
+                 if a.option_strings} - {"help"}
+        unknown = sorted(set(defaults) - flags)
+        if unknown:
+            raise _UsageError(f"unknown --config keys: {', '.join(unknown)}")
         for sp in all_parsers:
             sp.set_defaults(**defaults)
     return parser
 
 
+def _load_config(path: str) -> dict:
+    """Flag defaults from a JSON object whose keys are flag names."""
+    try:
+        with open(path) as fh:
+            raw = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise _UsageError(f"bad --config: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise _UsageError("bad --config: expected a JSON object")
+    return {k.replace("-", "_"): v for k, v in raw.items()}
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # --config supplies defaults that explicit flags still override.
-    defaults = None
-    if "--config" in argv:
-        idx = argv.index("--config")
-        try:
-            with open(argv[idx + 1]) as fh:
-                raw = json.load(fh)
-            defaults = {k.replace("-", "_"): v for k, v in raw.items()}
-        except (IndexError, FileNotFoundError, json.JSONDecodeError) as exc:
-            print(json.dumps({"error": "usage", "detail": f"bad --config: {exc}"}),
-                  file=sys.stderr)
-            return _EXIT_USAGE
-    parser = build_parser(defaults)
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
+        if args.config is not None:
+            # --config supplies defaults that explicit flags still override.
+            args = build_parser(_load_config(args.config)).parse_args(argv)
         return args.func(args)
     except _UsageError as exc:
         print(json.dumps({"error": "usage", "detail": str(exc)}), file=sys.stderr)

@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DEFAULT, Tolerances
 from .errors import ArityError, DomainError, ShapeError
 from .matcore import (
     Array,
@@ -50,6 +49,13 @@ __all__ = [
     "naimark_dilate",
 ]
 
+# Max entry deviation of p0 + p1 (or e0 + e1) from the identity.
+_COMPLETENESS_TOL = 1e-9
+# Compressed-projector eigenvalues within this of 0 or 1 form 1-dim blocks.
+_ANGLE_CLASS = 1e-8
+# Max entry error of the blocks' reconstruction of the input projectors.
+_BLOCK_RECON = 1e-8
+
 
 @dataclass(frozen=True)
 class BinaryMeasurement:
@@ -65,7 +71,7 @@ class BinaryMeasurement:
             raise ShapeError("measurement elements must be square and congruent")
         check_projector(p0)
         check_projector(p1)
-        if np.max(np.abs(p0 + p1 - np.eye(p0.shape[0]))) > 1e-9:
+        if np.max(np.abs(p0 + p1 - np.eye(p0.shape[0]))) > _COMPLETENESS_TOL:
             raise DomainError("binary measurement elements must sum to the identity")
         object.__setattr__(self, "p0", p0)
         object.__setattr__(self, "p1", p1)
@@ -169,11 +175,10 @@ def _orthonormal_columns(vectors: list[Array], dim: int) -> Array:
     return np.column_stack(vectors)
 
 
-def decompose_pair(m0: BinaryMeasurement, m1: BinaryMeasurement,
-                   tol: Tolerances = DEFAULT) -> JordanDecomposition:
+def decompose_pair(m0: BinaryMeasurement, m1: BinaryMeasurement) -> JordanDecomposition:
     """Simultaneous block decomposition of two projective measurements.
 
-    Eigenvalues of the compressed projector within ``tol.angle_class`` of 0
+    Eigenvalues of the compressed projector within ``_ANGLE_CLASS`` of 0
     or 1 are folded into one-dimensional blocks; everything in between forms
     a two-dimensional block with cos^2(beta) equal to the eigenvalue.
     """
@@ -182,7 +187,7 @@ def decompose_pair(m0: BinaryMeasurement, m1: BinaryMeasurement,
     p = m0.p0
     q = m1.p0
     dim = m0.dim
-    delta = tol.angle_class
+    delta = _ANGLE_CLASS
 
     blocks: list[JordanBlock] = []
 
@@ -240,17 +245,16 @@ def decompose_pair(m0: BinaryMeasurement, m1: BinaryMeasurement,
     dec = JordanDecomposition(blocks, dim)
     err0 = np.max(np.abs(dec.reconstruct_p0() - p)) if blocks else 0.0
     err1 = np.max(np.abs(dec.reconstruct_p1() - q)) if blocks else 0.0
-    if max(err0, err1) > tol.block_recon:
+    if max(err0, err1) > _BLOCK_RECON:
         raise DomainError(
             f"decomposition failed to reconstruct inputs (errors {err0:.2e}, {err1:.2e});"
             " inputs are likely not projective within tolerance")
     return dec
 
 
-def block_probabilities(dec: JordanDecomposition, sigma: Array,
-                        tol: Tolerances = DEFAULT) -> np.ndarray:
+def block_probabilities(dec: JordanDecomposition, sigma: Array) -> np.ndarray:
     """Probabilities p_j = tr(S_j sigma) of the state landing in each block."""
-    sigma = check_density_operator(sigma, tol)
+    sigma = check_density_operator(sigma)
     if sigma.shape[0] != dec.total_dim:
         raise ShapeError("state dimension does not match the decomposition")
     probs = np.array([float(np.trace(b.subspace_projector @ sigma).real)
@@ -261,11 +265,11 @@ def block_probabilities(dec: JordanDecomposition, sigma: Array,
 
 
 def epsilon_plus_direct(m0: BinaryMeasurement, m1: BinaryMeasurement,
-                        sigma: Array, tol: Tolerances = DEFAULT) -> float:
+                        sigma: Array) -> float:
     """eps_+ = tr(|{A0, A1}| sigma) / 2 evaluated from the definition."""
     if m0.dim != m1.dim:
         raise ShapeError("measurements act on different dimensions")
-    sigma = check_density_operator(sigma, tol)
+    sigma = check_density_operator(sigma)
     if sigma.shape[0] != m0.dim:
         raise ShapeError("state dimension does not match the measurements")
     a0 = m0.observable
@@ -277,16 +281,15 @@ def epsilon_plus_direct(m0: BinaryMeasurement, m1: BinaryMeasurement,
     return min(1.0, max(0.0, val))
 
 
-def epsilon_plus_blocks(dec: JordanDecomposition, sigma: Array,
-                        tol: Tolerances = DEFAULT) -> float:
+def epsilon_plus_blocks(dec: JordanDecomposition, sigma: Array) -> float:
     """eps_+ = sum_j p_j |cos(2 beta_j)| from the block data."""
-    probs = block_probabilities(dec, sigma, tol)
+    probs = block_probabilities(dec, sigma)
     val = float(sum(p * b.epsilon for p, b in zip(probs, dec.blocks)))
     return min(1.0, max(0.0, val))
 
 
-def naimark_dilate(povm: list[Array] | tuple[Array, Array],
-                   tol: Tolerances = DEFAULT) -> tuple[BinaryMeasurement, Array]:
+def naimark_dilate(povm: list[Array] | tuple[Array, Array]
+                   ) -> tuple[BinaryMeasurement, Array]:
     """Dilate a 2-element POVM to a projective pair on the doubled space.
 
     Returns ``(measurement, isometry)`` where the isometry V maps the
@@ -300,11 +303,11 @@ def naimark_dilate(povm: list[Array] | tuple[Array, Array],
     if e0.shape != e1.shape or e0.shape[0] != e0.shape[1]:
         raise ShapeError("POVM elements must be square and congruent")
     d = e0.shape[0]
-    if np.max(np.abs(e0 + e1 - np.eye(d))) > tol.povm:
+    if np.max(np.abs(e0 + e1 - np.eye(d))) > _COMPLETENESS_TOL:
         raise DomainError("POVM elements must sum to the identity")
     ket0 = np.array([[1.0], [0.0]])
     ket1 = np.array([[0.0], [1.0]])
-    v = np.kron(psd_sqrt(e0, tol), ket0) + np.kron(psd_sqrt(e1, tol), ket1)
+    v = np.kron(psd_sqrt(e0), ket0) + np.kron(psd_sqrt(e1), ket1)
     p0 = np.kron(np.eye(d), np.diag([1.0, 0.0])).astype(complex)
     p1 = np.kron(np.eye(d), np.diag([0.0, 1.0])).astype(complex)
     return BinaryMeasurement(p0, p1), v

@@ -11,7 +11,7 @@ Conventions
 -----------
 - Matrices are ``numpy.ndarray`` with ``dtype=complex128``, row-major.
 - The operator norm is computed from the eigenvalues of ``M^dagger M``.
-- Eigenvalues of nearly-PSD operators in ``[-psd_clamp, 0)`` are clamped to 0.
+- Eigenvalues of nearly-PSD operators in ``[-_PSD_CLAMP, 0)`` are clamped to 0.
 """
 
 from __future__ import annotations
@@ -22,10 +22,19 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .config import DEFAULT, DIMENSION_CAP, Tolerances
 from .errors import ArityError, DimensionCapError, DomainError, ShapeError
 
 Array = np.ndarray
+
+# Dense tensor products refuse to grow past this dimension.
+DIMENSION_CAP = 4096
+# Max entry deviation allowed by Hermiticity and identity checks.
+_EQ_TOL = 1e-9
+# Hermiticity, PSD floor and trace slack of density operators; PSD floor of
+# POVM elements.
+_STATE_TOL = 1e-10
+# Eigenvalues in [-_PSD_CLAMP, 0) are roundoff and clamp to 0.
+_PSD_CLAMP = 1e-10
 
 __all__ = [
     "as_matrix",
@@ -108,24 +117,23 @@ def partial_trace(rho: Array, dims: Sequence[int], keep: Iterable[int]) -> Array
     return t.reshape(kept_dim, kept_dim)
 
 
-def eig_hermitian(m: Array, tol: float | None = None) -> tuple[Array, Array]:
+def eig_hermitian(m: Array) -> tuple[Array, Array]:
     """Eigendecomposition of a Hermitian matrix.
 
     Returns ``(w, v)`` with eigenvalues ascending and orthonormal eigenvector
     columns, so ``m = v @ diag(w) @ v^dagger``. Raises ``DomainError`` if the
-    input is not Hermitian within ``tol`` (max entry deviation, default 1e-9).
+    input is not Hermitian within ``_EQ_TOL`` (max entry deviation).
     """
     m = as_matrix(m)
     if m.shape[0] != m.shape[1]:
         raise ShapeError("eig_hermitian needs a square matrix")
-    tol = 1e-9 if tol is None else tol
-    if not is_hermitian(m, tol):
+    if not is_hermitian(m):
         raise DomainError("matrix is not Hermitian within tolerance")
     w, v = np.linalg.eigh((m + dagger(m)) / 2)
     return w, v
 
 
-def is_hermitian(m: Array, tol: float = 1e-9) -> bool:
+def is_hermitian(m: Array, tol: float = _EQ_TOL) -> bool:
     m = np.asarray(m)
     return m.shape[0] == m.shape[1] and np.max(np.abs(m - dagger(m))) <= tol
 
@@ -143,7 +151,7 @@ def operator_norm(m: Array) -> float:
 def trace_norm(m: Array) -> float:
     """Schatten 1-norm; for Hermitian input the sum of |eigenvalues|."""
     m = as_matrix(m)
-    if is_hermitian(m, 1e-9):
+    if is_hermitian(m):
         w = np.linalg.eigvalsh((m + dagger(m)) / 2)
         return float(np.sum(np.abs(w)))
     return float(np.sum(np.linalg.svd(m, compute_uv=False)))
@@ -160,14 +168,14 @@ def induced_norm(m: Array, p: float) -> float:
     raise DomainError("induced_norm supports p=1 and p=inf only")
 
 
-def psd_sqrt(m: Array, tol: Tolerances = DEFAULT) -> Array:
+def psd_sqrt(m: Array) -> Array:
     """Principal square root of a PSD matrix.
 
-    Eigenvalues in ``[-psd_clamp, 0)`` are treated as roundoff and clamped to
-    zero; anything more negative raises ``DomainError``.
+    Eigenvalues in ``[-_PSD_CLAMP, 0)`` are treated as roundoff and clamped
+    to zero; anything more negative raises ``DomainError``.
     """
-    w, v = eig_hermitian(m, tol.eq)
-    if w[0] < -tol.psd_clamp:
+    w, v = eig_hermitian(m)
+    if w[0] < -_PSD_CLAMP:
         raise DomainError(f"matrix is not PSD: min eigenvalue {w[0]:.3e}")
     w = np.clip(w, 0.0, None)
     return (v * np.sqrt(w)) @ dagger(v)
@@ -176,7 +184,7 @@ def psd_sqrt(m: Array, tol: Tolerances = DEFAULT) -> Array:
 def matrix_abs(m: Array) -> Array:
     """|M| = sqrt(M^dagger M); for Hermitian input via eigenvalue absolute values."""
     m = as_matrix(m)
-    if is_hermitian(m, 1e-9):
+    if is_hermitian(m):
         w, v = np.linalg.eigh((m + dagger(m)) / 2)
         return (v * np.abs(w)) @ dagger(v)
     gram = dagger(m) @ m
@@ -188,43 +196,43 @@ def matrix_abs(m: Array) -> Array:
 # structural validators
 # ---------------------------------------------------------------------------
 
-def check_density_operator(rho: Array, tol: Tolerances = DEFAULT) -> Array:
+def check_density_operator(rho: Array) -> Array:
     """Validate Hermiticity, positivity and unit trace; returns the matrix."""
     rho = as_matrix(rho)
     if rho.shape[0] != rho.shape[1]:
         raise ShapeError("density operator must be square")
-    if not is_hermitian(rho, tol.herm):
+    if not is_hermitian(rho, _STATE_TOL):
         raise DomainError("density operator is not Hermitian within tolerance")
     w = np.linalg.eigvalsh((rho + dagger(rho)) / 2)
-    if w[0] < -tol.herm:
+    if w[0] < -_STATE_TOL:
         raise DomainError(f"density operator has eigenvalue {w[0]:.3e} < 0")
     tr = float(np.trace(rho).real)
-    if abs(tr - 1.0) > tol.herm:
+    if abs(tr - 1.0) > _STATE_TOL:
         raise DomainError(f"density operator has trace {tr!r} != 1")
     return rho
 
 
-def check_binary_observable(m: Array, tol: Tolerances = DEFAULT) -> Array:
+def check_binary_observable(m: Array) -> Array:
     """Validate a Hermitian matrix squaring to the identity (eigenvalues +-1)."""
     m = as_matrix(m)
     if m.shape[0] != m.shape[1]:
         raise ShapeError("observable must be square")
-    if not is_hermitian(m, tol.povm):
+    if not is_hermitian(m):
         raise DomainError("observable is not Hermitian within tolerance")
     d = m.shape[0]
-    if np.max(np.abs(m @ m - np.eye(d))) > tol.povm:
+    if np.max(np.abs(m @ m - np.eye(d))) > _EQ_TOL:
         raise DomainError("observable does not square to the identity")
     return m
 
 
-def check_projector(p: Array, tol: float = 1e-9) -> Array:
+def check_projector(p: Array) -> Array:
     p = as_matrix(p)
-    if not is_hermitian(p, tol) or np.max(np.abs(p @ p - p)) > tol:
+    if not is_hermitian(p) or np.max(np.abs(p @ p - p)) > _EQ_TOL:
         raise DomainError("matrix is not an orthogonal projector within tolerance")
     return p
 
 
-def check_povm(elements: Sequence[Array], tol: Tolerances = DEFAULT) -> list[Array]:
+def check_povm(elements: Sequence[Array]) -> list[Array]:
     """Validate PSD elements of matching size summing to the identity."""
     if not elements:
         raise ArityError("POVM needs at least one element")
@@ -233,13 +241,13 @@ def check_povm(elements: Sequence[Array], tol: Tolerances = DEFAULT) -> list[Arr
     for e in mats:
         if e.shape != (d, d):
             raise ShapeError("POVM elements must share one square dimension")
-        if not is_hermitian(e, tol.povm):
+        if not is_hermitian(e):
             raise DomainError("POVM element is not Hermitian")
         w = np.linalg.eigvalsh((e + dagger(e)) / 2)
-        if w[0] < -tol.herm:
+        if w[0] < -_STATE_TOL:
             raise DomainError(f"POVM element has eigenvalue {w[0]:.3e} < 0")
     total = sum(mats)
-    if np.max(np.abs(total - np.eye(d))) > tol.povm:
+    if np.max(np.abs(total - np.eye(d))) > _EQ_TOL:
         raise DomainError("POVM elements do not sum to the identity")
     return mats
 

@@ -58,6 +58,9 @@ __all__ = [
 # matrices is built (sigma_AB is then at most 256 x 256).
 _DEVICE_DIM_CAP = 16
 
+# Timing slack of the PV acceptance rule, for float arithmetic on event times.
+_TIME_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class DeviceModel:
@@ -299,7 +302,7 @@ class PvConfig:
 
     Positions are in length units with unit signal speed, so times and
     distances share a scale. ``delta_t`` is the per-verifier round-trip
-    allowance; ``time_tol`` absorbs float arithmetic on event times.
+    allowance.
     """
 
     pos_v1: float
@@ -308,7 +311,6 @@ class PvConfig:
     n: int
     gamma: float
     delta_t: float
-    time_tol: float = 1e-9
 
     def __post_init__(self):
         if not self.pos_v1 < self.pos_claimed < self.pos_v2:
@@ -351,7 +353,7 @@ def run_pv(device: DeviceModel, cfg: PvConfig, seed: int = 0,
     t0. A prover at ``prover_pos`` (default: the claim) answers the moment
     both arrivals are in; each verifier measures its own dispatch-to-answer
     interval. Acceptance needs d_H(x, y) <= floor(gamma n) and both
-    intervals within delta_t + time_tol. ``test_rounds`` prepends V1's
+    intervals within delta_t + _TIME_TOL. ``test_rounds`` prepends V1's
     Bell-testing phase and records the conservative certificate.
     """
     pos_p = cfg.pos_claimed if prover_pos is None else float(prover_pos)
@@ -375,8 +377,8 @@ def run_pv(device: DeviceModel, cfg: PvConfig, seed: int = 0,
     errors = int(np.count_nonzero(x != y))
     qber = errors / cfg.n
     accepted = (errors <= math.floor(cfg.gamma * cfg.n)
-                and rt_v1 <= cfg.delta_t + cfg.time_tol
-                and rt_v2 <= cfg.delta_t + cfg.time_tol)
+                and rt_v1 <= cfg.delta_t + _TIME_TOL
+                and rt_v2 <= cfg.delta_t + _TIME_TOL)
     return PvTranscript(x=x, y=y, qber=qber, rt_v1=rt_v1, rt_v2=rt_v2,
                         accepted=accepted, zeta_conservative=zeta)
 

@@ -13,6 +13,7 @@ from di2pc.bounds import (
     INSECURE,
     binary_entropy,
     bound_imperfect,
+    bound_imperfect_log2,
     bound_perfect,
     bound_perfect_log2,
     bound_perfect_raw,
@@ -266,14 +267,29 @@ def test_minentropy_rate_reference_point():
 
 
 def test_bound_report_fields_consistent():
-    rep = bound_report(n=100, d=2, s=TSIRELSON, gamma=0.0, kind="pv")
-    assert rep.zeta == pytest.approx(0.0, abs=1e-12)
-    assert rep.threshold_t == min(threshold(2, rep.zeta), 100)
-    assert rep.b_imperfect >= rep.b_perfect - 1e-15
-    assert rep.minentropy_rate == pytest.approx(
-        -math.log2(rep.b_imperfect) / 100, abs=1e-9)
-    assert rep.secure
-    assert rep.kind == "pv"
+    # n = 1000 and 1001 sit on either side of the linear / log-space split
+    for n in (100, 1000, 1001):
+        rep = bound_report(n=n, d=2, s=TSIRELSON, gamma=0.0, kind="pv")
+        assert rep.zeta == pytest.approx(0.0, abs=1e-12)
+        assert rep.threshold_t == min(threshold(2, rep.zeta), n)
+        assert rep.b_imperfect >= rep.b_perfect - 1e-15
+        assert rep.minentropy_rate == pytest.approx(
+            -math.log2(rep.b_imperfect) / n, abs=1e-9)
+        assert rep.secure
+        assert rep.kind == "pv"
+        # the report's one evaluation of B equals the public evaluators bit for bit
+        assert rep.b_perfect == bound_perfect(n, 2, rep.zeta)
+        assert rep.b_imperfect == min(
+            1.0, 2.0 ** bound_imperfect_log2(n, 2, rep.zeta, 0.0))
+
+
+def test_imperfect_bound_clamps_before_overflow():
+    # log2 B' = h(1/2) n + log2 B passes 1024 here; the value clamps to 1
+    assert bound_imperfect_log2(1500, 1, 0.0, 0.5) > 1024
+    assert bound_imperfect(1500, 1, 0.0, 0.5) == 1.0
+    rep = bound_report(n=1500, d=1, zeta=0.0, gamma=0.5)
+    assert rep.b_imperfect == 1.0
+    assert rep.minentropy_rate == 0.0
 
 
 def test_bound_report_one_code_path_three_labels():

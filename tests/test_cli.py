@@ -240,6 +240,47 @@ def test_config_file_defaults(capsys, tmp_path):
     assert json.loads(out)["b_perfect"] == bounds.bound_perfect(100, 2, 0.0)
 
 
+def test_config_equals_form_is_honoured(capsys, tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"gamma": 0.01}))
+    bound = ("bound", "--n", "100", "--d", "2", "--zeta", "0")
+    for argv in ((f"--config={cfg}", *bound), (*bound, f"--config={cfg}"),
+                 ("--config", str(cfg), *bound)):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert json.loads(out)["gamma"] == 0.01
+    # an explicit flag still overrides the file
+    code, out, _ = run_cli(capsys, f"--config={cfg}", *bound, "--gamma", "0")
+    assert code == 0
+    assert json.loads(out)["gamma"] == 0.0
+
+
+@pytest.mark.parametrize("key", ["sed", "threads", "tol-profile"])
+def test_config_rejects_unknown_keys(capsys, tmp_path, key):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"seed": 3, key: 7}))
+    code, out, err = run_cli(capsys, "--config", str(cfg), "bound",
+                             "--n", "10", "--d", "2", "--zeta", "0")
+    assert code == 2
+    assert out == ""
+    payload = json.loads(err.strip())
+    assert payload["error"] == "usage"
+    assert key.replace("-", "_") in payload["detail"]
+
+
+@pytest.mark.parametrize("flag", [["--tol-profile", "strict"], ["--threads", "2"]])
+@pytest.mark.parametrize("command", [["bound", "--n", "10", "--d", "2", "--zeta", "0"],
+                                     ["verify", "norm-lemma", "--trials", "1"]])
+@pytest.mark.parametrize("before", [True, False])
+def test_removed_global_flags_rejected(capsys, flag, command, before):
+    with pytest.raises(SystemExit) as exc:
+        main(flag + command if before else command + flag)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err.strip())["error"] == "usage"
+
+
 def test_env_seed_override(capsys, device_file, monkeypatch):
     monkeypatch.setenv("DI2PC_SEED", "99")
     code, out, _ = run_cli(capsys, "chsh", "--device", device_file,

@@ -6,7 +6,6 @@ import math
 import numpy as np
 import pytest
 
-from di2pc.config import DEFAULT
 from di2pc.errors import DimensionCapError, DomainError, ShapeError
 from di2pc.matcore import (
     RandomSuite,
@@ -197,7 +196,7 @@ def test_child_seed_counter_independence():
 def test_random_density_operators_are_valid():
     rs = RandomSuite(31)
     for _ in range(300):
-        check_density_operator(rs.density_operator(4), DEFAULT)
+        check_density_operator(rs.density_operator(4))
 
 
 def test_random_unitaries_are_unitary():
@@ -210,7 +209,7 @@ def test_random_unitaries_are_unitary():
 def test_random_povm_is_valid():
     rs = RandomSuite(41)
     for _ in range(50):
-        check_povm(rs.povm(3, 4), DEFAULT)
+        check_povm(rs.povm(3, 4))
 
 
 def test_random_projector_rank():

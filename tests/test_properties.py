@@ -1,6 +1,9 @@
 """Hypothesis property tests (the ``test`` extra installs Hypothesis)."""
 
+import contextlib
+import io
 import json
+import math
 from unittest import mock
 
 import numpy as np
@@ -13,6 +16,8 @@ from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra import numpy as hnp  # noqa: E402
 
 from di2pc import adversary  # noqa: E402
+from di2pc.bounds import bound_report  # noqa: E402
+from di2pc.cli import main  # noqa: E402
 from di2pc.adversary import (  # noqa: E402
     _discriminate_batch,
     _dual_upper,
@@ -109,3 +114,56 @@ def test_device_json_roundtrip_is_exact(device):
         assert np.array_equal(getattr(back, name), getattr(device, name))
     for name in ("alice_meas_0", "alice_meas_1", "bob_meas_0", "bob_meas_1"):
         assert np.array_equal(getattr(back, name).p0, getattr(device, name).p0)
+
+
+def _cli(*argv):
+    """Exit code, stdout and stderr of one in-process ``di2pc`` call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _bound_argv(n, d, zeta, gamma):
+    # the = form keeps negative and exponent-notation values from parsing as flags
+    return ("bound", f"--n={n}", f"--d={d}", f"--zeta={zeta!r}", f"--gamma={gamma!r}")
+
+
+# n spans the linear path, the log-space path and, at gamma near 0.5, log2 B'
+# past the float64 exponent range
+_valid_bound_args = st.tuples(st.integers(1, 20_000), st.integers(1, 2 ** 40),
+                              st.floats(0.0, 1.0), st.floats(0.0, 0.5))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_valid_bound_args)
+def test_cli_bound_payload_equals_library(point):
+    n, d, zeta, gamma = point
+    code, out, err = _cli(*_bound_argv(n, d, zeta, gamma))
+    assert (code, err) == (0, "")
+    assert json.loads(out) == bound_report(n=n, d=d, zeta=zeta, gamma=gamma).to_dict()
+
+
+def _outside(lo, hi):
+    return st.one_of(st.floats(max_value=lo, exclude_max=True),
+                     st.floats(min_value=hi, exclude_min=True), st.just(math.nan))
+
+
+# one argument of a valid point replaced by a value outside its range
+_bad_slots = (st.integers(-10 ** 6, 0), st.integers(-10 ** 6, 0),
+              _outside(0.0, 1.0), _outside(0.0, 0.5))
+_bad_slot = st.integers(0, 3).flatmap(lambda i: st.tuples(st.just(i), _bad_slots[i]))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_valid_bound_args, _bad_slot)
+def test_cli_bound_out_of_range_exits_2(point, bad):
+    args = list(point)
+    args[bad[0]] = bad[1]
+    code, out, err = _cli(*_bound_argv(*args))
+    assert code == 2
+    assert out == ""
+    assert json.loads(err.strip())["error"] in ("usage", "DomainError")
