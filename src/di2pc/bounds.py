@@ -26,6 +26,7 @@ the exponent.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -65,9 +66,18 @@ _LOG2E = 1.0 / math.log(2.0)
 _T_INF = 10 ** 18
 
 
+# The largest memory dimension the bound takes: past it no float holds d,
+# and sqrt(d) overflows on both evaluation paths.
+_D_MAX = sys.float_info.max
+
+
 def _validate(n: int, d: int, zeta: float, gamma: float = 0.0) -> None:
     if n < 1 or int(n) != n:
         raise DomainError(f"n must be a positive integer, got {n!r}")
+    # compared before any conversion, in O(1) even for a huge int, and not
+    # printed: a large enough int has no decimal string
+    if d > _D_MAX:
+        raise DomainError(f"d must be at most {_D_MAX!r}, the largest float")
     if d < 1 or int(d) != d:
         raise DomainError(f"d must be a positive integer, got {d!r}")
     if not 0.0 <= zeta <= 1.0:

@@ -126,9 +126,12 @@ def zeta_certificate(s: float) -> ZetaCertificate:
 
     For s >= 2 the certificate is zeta = s/4 * sqrt(8 - s^2), clamped to
     [0, 1]. Below 2 the lemma gives nothing, so zeta = 1 is returned with
-    ``certified=False``. Values above 2*sqrt(2) (plus tolerance) raise.
+    ``certified=False``. Values above 2*sqrt(2) (plus tolerance) raise, and
+    so does nan, which the clamp would otherwise turn into zeta = 0.
     """
     s = float(s)
+    if math.isnan(s):
+        raise DomainError("CHSH value must be a number, got nan")
     if s > TSIRELSON + 1e-9:
         raise NonphysicalViolationError(
             f"CHSH value {s!r} exceeds the quantum maximum 2*sqrt(2)")

@@ -386,14 +386,40 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
 
     # Applied last so argparse patches the already-registered action defaults.
     if defaults:
-        flags = {a.dest for sp in all_parsers for a in sp._actions
-                 if a.option_strings} - {"help"}
-        unknown = sorted(set(defaults) - flags)
+        flags = {a.dest: a for sp in all_parsers for a in sp._actions
+                 if a.option_strings and a.dest != "help"}
+        unknown = sorted(set(defaults) - set(flags))
         if unknown:
             raise _UsageError(f"unknown --config keys: {', '.join(unknown)}")
+        defaults = {k: _config_value(flags[k], v) for k, v in defaults.items()}
         for sp in all_parsers:
             sp.set_defaults(**defaults)
     return parser
+
+
+def _config_value(action: argparse.Action, value):
+    """A --config value, converted and checked as the flag's value on the
+    command line would be: a string goes through the flag's ``type``, a
+    number only into a numeric type that holds it exactly, and the result
+    must be one of the flag's ``choices``. Anything else is a usage error."""
+    flag = action.option_strings[-1]
+    convert = action.type or str
+    want = {int: "an integer", float: "a number"}.get(convert, "a string")
+    numeric = isinstance(value, (int, float)) and not isinstance(value, bool)
+    try:
+        if not (isinstance(value, str) or (numeric and convert in (int, float))):
+            kind = {bool: "boolean", type(None): "null", list: "array",
+                    dict: "object"}.get(type(value), "number")
+            raise TypeError(f"got a JSON {kind}")
+        converted = convert(value)
+        if numeric and converted != value:
+            raise ValueError("got a number it does not hold exactly")
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise _UsageError(f"bad --config value: {flag} takes {want}, {exc}") from exc
+    if action.choices is not None and converted not in action.choices:
+        raise _UsageError(f"bad --config value: {flag} takes one of "
+                          f"{', '.join(map(str, action.choices))}")
+    return converted
 
 
 def _load_config(path: str) -> dict:
@@ -401,7 +427,7 @@ def _load_config(path: str) -> dict:
     try:
         with open(path) as fh:
             raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:       # ValueError covers JSONDecodeError
         raise _UsageError(f"bad --config: {exc}") from exc
     if not isinstance(raw, dict):
         raise _UsageError("bad --config: expected a JSON object")

@@ -7,12 +7,17 @@ import math
 import numpy as np
 import pytest
 
+from di2pc import adversary
 from di2pc.adversary import (
+    _PAULI,
+    _complete,
     _discriminate_batch,
+    _dual_operator,
     _dual_upper,
     _GameContext,
     _haar_isometry,
     _ipm_single,
+    _polish,
     _qubit_optimum,
     _search_values,
     _structured_isometries,
@@ -201,6 +206,133 @@ def test_qubit_optimum_matches_certified_solver(kind, k):
     assert np.all(_dual_upper(g, y) - value <= 1e-10)
     assert np.max(np.abs(f.sum(axis=1) - np.eye(2))) <= 1e-12
     assert np.linalg.eigvalsh(f).min() >= -1e-12
+
+
+def _qubit_optimum_all_sets(g):
+    """``_qubit_optimum`` as it stood before singles and pairs got their own
+    closed form: every active set of one to four guesses solved at once by
+    the quadratic plus ``_polish``, the smallest kept root winning."""
+    nb, k = g.shape[:2]
+    alpha = (g[..., 0, 0].real + g[..., 1, 1].real) / 2
+    beta = np.stack([(g[..., 0, 1].real + g[..., 1, 0].real) / 2,
+                     (g[..., 1, 0].imag - g[..., 0, 1].imag) / 2,
+                     (g[..., 0, 0].real - g[..., 1, 1].real) / 2], axis=-1)
+    cands_a, cands_b, cands_c, active = [], [], [], []
+    with np.errstate(all="ignore"):
+        for s in range(1, min(k, 4) + 1):
+            sets = np.array(list(itertools.combinations(range(k), s)))
+            al, be = alpha[:, sets], beta[:, sets]
+            diff = be[..., 1:, :] - be[..., :1, :]
+            e = al[..., 1:] - al[..., :1]
+            gram = diff @ np.swapaxes(diff, -1, -2)
+            ratio = np.linalg.det(gram) / np.prod(np.einsum("...ii->...i", gram), axis=-1)
+            solvable = ratio > 1e-10
+            gram = np.where(solvable[..., None, None], gram, np.eye(s - 1))
+            pq = np.linalg.solve(2 * gram, np.stack([(diff ** 2).sum(-1) - e ** 2,
+                                                     2 * e], axis=-1))
+            p_vec = np.einsum("...j,...jx->...x", pq[..., 0], diff)
+            q_vec = np.einsum("...j,...jx->...x", pq[..., 1], diff)
+            qa = 1.0 - (q_vec ** 2).sum(-1)
+            qb = (p_vec * q_vec).sum(-1)
+            qc = (p_vec ** 2).sum(-1)
+            top = qb + np.copysign(np.sqrt(np.clip(qb ** 2 + qa * qc, 0.0, None)), qb)
+            roots = np.stack([top / qa, -qc / top], axis=-1)
+            roots[~solvable] = np.nan
+            t = pq[..., None, :, 0] + roots[..., None] * pq[..., None, :, 1]
+            if s > 1:
+                t, roots = _polish(t, roots, diff, be, e)
+            hull = np.concatenate([1.0 - t.sum(-1, keepdims=True), t], axis=-1)
+            onehot = np.eye(k)[sets]
+            cands_a.append((al[..., :1] + roots).reshape(nb, -1))
+            cands_b.append(np.einsum("...rs,...sx->...rx", hull, be).reshape(nb, -1, 3))
+            cands_c.append(np.einsum("...rs,...sk->...rk", hull, onehot).reshape(nb, -1, k))
+            active.append(np.repeat(onehot.sum(axis=1), 2, axis=0) > 0)
+        a = np.concatenate(cands_a, axis=1)
+        b = np.concatenate(cands_b, axis=1)
+        c = np.concatenate(cands_c, axis=1)
+        active = np.concatenate(active)
+        slack = (a[..., None] - alpha[:, None]
+                 - np.linalg.norm(b[:, :, None] - beta[:, None], axis=-1))
+        eps = 1e-12 * np.abs(alpha).max(axis=1)[:, None, None]
+        kept = (np.isfinite(a) & (slack >= -eps).all(-1) & (c >= 0.0).all(-1)
+                & ((np.abs(slack) <= eps) | ~active).all(-1))
+        a_kept = np.where(kept, a, np.inf)
+        low = a_kept.min(axis=1)
+        best = np.argmax(a_kept <= (low + eps[:, 0, 0])[:, None], axis=1)
+        found = np.isfinite(low)
+        rows = np.arange(nb)
+        a, b, c = a[rows, best], b[rows, best], c[rows, best]
+        v = b[:, None] - beta
+        r = c * np.maximum(a[:, None] - alpha, np.linalg.norm(v, axis=-1))
+        f = r[..., None, None] * np.eye(2) - np.einsum("bk,bkx,xij->bkij", c, v, _PAULI)
+        total = r.sum(axis=1)
+        single = ~(total > 0)
+        f[single] = c[single, :, None, None] * np.eye(2)
+        f[~single] /= total[~single, None, None, None]
+        y = a[:, None, None] * np.eye(2) + np.einsum("bx,xij->bij", b, _PAULI)
+    f[~found] = np.eye(2) / k
+    y[~found] = _dual_operator(g[~found], f[~found])
+    return _complete(f), y
+
+
+def _near_tie_batch(rng, batch, k):
+    """Normalized random problems whose guesses 0 and 1 nearly dominate one
+    another: G_1 = G_0 + delta H, H Hermitian, delta from 1e-13 to 1e-2."""
+    g = _qubit_batch(rng, batch, k, "complex")
+    h = rng.normal(size=(batch, 2, 2)) + 1j * rng.normal(size=(batch, 2, 2))
+    h = (h + np.conj(np.swapaxes(h, -1, -2))) / 2
+    g[:, 1] = g[:, 0] + 10.0 ** rng.uniform(-13, -2, (batch, 1, 1)) * h
+    return g
+
+
+@pytest.mark.parametrize("kind", ["complex", "real", "diagonal", "repeated", "near-tie"])
+def test_qubit_optimum_matches_all_sets_oracle(kind):
+    # 1,440 normalized problems over the five kinds (a repeat needs k >= 3)
+    for k in (2, 3, 4, 5, 6) if kind != "repeated" else (3, 4, 5, 6):
+        rng = np.random.default_rng(2000 * k + len(kind))
+        g = (_near_tie_batch(rng, 60, k) if kind == "near-tie"
+             else _qubit_batch(rng, 60, k, kind))
+        g /= np.einsum("bkii->b", g).real[:, None, None, None]
+        f, y = _qubit_optimum(g)
+        value = np.einsum("bkij,bkji->b", f, g).real
+        f_old, _ = _qubit_optimum_all_sets(g)
+        assert np.all(np.abs(value - np.einsum("bkij,bkji->b", f_old, g).real) <= 1e-12)
+        assert np.all(_dual_upper(g, y) - value <= 1e-12)
+        assert np.max(np.abs(f.sum(axis=1) - np.eye(2))) <= 1e-12
+        assert np.linalg.eigvalsh(f).min() >= -1e-12
+
+
+def _seesaw_and_certified(device, n, d, gamma, seed):
+    res, enc = seesaw_search(device, n, d, restarts=2, seed=seed, gamma=gamma, iters=12)
+    return res, exact_win_probability(device, enc, n, d, gamma)
+
+
+@pytest.mark.parametrize("n, d, gamma", [(1, 2, 0.0), (2, 2, 0.0), (2, 2, 0.5)])
+def test_seesaw_value_within_certified_bracket(n, d, gamma):
+    # the winner's value comes from the closed form's POVM: at least what the
+    # certified path's decoders reach, at most its certified upper bound. At
+    # the lower end only to roundoff: where the certified path is a closed
+    # form too (Helstrom on two guesses), the two differ in the last bits.
+    for trial in range(6):
+        device = random_qubit_device(RandomSuite(child_seed(347, trial)))
+        res, cert = _seesaw_and_certified(device, n, d, gamma, 60 + trial)
+        assert res.converged and cert.converged
+        assert cert.win_prob - 1e-15 <= res.win_prob <= cert.win_prob + cert.certified_gap
+        assert res.certified_gap <= 1e-12
+
+
+def test_seesaw_without_closed_form_equals_certified_path(monkeypatch):
+    # a closed form that fails every problem sends the whole search mode
+    # down the pruned fixed point, and the winner's score is then the
+    # certified path's own
+    def fail(g):
+        return np.full_like(g, np.nan), np.full((len(g), 2, 2), np.nan, dtype=complex)
+    monkeypatch.setattr(adversary, "_qubit_optimum", fail)
+    for trial, (n, gamma) in enumerate([(1, 0.0), (2, 0.0), (2, 0.5)]):
+        device = random_qubit_device(RandomSuite(child_seed(349, trial)))
+        res, cert = _seesaw_and_certified(device, n, 2, gamma, 70 + trial)
+        assert (res.win_prob, res.certified_gap, res.converged, res.per_theta) == \
+            (cert.win_prob, cert.certified_gap, cert.converged, cert.per_theta)
 
 
 # The see-saw's objective on fixed (device, isometry) pairs as the fixed
@@ -548,7 +680,8 @@ def test_seesaw_finds_breidbart_optimum():
 
 def _sequential_seesaw(device, n, d, restarts, seed, gamma, iters):
     """The see-saw as one restart after another, each candidate scored in its
-    own solver call; also returns how many steps each restart took."""
+    own solver call, the winner certified as ``seesaw_search`` certifies it;
+    also returns how many steps each restart took."""
     dim_in = device.dim_b ** n
     ctx = _GameContext(device, n, gamma)
 
@@ -587,7 +720,12 @@ def _sequential_seesaw(device, n, d, restarts, seed, gamma, iters):
         steps.append(taken)
         if val > best_val:
             best_val, best_v = val, v
+    # the winner is scored as seesaw_search scores it: by the search mode at
+    # the certificate's tol, the certified path only where that fails
     enc = GeneralEncoding.from_isometry(best_v, d)
+    lower, upper, f, conv = _discriminate_batch(ctx.rewards(enc), tol=1e-9, refine=False)
+    if conv:
+        return ctx.result(lower, upper, f, conv, want_decoders=False), enc, steps
     return exact_win_probability(device, enc, n, d, gamma, _ctx=ctx), enc, steps
 
 

@@ -292,6 +292,21 @@ def test_imperfect_bound_clamps_before_overflow():
     assert rep.minentropy_rate == 0.0
 
 
+def test_memory_dimension_past_float_range_rejected():
+    # both paths take sqrt(d) in floating point; such a d used to overflow
+    # there (OverflowError, or a math domain error in bound_report)
+    big = int(sys.float_info.max) + 1
+    for call in (lambda d: bound_perfect(2000, d, 0.5),
+                 lambda d: bound_perfect(10, d, 0.5),
+                 lambda d: bound_report(n=10, d=d, zeta=0.5),
+                 lambda d: min_rounds(d, 0.5, 0.0, 1e-6),
+                 lambda d: threshold(d, 0.5)):
+        for d in (big, 2 ** 3000):
+            with pytest.raises(DomainError):
+                call(d)
+    assert bound_perfect(2000, 2 ** 1000, 0.5) == 1.0
+
+
 def test_bound_report_one_code_path_three_labels():
     reports = [bound_report(n=50, d=2, zeta=0.1, gamma=0.01, kind=k)
                for k in ("guessing", "wse_ne", "pv")]

@@ -105,6 +105,12 @@ def test_zeta_nonphysical_raises():
         zeta_from_violation(2.9)
 
 
+def test_zeta_rejects_nan():
+    # the clamp to [0, 1] would turn nan into the strongest certificate, 0
+    with pytest.raises(DomainError):
+        zeta_certificate(math.nan)
+
+
 def test_zeta_strictly_decreasing_on_grid():
     grid = np.linspace(2.0, TSIRELSON, 10_000)
     vals = [zeta_from_violation(float(s)) for s in grid]

@@ -268,6 +268,72 @@ def test_config_rejects_unknown_keys(capsys, tmp_path, key):
     assert key.replace("-", "_") in payload["detail"]
 
 
+@pytest.mark.parametrize("value", [1.5, True, None, [1], {"seed": 1}, "1.5", 1e400])
+def test_config_value_goes_through_flag_type(capsys, tmp_path, device_file, value):
+    # an int flag takes a JSON integer, or a number or string that converts
+    # to one exactly; anything else is a usage error, as on the command line
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"seed": value}))
+    code, out, err = run_cli(capsys, "--config", str(cfg), "chsh",
+                             "--device", device_file, "--rounds", "100")
+    assert code == 2
+    assert out == ""
+    payload = json.loads(err.strip())
+    assert payload["error"] == "usage"
+    assert "--seed" in payload["detail"]
+
+
+@pytest.mark.parametrize("config", [{"zeta": "half"}, {"zeta": False},
+                                    {"gamma": [0.1]}, {"kind": "other"},
+                                    {"format": 1}, {"out": 3},
+                                    {"zeta": 2 ** 1100}])
+def test_config_typed_and_choice_flags_checked(capsys, tmp_path, config):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(config))
+    code, out, err = run_cli(capsys, "--config", str(cfg), "bound",
+                             "--n", "10", "--d", "2", "--zeta", "0.5")
+    assert (code, out) == (2, "")
+    assert json.loads(err.strip())["error"] == "usage"
+
+
+def test_config_integer_json_cannot_read_exits_2(capsys, tmp_path):
+    # json refuses integers of more than 4300 digits with a ValueError
+    cfg = tmp_path / "run.json"
+    cfg.write_text('{"seed": ' + "9" * 5000 + "}")
+    code, out, err = run_cli(capsys, "--config", str(cfg), "bound",
+                             "--n", "10", "--d", "2", "--zeta", "0")
+    assert (code, out) == (2, "")
+    assert json.loads(err.strip())["error"] == "usage"
+
+
+def test_config_numbers_convert_exactly(capsys, tmp_path, device_file):
+    # JSON 3, 3.0 and "3" are the same --seed, and 0 the same --gamma as 0.0
+    cfg = tmp_path / "run.json"
+    cli = ("chsh", "--device", device_file, "--rounds", "100")
+    want = run_cli(capsys, "--seed", "3", *cli)
+    for value in (3, 3.0, "3"):
+        cfg.write_text(json.dumps({"seed": value, "gamma": 0}))
+        assert run_cli(capsys, "--config", str(cfg), *cli) == want
+    bound = ("bound", "--n", "100", "--d", "2", "--zeta", "0.5")
+    assert (run_cli(capsys, "--config", str(cfg), *bound)
+            == run_cli(capsys, *bound, "--gamma", "0.0"))
+
+
+def test_memory_dimension_past_float_range_exits_2(capsys):
+    code, out, err = run_cli(capsys, "bound", "--n", "10", "--d", str(2 ** 1100),
+                             "--zeta", "0.5")
+    assert (code, out) == (2, "")
+    assert json.loads(err.strip())["error"] == "DomainError"
+
+
+def test_nan_violation_exits_2(capsys):
+    for argv in (("bound", "--n", "100", "--d", "2", "--S", "nan"),
+                 ("min-n", "--d", "2", "--S", "nan", "--eps", "1e-6")):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert json.loads(err.strip())["error"] == "DomainError"
+
+
 @pytest.mark.parametrize("flag", [["--tol-profile", "strict"], ["--threads", "2"]])
 @pytest.mark.parametrize("command", [["bound", "--n", "10", "--d", "2", "--zeta", "0"],
                                      ["verify", "norm-lemma", "--trials", "1"]])

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import math
+import sys
 from unittest import mock
 
 import numpy as np
@@ -16,8 +17,10 @@ from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra import numpy as hnp  # noqa: E402
 
 from di2pc import adversary  # noqa: E402
-from di2pc.bounds import bound_report  # noqa: E402
+from di2pc.bounds import INSECURE, bound_report, min_rounds  # noqa: E402
+from di2pc.chsh import TSIRELSON, zeta_from_violation  # noqa: E402
 from di2pc.cli import main  # noqa: E402
+from di2pc.errors import Di2pcError  # noqa: E402
 from di2pc.adversary import (  # noqa: E402
     _discriminate_batch,
     _dual_upper,
@@ -27,6 +30,7 @@ from di2pc.adversary import (  # noqa: E402
 )
 from di2pc.matcore import RandomSuite  # noqa: E402
 from di2pc.protocols import DeviceModel, run_pv, run_wse  # noqa: E402
+from test_adversary import _qubit_optimum_all_sets  # noqa: E402
 from test_protocols import (  # noqa: E402
     oracle_pv_obj,
     oracle_wse_obj,
@@ -50,6 +54,28 @@ def test_qubit_optimum_on_random_psd_batches(parts):
     assert np.all(np.abs(certified_upper - value) <= 1e-10)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(hnp.arrays(np.float64, st.tuples(st.integers(1, 4), st.integers(2, 6),
+                                        st.just(2), st.just(2), st.just(2)),
+                  elements=st.floats(-1.0, 1.0)),
+       st.one_of(st.none(), st.floats(-14.0, -1.0)))
+def test_qubit_optimum_equals_all_sets_oracle(parts, tie):
+    # guesses 0 and 1 nearly dominate one another when ``tie`` is set: G_1 is
+    # G_0 plus 10^tie times a Hermitian part of the draw
+    a = parts[..., 0] + 1j * parts[..., 1]
+    g = a @ np.conj(np.swapaxes(a, -1, -2))
+    if tie is not None:
+        g[:, 1] = g[:, 0] + 10.0 ** tie * (a[:, 1] + np.conj(np.swapaxes(a[:, 1], -1, -2)))
+    scale = np.einsum("bkii->b", g).real
+    assume(np.all(scale > 1e-6))
+    g /= scale[:, None, None, None]
+    f, y = _qubit_optimum(g)
+    value = np.einsum("bkij,bkji->b", f, g).real
+    f_old, _ = _qubit_optimum_all_sets(g)
+    assert np.all(np.abs(value - np.einsum("bkij,bkji->b", f_old, g).real) <= 1e-12)
+    assert np.all(_dual_upper(g, y) - value <= 1e-12)
+
+
 def _kept_batch(parts, kept):
     """Random 2 x 2 PSD reward operators, as above; guess j of problem i is
     replaced by a dominated copy (half of guess 0) where j >= kept[i]."""
@@ -71,9 +97,9 @@ _qubit_batches = st.integers(3, 5).flatmap(lambda k: st.lists(
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(_qubit_batches)
 def test_search_mode_batch_equals_separate_calls(batches):
-    # one call on the concatenation pads every problem with more than two kept
-    # guesses to the widest kept count; the fixed-point fallback's stopping
-    # rules see its whole batch, so only the closed form answers bit for bit.
+    # one call on the concatenation sends every problem to the closed form at
+    # once; the fixed-point fallback's stopping rules see its whole batch, so
+    # only the closed form answers bit for bit.
     # Every part holds two problems or more: einsum sums the final value of a
     # one-problem batch in another order, which moves its last bit.
     search = dict(tol=1e-7, max_iter=80, dual_every=10 ** 9, refine=False)
@@ -164,6 +190,57 @@ def test_cli_bound_out_of_range_exits_2(point, bad):
     args = list(point)
     args[bad[0]] = bad[1]
     code, out, err = _cli(*_bound_argv(*args))
+    assert code == 2
+    assert out == ""
+    assert json.loads(err.strip())["error"] in ("usage", "DomainError")
+
+
+def _min_n_argv(d, s, gamma, eps):
+    return ("min-n", f"--d={d}", f"--S={s!r}", f"--gamma={gamma!r}", f"--eps={eps!r}")
+
+
+# S on both sides of 2, where the certificate starts; gamma often in the
+# secure region, which needs a small one
+_valid_min_n_args = st.tuples(
+    st.integers(1, 2 ** 40),
+    st.one_of(st.floats(2.0, TSIRELSON), st.floats(-TSIRELSON, 2.0)),
+    st.one_of(st.floats(0.0, 0.05), st.floats(0.0, 0.5)),
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_valid_min_n_args)
+def test_cli_min_n_payload_equals_library(point):
+    d, s, gamma, eps = point
+    code, out, err = _cli(*_min_n_argv(*point))
+    try:
+        n = min_rounds(d, zeta_from_violation(s), gamma, eps)
+    except Di2pcError as exc:        # the cap or the local-monotonicity check
+        assert (code, out) == (2, "")
+        assert json.loads(err.strip())["error"] == type(exc).__name__
+        return
+    assert (code, err) == (0, "")
+    assert json.loads(out) == ({"insecure": True} if n == INSECURE else {"n": n})
+
+
+# one argument of a valid point replaced by a value outside its range: d
+# below 1 or past the largest float, S past the quantum maximum or nan
+_bad_min_n_slots = (
+    st.one_of(st.integers(-10 ** 6, 0),
+              st.integers(int(sys.float_info.max) + 1, 2 ** 1100)),
+    st.one_of(st.floats(min_value=TSIRELSON + 1e-6), st.just(math.nan)),
+    _outside(0.0, 0.5),
+    st.one_of(st.floats(max_value=0.0), st.floats(min_value=1.0), st.just(math.nan)))
+_bad_min_n_slot = st.integers(0, 3).flatmap(
+    lambda i: st.tuples(st.just(i), _bad_min_n_slots[i]))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_valid_min_n_args, _bad_min_n_slot)
+def test_cli_min_n_out_of_range_exits_2(point, bad):
+    args = list(point)
+    args[bad[0]] = bad[1]
+    code, out, err = _cli(*_min_n_argv(*args))
     assert code == 2
     assert out == ""
     assert json.loads(err.strip())["error"] in ("usage", "DomainError")
