@@ -13,24 +13,23 @@ so every reported value comes with a certified optimality gap. Guesses whose
 reward operator another guess dominates are dropped first; closed forms
 solve what is left where they exist (scalar memories, one guess, two-outcome
 Helstrom), and a fixed-point iteration with an interior-point fallback
-solves the rest. The dual bound is rounded outward, so it stays at or above
-the value of the returned POVM in float64.
+solves the rest, on one schedule. The dual bound is rounded outward, so it
+stays at or above the value of the returned POVM in float64.
 
 The module also hosts the see-saw encoding search (a heuristic lower bound
 on the game value) and the three fuzzed inequality verifiers backing the
 security statement: the key-lemma bound itself, the norm-of-sum inequality,
-and the per-block overlap bounds. The search's restarts climb in lockstep:
-at each step the candidates of all live restarts are scored in one call of
-the solver's uncertified search mode, their rewards built straight from the
-stacked isometries. In that mode every qubit problem, with any number of
-guesses, goes straight to an exact closed form (the Bloch-vector dual
-solved over its active sets, pairs first, ``_qubit_optimum``), one call for
-the whole batch; the fixed point sees only the problems whose closed-form
-gap check fails. The winner is scored the same way at the certificate's
-tolerance: its value is achieved by the returned POVM and its bound is the
-outward-rounded dual, so it carries its own certificate, and only where
-that does not converge does the certified path score it. The certified
-path itself never enters the closed form.
+and the per-block overlap bounds, each folded into its report by one loop
+(``_run_trials``). The search's restarts climb in lockstep: at each step the
+candidates of all live restarts are scored in one solver call, their rewards
+built straight from the stacked isometries. There every qubit problem, with
+any number of guesses, goes first to an exact closed form (the Bloch-vector
+dual solved over its active sets, pairs first, ``_qubit_optimum``), one call
+for the whole batch; only the problems whose closed-form gap check fails go
+on to the certified path above. The winner is scored once more the same way:
+its value is achieved by the returned POVM and its bound is the
+outward-rounded dual, so it carries its own certificate. Only the see-saw
+enters the closed form.
 """
 
 from __future__ import annotations
@@ -86,6 +85,16 @@ _GAME_CAP_ROUNDS = 6
 _ENCODING_CAP_ROUNDS = 3
 
 _EPS = float(np.finfo(float).eps)
+
+# How far an encoding's sum of E^+ E may stray from the identity, entrywise.
+_TP_TOL = 1e-9
+
+
+def _require_positive(**values: int) -> None:
+    """Raise ``DomainError`` for the first of ``values`` below 1."""
+    for name, value in values.items():
+        if value < 1:
+            raise DomainError(f"{name} must be at least 1, got {value}")
 
 
 def _round_kraus(angle: float | None, dim_b: int) -> Array:
@@ -208,24 +217,28 @@ class GeneralEncoding:
     def memory_dim(self, dim_b: int, n: int) -> int:
         return int(self.kraus[0][0].shape[0])
 
-    def kraus_branches(self, dim_b: int, n: int) -> list[list[Array]]:
+    def kraus_array(self, dim_b: int, n: int) -> Array:
+        """The Kraus elements stacked, shape (M, K, mem, Din): element k of
+        branch m at [m, k], each branch zero-padded to the longest."""
         dim_in = dim_b ** n
         mem = self.memory_dim(dim_b, n)
-        total = None
-        for branch in self.kraus:
-            for e in branch:
-                e = as_matrix(e)
-                if e.shape[1] != dim_in:
+        e = np.zeros((len(self.kraus), max(map(len, self.kraus)), mem, dim_in),
+                     dtype=complex)
+        for m, branch in enumerate(self.kraus):
+            for k, op in enumerate(branch):
+                op = as_matrix(op)
+                if op.shape[1] != dim_in:
                     raise ShapeError(
-                        f"Kraus input dimension {e.shape[1]} != {dim_in}")
-                if e.shape[0] != mem:
+                        f"Kraus input dimension {op.shape[1]} != {dim_in}")
+                if op.shape[0] != mem:
                     raise StrategyError(
-                        f"Kraus output dimension {e.shape[0]} != {mem}: every "
+                        f"Kraus output dimension {op.shape[0]} != {mem}: every "
                         "element must map into the same memory")
-                total = dagger(e) @ e if total is None else total + dagger(e) @ e
-        if total is None or np.max(np.abs(total - np.eye(dim_in))) > 1e-9:
-            raise StrategyError("encoding is not trace preserving within 1e-9")
-        return [[as_matrix(e) for e in branch] for branch in self.kraus]
+                e[m, k] = op
+        total = np.einsum("mkai,mkaj->ij", e.conj(), e)
+        if np.max(np.abs(total - np.eye(dim_in))) > _TP_TOL:
+            raise StrategyError(f"encoding is not trace preserving within {_TP_TOL:g}")
+        return e
 
     def to_obj(self) -> dict:
         from .matcore import matrix_to_obj
@@ -608,22 +621,22 @@ def _ipm_single(g: np.ndarray, gap_target: float) -> tuple[np.ndarray, np.ndarra
     return _complete(_herm(np.linalg.inv(y[None] - g)) / t), y
 
 
-# The fixed point and its fallback aim at this fraction of ``tol``. A batch
-# stops once every gap in it is within the aim, and pruned batches are small,
-# so aiming at ``tol`` itself would leave values anywhere up to ``tol`` below
-# the optimum; a problem still open by more than ``tol`` gets the fallback.
+# The fixed point runs at most ``_SWEEPS`` sweeps, and it and its fallback aim
+# at ``_TARGET`` times ``tol``. A batch stops once every gap in it is within
+# the aim, and pruned batches are small, so aiming at ``tol`` itself would
+# leave values anywhere up to ``tol`` below the optimum; a problem still open
+# by more than ``tol`` gets the fallback.
 _TARGET = 1e-3
+_SWEEPS = 200
 
 
-def _fixed_point(g: np.ndarray, tol: float, max_iter: int, dual_every: int,
-                 refine: bool) -> tuple[np.ndarray, np.ndarray]:
+def _fixed_point(g: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Ježek–Řeháček–Fiurášek fixed point on a batch of problems.
 
     Returns the best POVM found per problem and the best dual operator Y
-    (unlifted). The dual is evaluated every ``dual_every`` sweeps
-    (certification is not needed at every step of a search). Problems whose
-    gap the iteration fails to close are handed to the central-path solver
-    when ``refine`` is set; its certificates replace the weaker ones.
+    (unlifted), the dual evaluated at every sweep. After at most ``_SWEEPS``
+    sweeps, problems whose gap the iteration failed to close are handed to
+    the central-path solver; its certificates replace the weaker ones.
     """
     b, k, d, _ = g.shape
     eye = np.broadcast_to(np.eye(d, dtype=complex), (b, d, d))
@@ -640,11 +653,9 @@ def _fixed_point(g: np.ndarray, tol: float, max_iter: int, dual_every: int,
         best_upper[better] = upper[better]
         best_y[better] = y[better]
 
-    converged = False
     stale = 0
     window_mark = -np.inf
-    sweeps = min(max_iter, 200) if refine else max_iter
-    for it in range(sweeps):
+    for it in range(_SWEEPS):
         lower = np.einsum("bkij,bkji->b", f, g).real
         gained = lower > best_lower
         if gained.any():
@@ -653,11 +664,9 @@ def _fixed_point(g: np.ndarray, tol: float, max_iter: int, dual_every: int,
         else:
             stale += 1
         best_lower = np.maximum(best_lower, lower)
-        if it % dual_every == 0:
-            certify(f)
-            if np.all(best_upper - best_lower <= _TARGET * tol):
-                converged = True
-                break
+        certify(f)
+        if np.all(best_upper - best_lower <= _TARGET * tol):
+            break
         if it % 25 == 24:
             total = float(best_lower.sum())
             if total - window_mark < 1e-12 * max(1.0, abs(total)):
@@ -674,20 +683,18 @@ def _fixed_point(g: np.ndarray, tol: float, max_iter: int, dual_every: int,
         slack = eye - f.sum(axis=1)
         f = f + slack[:, None] / k
     certify(best_f)
-    if refine and not converged:
-        for i in np.flatnonzero(best_upper - best_lower > tol):
-            fi, yi = _ipm_single(g[i], gap_target=_TARGET * tol)
-            if np.einsum("yij,yji->", fi, g[i]).real > best_lower[i]:
-                best_f[i] = fi
-            upper = _dual_upper(g[i:i + 1], yi[None], outward=False)[0]
-            if upper < best_upper[i]:
-                best_upper[i] = upper
-                best_y[i] = yi
+    for i in np.flatnonzero(best_upper - best_lower > tol):
+        fi, yi = _ipm_single(g[i], gap_target=_TARGET * tol)
+        if np.einsum("yij,yji->", fi, g[i]).real > best_lower[i]:
+            best_f[i] = fi
+        upper = _dual_upper(g[i:i + 1], yi[None], outward=False)[0]
+        if upper < best_upper[i]:
+            best_upper[i] = upper
+            best_y[i] = yi
     return best_f, best_y
 
 
-def _pruned(g: np.ndarray, tol: float, max_iter: int, dual_every: int,
-            refine: bool) -> tuple[np.ndarray, np.ndarray]:
+def _pruned(g: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """POVMs and dual operators of ``_discriminate_batch``'s general path.
 
     Dominated outcomes are dropped first (``_undominated``) and get zero POVM
@@ -715,14 +722,11 @@ def _pruned(g: np.ndarray, tol: float, max_iter: int, dual_every: int,
     for c in np.unique(count[rest]):
         sel = rest[count[rest] == c]
         cols = idx[sel, :c]
-        f[sel[:, None], cols], y[sel] = _fixed_point(g[sel[:, None], cols], tol,
-                                                     max_iter, dual_every, refine)
+        f[sel[:, None], cols], y[sel] = _fixed_point(g[sel[:, None], cols], tol)
     return f, y
 
 
-def _discriminate_batch(g: np.ndarray, tol: float = 1e-9,
-                        max_iter: int = 10_000, dual_every: int = 1,
-                        refine: bool = True,
+def _discriminate_batch(g: np.ndarray, tol: float = 1e-9, qubit_first: bool = False,
                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
     """Batched certified discrimination.
 
@@ -734,11 +738,13 @@ def _discriminate_batch(g: np.ndarray, tol: float = 1e-9,
 
     Scalar memories take the best guess. Otherwise ``_pruned`` solves the
     batch: dominated outcomes dropped, closed forms for one and two kept
-    outcomes, the fixed point for the rest. In search mode (``refine`` off)
-    every qubit problem goes to the closed form ``_qubit_optimum`` first, on
-    all its outcomes and all in one call, and only the problems whose gap
-    there exceeds ``tol`` go on to ``_pruned``. Soundness does not rest on
-    either: a wrong drop or a wrong root can only widen the certified gap.
+    outcomes, the fixed point and its fallback (one schedule, see
+    ``_fixed_point``) for the rest. With ``qubit_first`` (the see-saw's
+    scoring) every qubit problem goes to the closed form ``_qubit_optimum``
+    first, on all its outcomes and all in one call, and only the problems
+    whose gap there exceeds ``tol`` go on to ``_pruned``. Soundness does not
+    rest on either: a wrong drop or a wrong root can only widen the
+    certified gap.
     """
     b, k, d, _ = g.shape
     if d == 1:
@@ -748,22 +754,21 @@ def _discriminate_batch(g: np.ndarray, tol: float = 1e-9,
         f[np.arange(b), best, 0, 0] = 1.0
         top = vals.max(axis=1)
         return top, top, f, True
-    if d == 2 and not refine:
+    if d == 2 and qubit_first:
         f, y = _qubit_optimum(g)
         # written so that a nan gap fails too
         rest = np.flatnonzero(~(_dual_upper(g, y)
                                 - np.einsum("bkij,bkji->b", f, g).real <= tol))
         if rest.size:
-            f[rest], y[rest] = _pruned(g[rest], tol, max_iter, dual_every, refine)
+            f[rest], y[rest] = _pruned(g[rest], tol)
     else:
-        f, y = _pruned(g, tol, max_iter, dual_every, refine)
+        f, y = _pruned(g, tol)
     lower = np.einsum("bkij,bkji->b", f, g).real
     upper = _dual_upper(g, y)
     return lower, upper, f, bool(np.all(upper - lower <= tol))
 
 
-def optimal_discrimination(ensemble, tol: float = 1e-9,
-                           max_iter: int = 10_000) -> DiscriminationResult:
+def optimal_discrimination(ensemble, tol: float = 1e-9) -> DiscriminationResult:
     """Optimal success for one ensemble.
 
     ``ensemble`` is either a list of (probability, density matrix) pairs or
@@ -783,7 +788,7 @@ def optimal_discrimination(ensemble, tol: float = 1e-9,
     if any(o.shape != (d, d) for o in ops):
         raise ShapeError("ensemble operators must share one dimension")
     g = np.stack(ops)[None]
-    lower, upper, f, conv = _discriminate_batch(g, tol, max_iter)
+    lower, upper, f, conv = _discriminate_batch(g, tol)
     return DiscriminationResult(
         win_prob=float(lower[0]), upper_bound=float(upper[0]),
         dual_gap=float(max(0.0, upper[0] - lower[0])),
@@ -839,6 +844,7 @@ class _GameContext:
     """
 
     def __init__(self, device: DeviceModel, n: int, gamma: float):
+        _require_positive(n=n)
         if not 0.0 <= gamma <= 0.5:
             raise DomainError(f"gamma must lie in [0, 0.5], got {gamma!r}")
         self.device = device
@@ -865,16 +871,9 @@ class _GameContext:
         """Stacked reward operators, shape (thetas*branches, guesses, mem, mem)."""
         _check_caps(strategy, self.n)
         if isinstance(strategy, GeneralEncoding):
-            branches = strategy.kraus_branches(self.device.dim_b, self.n)
-            # (M, K, mem, Din): each branch's Kraus elements, zero-padded to K
-            e = np.zeros((len(branches), max(map(len, branches)),
-                          *branches[0][0].shape), dtype=complex)
-            for m, br in enumerate(branches):
-                e[m, :len(br)] = br
-            w = np.einsum("mkab,txbc,mkdc->tmxad", e, self.dense(), e.conj())
-        else:
-            w = _product_rewards(self.table,
-                                 strategy.rounds(self.device.dim_b, self.n))
+            return self._instrument_rewards(
+                strategy.kraus_array(self.device.dim_b, self.n)[None])
+        w = _product_rewards(self.table, strategy.rounds(self.device.dim_b, self.n))
         return self._masked(w.reshape(-1, *w.shape[2:]))
 
     def isometry_rewards(self, v: np.ndarray, d: int) -> np.ndarray:
@@ -884,10 +883,16 @@ class _GameContext:
         (c*thetas*M, guesses, d, d). The encodings' trace-preservation check
         is skipped, so ``v`` must hold isometries (QR output does)."""
         c, rows, dim_in = v.shape
-        # (c, M, d, Din): branch m of isometry i is e[i, m]
+        # branch m of isometry i is its one Kraus element e[i, m, 0]
         e = np.ascontiguousarray(
-            v.reshape(c, d, rows // d, dim_in).transpose(0, 2, 1, 3))
-        w = np.einsum("nmab,txbc,nmdc->ntmxad", e, self.dense(), e.conj())
+            v.reshape(c, d, rows // d, dim_in).transpose(0, 2, 1, 3))[:, :, None]
+        return self._instrument_rewards(e)
+
+    def _instrument_rewards(self, e: np.ndarray) -> np.ndarray:
+        """Rewards of a stack of instruments, Kraus element k of branch m of
+        instrument i at ``e[i, m, k]``, shape (c, M, K, mem, Din): returns
+        shape (c*thetas*M, guesses, mem, mem)."""
+        w = np.einsum("nmkab,txbc,nmkdc->ntmxad", e, self.dense(), e.conj())
         return self._masked(w.reshape(-1, *w.shape[3:]))
 
     def dense(self) -> np.ndarray:
@@ -927,7 +932,6 @@ class _GameContext:
 
 def exact_win_probability(device: DeviceModel, strategy: Strategy, n: int,
                           d: int, gamma: float = 0.0, tol: float = 1e-9,
-                          max_iter: int = 10_000,
                           want_decoders: bool = False,
                           _ctx: "_GameContext | None" = None) -> GuessResult:
     """Exact winning probability of ``strategy`` with optimal decoding.
@@ -937,16 +941,19 @@ def exact_win_probability(device: DeviceModel, strategy: Strategy, n: int,
     branch by classical branch. The strategy must fit the stated memory
     dimension d.
     """
-    if d < 1:
-        raise DomainError("memory dimension d must be at least 1")
+    _require_positive(d=d)
     _check_caps(strategy, n)
     mem = strategy.memory_dim(device.dim_b, n)
     if mem > d:
         raise StrategyError(f"strategy needs memory dimension {mem} > allowed {d}")
     ctx = _ctx if _ctx is not None else _GameContext(device, n, gamma)
     g = ctx.rewards(strategy)
-    lower, upper, f, conv = _discriminate_batch(g, tol, max_iter)
+    lower, upper, f, conv = _discriminate_batch(g, tol)
     return ctx.result(lower, upper, f, conv, want_decoders)
+
+
+# How far Alice's outcome probabilities for one basis string may sum from 1.
+_PROB_SUM_TOL = 1e-10
 
 
 def replay_win_probability(device: DeviceModel, strategy: Strategy, n: int,
@@ -958,6 +965,8 @@ def replay_win_probability(device: DeviceModel, strategy: Strategy, n: int,
     outcome per trial; the empirical win rate should reproduce the exact
     value within sampling error.
     """
+    _require_positive(trials=trials)
+    _check_caps(strategy, n)
     rng = RandomSuite(seed).rng
     radius = math.floor(gamma * n)
     wins = 0
@@ -970,7 +979,7 @@ def replay_win_probability(device: DeviceModel, strategy: Strategy, n: int,
         # Alice's outcome distribution for theta, a product over rounds
         q = _kron_axes(np.trace(ctx.table[list(theta)], axis1=2, axis2=3), 1).real
         total = q.sum()
-        if abs(total - 1.0) > 1e-10:
+        if abs(total - 1.0) > _PROB_SUM_TOL:
             raise DomainError(f"outcome probabilities sum to {total!r}")
         x = int(rng.choice(len(q), p=q / total))
         # branch operators E_m rho^theta_x E_m^+ of the unmasked rewards
@@ -1020,20 +1029,22 @@ def _structured_isometries(device: DeviceModel, n: int, d: int,
     return inits
 
 
+# Gap within which a search step takes the closed form's value.
+_SEARCH_TOL = 1e-7
+
+
 def _search_values(ctx: _GameContext, v: np.ndarray, d: int) -> np.ndarray:
     """The see-saw's objective for a stack of isometries ``v``, shape (c, d*M,
-    Din), in one solver call: each one's winning probability under the
-    solver's search mode (no certificate; on qubit memories the closed form,
-    so the value is exact to roundoff)."""
-    lower, _, _, _ = _discriminate_batch(ctx.isometry_rewards(v, d), tol=1e-7,
-                                         max_iter=80, dual_every=10 ** 9,
-                                         refine=False)
+    Din), in one solver call: each one's winning probability, on qubit
+    memories from the closed form, so the value is exact to roundoff."""
+    lower, _, _, _ = _discriminate_batch(ctx.isometry_rewards(v, d),
+                                         tol=_SEARCH_TOL, qubit_first=True)
     return lower.reshape(len(v), len(ctx.thetas), -1).sum(axis=2).mean(axis=1)
 
 
 def seesaw_search(device: DeviceModel, n: int, d: int, restarts: int = 4,
                   seed: int = 0, gamma: float = 0.0, iters: int = 60,
-                  tol: float = 1e-9, _ctx: "_GameContext | None" = None,
+                  _ctx: "_GameContext | None" = None,
                   ) -> tuple[GuessResult, GeneralEncoding]:
     """Alternating search for a strong encoding.
 
@@ -1046,14 +1057,12 @@ def seesaw_search(device: DeviceModel, n: int, d: int, restarts: int = 4,
     scored in one solver call, and each restart applies its own accept,
     shrink and stop rule, so each one follows the path it would follow
     alone. The best isometry (the first restart among equals) is scored
-    once more at ``tol`` by the search mode, whose value comes from its
-    POVM and whose bound from its outward-rounded dual, both on the full
-    rewards; only where that does not converge does the certified path
-    (``exact_win_probability``) score it. Either way the value is a valid
-    lower bound on the game optimum for this device, with its gap.
+    once more, at the certificate's default tolerance: its value comes from
+    the returned POVM and its bound from the outward-rounded dual, both on
+    the full rewards, so the value is a valid lower bound on the game
+    optimum for this device, with its gap.
     """
-    if restarts < 1:
-        raise DomainError(f"restarts must be at least 1, got {restarts}")
+    _require_positive(restarts=restarts)
     if n > 2 or d > max(2, device.dim_b):
         raise DimensionCapError("see-saw is capped at n <= 2 and qubit-size memories")
     dim_in = device.dim_b ** n
@@ -1085,10 +1094,8 @@ def seesaw_search(device: DeviceModel, n: int, d: int, restarts: int = 4,
         if not live:
             break
     enc = GeneralEncoding.from_isometry(v[int(np.argmax(val))], d)
-    lower, upper, f, conv = _discriminate_batch(ctx.rewards(enc), tol, refine=False)
-    if conv:
-        return ctx.result(lower, upper, f, conv, want_decoders=False), enc
-    return exact_win_probability(device, enc, n, d, gamma, tol=tol, _ctx=ctx), enc
+    lower, upper, f, conv = _discriminate_batch(ctx.rewards(enc), qubit_first=True)
+    return ctx.result(lower, upper, f, conv, want_decoders=False), enc
 
 
 # ---------------------------------------------------------------------------
@@ -1158,6 +1165,17 @@ def strategy_family(n: int, d: int, dim_b: int, suite: RandomSuite) -> list[Stra
 # fuzzed verifiers for the three technical inequalities
 # ---------------------------------------------------------------------------
 
+# An attack value counts against B' only past this margin, which covers the
+# solver's certified gaps and the bound's rounding.
+_WIN_SLACK = 1e-6
+# The norm and overlap inequalities fail only at slacks below -_SLACK_TOL.
+_SLACK_TOL = 1e-9
+# ||K|| must equal ||sum A_i|| to this fraction of max(1, ||sum A_i||).
+_K_NORM_RTOL = 1e-7
+# The overlap bound's two forms, equal identically, must agree to this.
+_FORMS_TOL = 1e-12
+
+
 @dataclass(frozen=True)
 class VerificationReport:
     """Outcome of a fuzz campaign against one inequality."""
@@ -1178,21 +1196,33 @@ class VerificationReport:
         }
 
 
-def _run_trials(worker, trials: int) -> list[dict]:
-    """Run independent trial workers in index order.
+def _run_trials(name: str, trials: int, worker, check, details) -> VerificationReport:
+    """Run trial workers in index order and fold their records into a report.
 
-    Each worker derives its randomness from its own trial index. A campaign
-    needs at least one trial: with none, the reports' worst slack would stay
-    at infinity and ``passed`` would hold vacuously.
+    ``worker(t)`` returns trial t's record, drawn from its own random stream;
+    ``check(record)`` yields one (ratio, slack, violation or None) row per
+    instance checked; ``details(records)`` gives the report's details. With
+    no trial the worst slack would stay infinite and ``passed`` would hold
+    vacuously, so at least one is needed.
     """
-    if trials < 1:
-        raise DomainError(f"trials must be at least 1, got {trials}")
-    return [worker(t) for t in range(trials)]
+    _require_positive(trials=trials)
+    records = [worker(t) for t in range(trials)]
+    rows = [row for rec in records for row in check(rec)]
+    violations = [v for _, _, v in rows if v is not None]
+    return VerificationReport(
+        name=name, trials=trials, passed=not violations,
+        max_ratio=max([0.0] + [r for r, _, _ in rows]),
+        worst_slack=min([math.inf] + [s for _, s, _ in rows]),
+        violations=violations, details=details(records))
+
+
+# The see-saw the key-lemma fuzz runs on every device whose bound is below 1.
+_KEY_LEMMA_RESTARTS = 2
+_KEY_LEMMA_ITERS = 30
 
 
 def verify_key_lemma(trials: int, n: int, d: int, gamma: float = 0.0,
-                     seed: int = 0, seesaw_restarts: int = 2,
-                     seesaw_iters: int = 30) -> VerificationReport:
+                     seed: int = 0) -> VerificationReport:
     """Pit strategy families and see-saw attacks against B'(n, d, eps_+, gamma).
 
     The certificate uses the device's exact effective anti-commutator, the
@@ -1220,35 +1250,27 @@ def verify_key_lemma(trials: int, n: int, d: int, gamma: float = 0.0,
         # A saturated bound (B' = 1) cannot be challenged by any probability;
         # the see-saw search only adds information below it.
         if bound < 1.0:
-            res, _enc = seesaw_search(device, n, d, restarts=seesaw_restarts,
+            res, _enc = seesaw_search(device, n, d, restarts=_KEY_LEMMA_RESTARTS,
                                       seed=int(suite.rng.integers(2 ** 32)),
-                                      gamma=gamma, iters=seesaw_iters, _ctx=ctx)
+                                      gamma=gamma, iters=_KEY_LEMMA_ITERS, _ctx=ctx)
             if res.win_prob > best.win_prob:
                 best, best_kind = res, "seesaw"
         return {"trial": trial, "epsilon_plus": eps, "bound": bound,
                 "win_prob": best.win_prob, "strategy": best_kind, "device": device,
                 "certified_gap": best.certified_gap, "converged": best.converged}
 
-    records = _run_trials(work, trials)
-    max_ratio = 0.0
-    worst_slack = math.inf
-    violations: list[dict] = []
-    for rec in records:
+    def check(rec: dict):
         bound, best_win = rec["bound"], rec["win_prob"]
-        max_ratio = max(max_ratio, best_win / bound if bound > 0 else math.inf)
-        worst_slack = min(worst_slack, bound + 1e-6 - best_win)
-        if best_win > bound + 1e-6:
-            violations.append({
-                "trial": rec["trial"], "epsilon_plus": rec["epsilon_plus"],
-                "bound": bound, "win_prob": best_win,
-                "strategy": rec["strategy"], "device": rec["device"].to_obj(),
-            })
-    return VerificationReport(
-        name="key-lemma", trials=trials, passed=not violations,
-        max_ratio=max_ratio, worst_slack=worst_slack, violations=violations,
-        details={"n": n, "d": d, "gamma": gamma, "seed": seed,
-                 "worst_certified_gap": max(r["certified_gap"] for r in records),
-                 "converged": all(r["converged"] for r in records)})
+        violated = best_win > bound + _WIN_SLACK
+        yield (best_win / bound if bound > 0 else math.inf, bound + _WIN_SLACK - best_win,
+               {"trial": rec["trial"], "epsilon_plus": rec["epsilon_plus"],
+                "bound": bound, "win_prob": best_win, "strategy": rec["strategy"],
+                "device": rec["device"].to_obj()} if violated else None)
+
+    return _run_trials("key-lemma", trials, work, check, lambda records: {
+        "n": n, "d": d, "gamma": gamma, "seed": seed,
+        "worst_certified_gap": max(r["certified_gap"] for r in records),
+        "converged": all(r["converged"] for r in records)})
 
 
 def verify_norm_lemma(trials: int, max_dim: int = 16, max_terms: int = 8,
@@ -1260,6 +1282,7 @@ def verify_norm_lemma(trials: int, max_dim: int = 16, max_terms: int = 8,
     instances, with K the block matrix of sqrt(A_i) sqrt(A_j) and L its
     entrywise norm matrix.
     """
+    _require_positive(max_dim=max_dim, max_terms=max_terms)
     if max_dim > 16 or max_terms > 8:
         raise DimensionCapError("norm-lemma fuzz is capped at dim <= 16, N <= 8")
 
@@ -1282,22 +1305,16 @@ def verify_norm_lemma(trials: int, max_dim: int = 16, max_terms: int = 8,
                 "rhs": rhs, "k_norm": k_norm, "l_norm": l_norm,
                 "hoelder": hoelder}
 
-    records = _run_trials(work, trials)
-    max_ratio = 0.0
-    worst_slack = math.inf
-    violations: list[dict] = []
-    for rec in records:
+    def check(rec: dict):
         slack = min(rec["rhs"] - rec["lhs"], rec["l_norm"] - rec["k_norm"],
                     rec["hoelder"] - rec["l_norm"])
-        worst_slack = min(worst_slack, slack)
-        max_ratio = max(max_ratio,
-                        rec["lhs"] / rec["rhs"] if rec["rhs"] > 0 else math.inf)
-        if slack < -1e-9 or abs(rec["k_norm"] - rec["lhs"]) > 1e-7 * max(1.0, rec["lhs"]):
-            violations.append(rec)
-    return VerificationReport(
-        name="norm-lemma", trials=trials, passed=not violations,
-        max_ratio=max_ratio, worst_slack=worst_slack, violations=violations,
-        details={"max_dim": max_dim, "max_terms": max_terms, "seed": seed})
+        violated = slack < -_SLACK_TOL or \
+            abs(rec["k_norm"] - rec["lhs"]) > _K_NORM_RTOL * max(1.0, rec["lhs"])
+        yield (rec["lhs"] / rec["rhs"] if rec["rhs"] > 0 else math.inf, slack,
+               rec if violated else None)
+
+    return _run_trials("norm-lemma", trials, work, check, lambda _: {
+        "max_dim": max_dim, "max_terms": max_terms, "seed": seed})
 
 
 def _block_measurement(beta: float) -> dict[tuple[int, int], Array]:
@@ -1323,6 +1340,7 @@ def verify_overlap_lemma(trials: int, n: int, d: int,
     equal identically) against ||sqrt(Pi^theta') sqrt(Pi^theta)|| for every
     ordered basis pair.
     """
+    _require_positive(n=n, d=d)
     if n > 2 or d > 3:
         raise DimensionCapError("overlap fuzz is capped at n <= 2, d <= 3")
     thetas_cache = {m: list(itertools.product((0, 1), repeat=m)) for m in (1, 2)}
@@ -1363,22 +1381,14 @@ def verify_overlap_lemma(trials: int, n: int, d: int,
         return {"trial": trial, "n": n_use, "d": d_use,
                 "betas": [float(x) for x in betas], "pairs": pairs}
 
-    records = _run_trials(work, trials)
-    max_ratio = 0.0
-    worst_slack = math.inf
-    violations: list[dict] = []
-    for rec in records:
+    def check(rec: dict):
         for pair in rec["pairs"]:
             lhs, rhs1, rhs2 = pair["lhs"], pair["rhs_angles"], pair["rhs_eps"]
             slack = min(rhs1 - lhs, rhs2 - lhs)
-            worst_slack = min(worst_slack, slack)
-            max_ratio = max(max_ratio, lhs / rhs1 if rhs1 > 0 else math.inf)
-            if slack < -1e-9 or abs(rhs1 - rhs2) > 1e-12:
-                violations.append({
-                    "trial": rec["trial"], "n": rec["n"], "d": rec["d"],
-                    "betas": rec["betas"], **pair,
-                })
-    return VerificationReport(
-        name="overlap-lemma", trials=trials, passed=not violations,
-        max_ratio=max_ratio, worst_slack=worst_slack, violations=violations,
-        details={"n": n, "d": d, "seed": seed})
+            violated = slack < -_SLACK_TOL or abs(rhs1 - rhs2) > _FORMS_TOL
+            yield (lhs / rhs1 if rhs1 > 0 else math.inf, slack,
+                   {"trial": rec["trial"], "n": rec["n"], "d": rec["d"],
+                    "betas": rec["betas"], **pair} if violated else None)
+
+    return _run_trials("overlap-lemma", trials, work, check,
+                       lambda _: {"n": n, "d": d, "seed": seed})

@@ -687,8 +687,7 @@ def _sequential_seesaw(device, n, d, restarts, seed, gamma, iters):
 
     def score(v):
         g = ctx.rewards(GeneralEncoding.from_isometry(v, d))
-        lower, _, _, _ = _discriminate_batch(g, tol=1e-7, max_iter=80,
-                                             dual_every=10 ** 9, refine=False)
+        lower, _, _, _ = _discriminate_batch(g, tol=1e-7, qubit_first=True)
         return float(lower.reshape(len(ctx.thetas), -1).sum(axis=1).mean())
 
     def phase_fixed_qr(a):
@@ -720,13 +719,11 @@ def _sequential_seesaw(device, n, d, restarts, seed, gamma, iters):
         steps.append(taken)
         if val > best_val:
             best_val, best_v = val, v
-    # the winner is scored as seesaw_search scores it: by the search mode at
-    # the certificate's tol, the certified path only where that fails
+    # the winner is scored as seesaw_search scores it: once, closed form first,
+    # at the certificate's default tol
     enc = GeneralEncoding.from_isometry(best_v, d)
-    lower, upper, f, conv = _discriminate_batch(ctx.rewards(enc), tol=1e-9, refine=False)
-    if conv:
-        return ctx.result(lower, upper, f, conv, want_decoders=False), enc, steps
-    return exact_win_probability(device, enc, n, d, gamma, _ctx=ctx), enc, steps
+    lower, upper, f, conv = _discriminate_batch(ctx.rewards(enc), qubit_first=True)
+    return ctx.result(lower, upper, f, conv, want_decoders=False), enc, steps
 
 
 def _assert_same_search(device, n, d, restarts, seed, gamma, iters):
@@ -760,8 +757,6 @@ def test_lockstep_seesaw_matches_when_one_restart_stops_early():
 def test_seesaw_needs_a_restart():
     with pytest.raises(DomainError):
         seesaw_search(ideal_bb84_device(), 1, 2, restarts=0)
-    with pytest.raises(DomainError):
-        verify_key_lemma(1, 1, 1, seed=3, seesaw_restarts=0)
 
 
 def test_seesaw_never_beats_bound():
@@ -902,3 +897,40 @@ def test_intercept_game_value_factorizes_over_rounds():
         w2 = exact_win_probability(device, MeasureAll(angles=(a, b)), 2, 1,
                                    0.0).win_prob
         assert w2 == pytest.approx(w1a * w1b, abs=1e-10)
+
+
+@pytest.mark.parametrize("n", [0, -2])
+def test_game_needs_a_round(n):
+    device = ideal_bb84_device()
+    with pytest.raises(DomainError):
+        exact_win_probability(device, breidbart(n), n, 1, 0.0)
+    with pytest.raises(DomainError):
+        seesaw_search(device, n, 1)
+    with pytest.raises(DomainError):
+        replay_win_probability(device, breidbart(n), n, 0.0, {}, 10)
+    with pytest.raises(DomainError):
+        verify_key_lemma(1, n, 1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: verify_overlap_lemma(2, 0, 1),
+    lambda: verify_overlap_lemma(2, 1, 0),
+    lambda: verify_norm_lemma(1, max_dim=0),
+    lambda: verify_norm_lemma(1, max_terms=0),
+])
+def test_verifiers_reject_empty_ranges(call):
+    with pytest.raises(DomainError):
+        call()
+
+
+def test_replay_needs_a_trial():
+    device = ideal_bb84_device()
+    res = exact_win_probability(device, breidbart(1), 1, 1, 0.0, want_decoders=True)
+    with pytest.raises(DomainError):
+        replay_win_probability(device, breidbart(1), 1, 0.0, res.decoders, 0)
+
+
+def test_replay_capped_before_the_game_is_built():
+    # 2^40 basis strings would be listed before the strategy's cap is read
+    with pytest.raises(DimensionCapError):
+        replay_win_probability(ideal_bb84_device(), breidbart(40), 40, 0.0, {}, 1)

@@ -511,3 +511,20 @@ def test_device_dimensions_capped_before_matrices(capsys, tmp_path):
     assert code == 4
     assert out == ""
     assert json.loads(err.strip())["error"] == "dimension-cap"
+
+
+@pytest.mark.parametrize("n", ["0", "-2"])
+def test_attack_rejects_rounds_below_one(capsys, device_file, n):
+    code, out, err = run_cli(capsys, "attack", "--device", device_file,
+                             "--strategy", "breidbart", f"--n={n}", "--d", "1")
+    assert code == 2
+    assert out == ""
+    assert json.loads(err.strip())["error"] == "DomainError"
+
+
+@pytest.mark.parametrize("flag", ["--n=0", "--d=0"])
+def test_verify_overlap_rejects_empty_ranges(capsys, flag):
+    code, out, err = run_cli(capsys, "verify", "overlap-lemma", "--trials", "2", flag)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err.strip())["error"] == "DomainError"

@@ -19,8 +19,8 @@ from hypothesis.extra import numpy as hnp  # noqa: E402
 from di2pc import adversary  # noqa: E402
 from di2pc.bounds import INSECURE, bound_report, min_rounds  # noqa: E402
 from di2pc.chsh import TSIRELSON, zeta_from_violation  # noqa: E402
-from di2pc.cli import main  # noqa: E402
-from di2pc.errors import Di2pcError  # noqa: E402
+from di2pc.cli import _ATTACK_TOL, main  # noqa: E402
+from di2pc.errors import DimensionCapError, Di2pcError  # noqa: E402
 from di2pc.adversary import (  # noqa: E402
     _discriminate_batch,
     _dual_upper,
@@ -29,7 +29,7 @@ from di2pc.adversary import (  # noqa: E402
     random_rotated_ideal_device,
 )
 from di2pc.matcore import RandomSuite  # noqa: E402
-from di2pc.protocols import DeviceModel, run_pv, run_wse  # noqa: E402
+from di2pc.protocols import DeviceModel, ideal_bb84_device, run_pv, run_wse  # noqa: E402
 from test_adversary import _qubit_optimum_all_sets  # noqa: E402
 from test_protocols import (  # noqa: E402
     oracle_pv_obj,
@@ -102,7 +102,7 @@ def test_search_mode_batch_equals_separate_calls(batches):
     # only the closed form answers bit for bit.
     # Every part holds two problems or more: einsum sums the final value of a
     # one-problem batch in another order, which moves its last bit.
-    search = dict(tol=1e-7, max_iter=80, dual_every=10 ** 9, refine=False)
+    search = dict(tol=1e-7, qubit_first=True)
     with mock.patch.object(adversary, "_fixed_point",
                            wraps=adversary._fixed_point) as fallback:
         joint = _discriminate_batch(np.concatenate(batches), **search)[0]
@@ -241,6 +241,112 @@ def test_cli_min_n_out_of_range_exits_2(point, bad):
     args = list(point)
     args[bad[0]] = bad[1]
     code, out, err = _cli(*_min_n_argv(*args))
+    assert code == 2
+    assert out == ""
+    assert json.loads(err.strip())["error"] in ("usage", "DomainError")
+
+
+@pytest.fixture(scope="module")
+def attack_device(tmp_path_factory):
+    device = ideal_bb84_device(noise_q=0.02)
+    path = tmp_path_factory.mktemp("attack") / "device.json"
+    path.write_text(json.dumps(device.to_obj()))
+    return device, str(path)
+
+
+def _attack_argv(path, strategy, n, d, gamma):
+    return ("attack", f"--device={path}", f"--strategy={strategy}", f"--n={n}",
+            f"--d={d}", f"--gamma={gamma!r}")
+
+
+# store-subset keeps floor(log2 d) rounds, so it needs d >= 2
+_valid_attack_args = st.one_of(
+    st.tuples(st.just("breidbart"), st.integers(1, 2), st.integers(1, 4),
+              st.floats(0.0, 0.5)),
+    st.tuples(st.just("store-subset"), st.integers(1, 2), st.integers(2, 4),
+              st.floats(0.0, 0.5)))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(_valid_attack_args)
+def test_cli_attack_payload_equals_library(attack_device, point):
+    device, path = attack_device
+    strategy, n, d, gamma = point
+    code, out, err = _cli(*_attack_argv(path, *point))
+    strat = adversary.breidbart(n) if strategy == "breidbart" else \
+        adversary.StoreSubset(keep=tuple(range(min(n, int(math.log2(d))))))
+    try:
+        res = adversary.exact_win_probability(device, strat, n, d, gamma, tol=_ATTACK_TOL)
+    except DimensionCapError:
+        assert (code, out) == (4, "")
+        assert json.loads(err.strip())["error"] == "dimension-cap"
+        return
+    assert (code, err) == (0 if res.converged else 3, "")
+    assert json.loads(out) == {"win_prob": res.win_prob, "per_theta": res.per_theta,
+                               "certified_gap": res.certified_gap,
+                               "converged": res.converged}
+
+
+# one of n, d and gamma replaced by a value outside its range
+_bad_attack_slots = (st.integers(-10 ** 6, 0), st.integers(-10 ** 6, 0),
+                     _outside(0.0, 0.5))
+_bad_attack_slot = st.integers(0, 2).flatmap(
+    lambda i: st.tuples(st.just(i + 1), _bad_attack_slots[i]))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(_valid_attack_args, _bad_attack_slot)
+def test_cli_attack_out_of_range_exits_2(attack_device, point, bad):
+    args = list(point)
+    args[bad[0]] = bad[1]
+    code, out, err = _cli(*_attack_argv(attack_device[1], *args))
+    assert code == 2
+    assert out == ""
+    assert json.loads(err.strip())["error"] in ("usage", "DomainError")
+
+
+def _verify_argv(lemma, trials, n, d, gamma, seed):
+    return ("verify", lemma, f"--trials={trials}", f"--n={n}", f"--d={d}",
+            f"--gamma={gamma!r}", f"--seed={seed}")
+
+
+_valid_verify_args = st.tuples(
+    st.sampled_from(["key-lemma", "norm-lemma", "overlap-lemma"]),
+    st.integers(1, 2), st.integers(1, 2), st.integers(1, 2), st.floats(0.0, 0.5),
+    st.integers(0, 2 ** 32 - 1))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(_valid_verify_args)
+def test_cli_verify_payload_equals_library(point):
+    lemma, trials, n, d, gamma, seed = point
+    code, out, err = _cli(*_verify_argv(*point))
+    if lemma == "key-lemma":
+        rep = adversary.verify_key_lemma(trials, n=n, d=d, gamma=gamma, seed=seed)
+    elif lemma == "norm-lemma":
+        rep = adversary.verify_norm_lemma(trials, seed=seed)
+    else:
+        rep = adversary.verify_overlap_lemma(trials, n=n, d=d, seed=seed)
+    certified = rep.details.get("converged", True)
+    assert (code, err) == (0 if rep.passed and certified else 3, "")
+    payload = {"reports": [rep.to_dict()], "passed": rep.passed}
+    assert json.loads(out) == json.loads(json.dumps(payload))
+
+
+# one argument the lemma reads replaced by a value outside its range;
+# norm-lemma reads only --trials, overlap-lemma no --gamma
+_bad_verify_slots = (st.integers(-10 ** 6, 0), st.integers(-10 ** 6, 0),
+                     st.integers(-10 ** 6, 0), _outside(0.0, 0.5))
+_read_slots = {"key-lemma": 4, "norm-lemma": 1, "overlap-lemma": 3}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(_valid_verify_args, st.data())
+def test_cli_verify_out_of_range_exits_2(point, data):
+    args = list(point)
+    slot = data.draw(st.integers(0, _read_slots[args[0]] - 1))
+    args[slot + 1] = data.draw(_bad_verify_slots[slot])
+    code, out, err = _cli(*_verify_argv(*args))
     assert code == 2
     assert out == ""
     assert json.loads(err.strip())["error"] in ("usage", "DomainError")
