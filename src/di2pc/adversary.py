@@ -20,16 +20,17 @@ The module also hosts the see-saw encoding search (a heuristic lower bound
 on the game value) and the three fuzzed inequality verifiers backing the
 security statement: the key-lemma bound itself, the norm-of-sum inequality,
 and the per-block overlap bounds, each folded into its report by one loop
-(``_run_trials``). The search's restarts climb in lockstep: at each step the
-candidates of all live restarts are scored in one solver call, their rewards
-built straight from the stacked isometries. There every qubit problem, with
-any number of guesses, goes first to an exact closed form (the Bloch-vector
-dual solved over its active sets, pairs first, ``_qubit_optimum``), one call
-for the whole batch; only the problems whose closed-form gap check fails go
-on to the certified path above. The winner is scored once more the same way:
-its value is achieved by the returned POVM and its bound is the
-outward-rounded dual, so it carries its own certificate. Only the see-saw
-enters the closed form.
+(``_run_trials``). The key-lemma fuzz solves its whole strategy family in
+one certified call per reward shape (``_score_strategies``). The search's
+restarts climb together, and one solver call scores several steps ahead of
+every live restart, their rewards built straight from the stacked
+isometries. There every qubit problem, with any number of guesses, goes
+first to an exact closed form (the Bloch-vector dual solved over its active
+sets, pairs first, ``_qubit_optimum``), one call for the whole batch; only
+the problems whose closed-form gap check fails go on to the certified path
+above. The winner is scored once more the same way: its value is achieved
+by the returned POVM and its bound is the outward-rounded dual, so it
+carries its own certificate. Only the see-saw enters the closed form.
 """
 
 from __future__ import annotations
@@ -756,11 +757,13 @@ def _discriminate_batch(g: np.ndarray, tol: float = 1e-9, qubit_first: bool = Fa
         return top, top, f, True
     if d == 2 and qubit_first:
         f, y = _qubit_optimum(g)
+        lower = np.einsum("bkij,bkji->b", f, g).real
+        upper = _dual_upper(g, y)
         # written so that a nan gap fails too
-        rest = np.flatnonzero(~(_dual_upper(g, y)
-                                - np.einsum("bkij,bkji->b", f, g).real <= tol))
-        if rest.size:
-            f[rest], y[rest] = _pruned(g[rest], tol)
+        rest = np.flatnonzero(~(upper - lower <= tol))
+        if not rest.size:           # nothing to redo: these are the values
+            return lower, upper, f, True
+        f[rest], y[rest] = _pruned(g[rest], tol)
     else:
         f, y = _pruned(g, tol)
     lower = np.einsum("bkij,bkji->b", f, g).real
@@ -852,12 +855,16 @@ class _GameContext:
         self.gamma = gamma
         self.radius = math.floor(gamma * n)
         self.thetas = list(itertools.product((0, 1), repeat=n))
-        dims = [device.dim_a, device.dim_b]
-        eye_b = np.eye(device.dim_b)
-        self.table = np.array([
-            [partial_trace(np.kron(p, eye_b) @ device.sigma_ab, dims, [1])
-             for p in (meas.p0, meas.p1)]
-            for meas in (device.alice_measurement(0), device.alice_measurement(1))])
+        self.keys = ["".join(str(t) for t in theta) for theta in self.thetas]
+        # tr_A[(P^t_x (x) I) sigma_AB] for all four projectors at once: the
+        # broadcast multiply np.kron does, one stacked product, and no
+        # re-validation of the device's fields
+        da, db = device.dim_a, device.dim_b
+        p = np.array([[m.p0, m.p1] for m in (device.alice_meas_0, device.alice_meas_1)])
+        krons = (p[:, :, :, None, :, None] * np.eye(db)[:, None, :]).reshape(
+            2, 2, da * db, da * db)
+        self.table = np.trace((krons @ device.sigma_ab).reshape(2, 2, da, db, da, db),
+                              axis1=2, axis2=4)
         self._dense = None       # (thetas, outcomes, Din, Din), built on first use
         if self.radius > 0:
             # ball_mask[y, x] = 1 when popcount(x xor y) <= radius
@@ -914,16 +921,13 @@ class _GameContext:
         n_thetas = len(self.thetas)
         low = lower.reshape(n_thetas, -1).sum(axis=1)
         gap = np.clip(upper - lower, 0.0, None).reshape(n_thetas, -1).sum(axis=1)
-        per_theta = {"".join(str(t) for t in theta): float(v)
-                     for theta, v in zip(self.thetas, low)}
+        per_theta = dict(zip(self.keys, low.tolist()))
         decoders = None
         if want_decoders:
             m_count = f.shape[0] // n_thetas
-            decoders = {}
-            for ti, theta in enumerate(self.thetas):
-                key = "".join(str(t) for t in theta)
-                decoders[key] = [[f[ti * m_count + m, y] for y in range(f.shape[1])]
-                                 for m in range(m_count)]
+            decoders = {key: [[f[ti * m_count + m, y] for y in range(f.shape[1])]
+                              for m in range(m_count)]
+                        for ti, key in enumerate(self.keys)}
         win = float(low.sum() / n_thetas)
         return GuessResult(win_prob=win, per_theta=per_theta,
                            certified_gap=float(gap.sum() / n_thetas),
@@ -947,9 +951,34 @@ def exact_win_probability(device: DeviceModel, strategy: Strategy, n: int,
     if mem > d:
         raise StrategyError(f"strategy needs memory dimension {mem} > allowed {d}")
     ctx = _ctx if _ctx is not None else _GameContext(device, n, gamma)
-    g = ctx.rewards(strategy)
-    lower, upper, f, conv = _discriminate_batch(g, tol)
-    return ctx.result(lower, upper, f, conv, want_decoders)
+    return _score_strategies(ctx, [strategy], tol, want_decoders)[0]
+
+
+def _score_strategies(ctx: _GameContext, strategies: list[Strategy], tol: float = 1e-9,
+                      want_decoders: bool = False) -> list[GuessResult]:
+    """Certified results of several strategies on one game, in their order.
+
+    The rewards of all strategies with one reward shape (guesses, mem, mem)
+    are stacked and solved in one certified call; each strategy's result,
+    its ``converged`` included, is read from its own slice.
+    """
+    rewards = [ctx.rewards(s) for s in strategies]
+    shapes: dict[tuple, list[int]] = {}
+    for i, g in enumerate(rewards):
+        shapes.setdefault(g.shape[1:], []).append(i)
+    results: list[GuessResult] = [None] * len(strategies)
+    for members in shapes.values():
+        # a lone strategy's rewards go in as they are, not copied
+        g = rewards[members[0]] if len(members) == 1 \
+            else np.concatenate([rewards[i] for i in members])
+        lower, upper, f, _ = _discriminate_batch(g, tol)
+        ends = np.cumsum([len(rewards[i]) for i in members])
+        for i, end in zip(members, ends):
+            part = slice(end - len(rewards[i]), end)
+            low, up = lower[part], upper[part]
+            results[i] = ctx.result(low, up, f[part], bool(np.all(up - low <= tol)),
+                                    want_decoders)
+    return results
 
 
 # How far Alice's outcome probabilities for one basis string may sum from 1.
@@ -987,7 +1016,7 @@ def replay_win_probability(device: DeviceModel, strategy: Strategy, n: int,
         joint = np.array([max(0.0, float(np.trace(ops).real)) for ops in branch_ops])
         m = int(rng.choice(len(joint), p=joint / joint.sum()))
         rho = branch_ops[m] / joint[m]
-        povm = decoders["".join(str(t) for t in theta)][m]
+        povm = decoders[ctx.keys[ti]][m]
         probs = np.array([max(0.0, float(np.trace(f @ rho).real)) for f in povm])
         y = int(rng.choice(len(probs), p=probs / probs.sum()))
         wins += int(bin(x ^ y).count("1") <= radius)
@@ -1042,6 +1071,29 @@ def _search_values(ctx: _GameContext, v: np.ndarray, d: int) -> np.ndarray:
     return lower.reshape(len(v), len(ctx.thetas), -1).sum(axis=2).mean(axis=1)
 
 
+# A restart's step shrinks by 0.6 after four rejections in a row, and the
+# restart ends once it falls below ``_MIN_STEP``. Each solver call scores up
+# to ``_LOOKAHEAD`` steps of every live restart.
+_MIN_STEP = 1e-3
+_LOOKAHEAD = 8
+
+
+def _rejected(step: float, stale: int) -> tuple[float, int]:
+    """A restart's step size and stale count after one more rejection."""
+    stale += 1
+    return (step * 0.6, 0) if stale >= 4 else (step, stale)
+
+
+def _lookahead_steps(step: float, stale: int, left: int) -> list[float]:
+    """The step sizes of a restart's next candidates, at most ``_LOOKAHEAD``
+    and ``left`` of them, as they go if every one is rejected."""
+    sizes = []
+    while len(sizes) < min(_LOOKAHEAD, left) and step >= _MIN_STEP:
+        sizes.append(step)
+        step, stale = _rejected(step, stale)
+    return sizes
+
+
 def seesaw_search(device: DeviceModel, n: int, d: int, restarts: int = 4,
                   seed: int = 0, gamma: float = 0.0, iters: int = 60,
                   _ctx: "_GameContext | None" = None,
@@ -1052,15 +1104,18 @@ def seesaw_search(device: DeviceModel, n: int, d: int, restarts: int = 4,
     encoding step perturbs the instrument's isometry with shrinking random
     steps, accepting improvements. Structured starts (store what fits, the
     intercept measurement) seed the first restarts, Haar isometries the
-    rest. The restarts climb in lockstep: at each step every live restart
-    draws its perturbation from its own random stream, all candidates are
-    scored in one solver call, and each restart applies its own accept,
-    shrink and stop rule, so each one follows the path it would follow
-    alone. The best isometry (the first restart among equals) is scored
-    once more, at the certificate's default tolerance: its value comes from
-    the returned POVM and its bound from the outward-rounded dual, both on
-    the full rewards, so the value is a valid lower bound on the game
-    optimum for this device, with its gap.
+    rest. The restarts climb together, each drawing its perturbations from
+    its own random stream, and one solver call scores up to ``_LOOKAHEAD``
+    steps of every live restart: a rejected step leaves the isometry as it
+    was, so the candidates of the steps ahead are known if all of them are
+    rejected. Each restart then applies its own accept, shrink and stop rule
+    to its candidates in order; at its first accept the rest are dropped and
+    their perturbations kept for the next call, so each one follows the path
+    it would follow alone, one step at a time. The best isometry (the first
+    restart among equals) is scored once more, at the certificate's default
+    tolerance: its value comes from the returned POVM and its bound from the
+    outward-rounded dual, both on the full rewards, so the value is a valid
+    lower bound on the game optimum for this device, with its gap.
     """
     _require_positive(restarts=restarts)
     if n > 2 or d > max(2, device.dim_b):
@@ -1074,25 +1129,33 @@ def seesaw_search(device: DeviceModel, n: int, d: int, restarts: int = 4,
                   else _haar_isometry(suites[r], d * m_count, dim_in)
                   for r in range(restarts)])
     val = _search_values(ctx, v, d)
-    step = np.full(restarts, 0.35)
-    stale = np.zeros(restarts, dtype=int)
-    live = list(range(restarts))
-    for _ in range(iters):
-        noise = np.stack([suites[r].ginibre(*v.shape[1:]) for r in live])
-        cand = _isometry(v[live] + step[live, None, None] * noise)
+    step = [0.35] * restarts
+    stale = [0] * restarts
+    left = [iters] * restarts                  # steps each restart may still take
+    noise: list[list[Array]] = [[] for _ in range(restarts)]   # drawn, not yet used
+    live = [r for r in range(restarts) if iters > 0]
+    while live:
+        # each live restart's next steps as they would go if all were rejected
+        sizes = {r: _lookahead_steps(step[r], stale[r], left[r]) for r in live}
+        for r in live:
+            while len(noise[r]) < len(sizes[r]):
+                noise[r].append(suites[r].ginibre(*v.shape[1:]))
+        cand = _isometry(np.stack([v[r] + s * noise[r][j]
+                                   for r in live for j, s in enumerate(sizes[r])]))
         cval = _search_values(ctx, cand, d)
-        for r, c, cv in zip(list(live), cand, cval):
-            if cv > val[r] + 1e-12:
-                v[r], val[r], stale[r] = c, cv, 0
-                continue
-            stale[r] += 1
-            if stale[r] >= 4:
-                step[r] *= 0.6
-                stale[r] = 0
-                if step[r] < 1e-3:
-                    live.remove(r)
-        if not live:
-            break
+        at = 0
+        for r in list(live):
+            count = len(sizes[r])
+            for c, cv in zip(cand[at:at + count], cval[at:at + count]):
+                noise[r].pop(0)
+                left[r] -= 1
+                if cv > val[r] + 1e-12:
+                    v[r], val[r], stale[r] = c, cv, 0
+                    break           # the later candidates perturbed the old v
+                step[r], stale[r] = _rejected(step[r], stale[r])
+            at += count
+            if step[r] < _MIN_STEP or not left[r]:
+                live.remove(r)
     enc = GeneralEncoding.from_isometry(v[int(np.argmax(val))], d)
     lower, upper, f, conv = _discriminate_batch(ctx.rewards(enc), qubit_first=True)
     return ctx.result(lower, upper, f, conv, want_decoders=False), enc
@@ -1101,6 +1164,13 @@ def seesaw_search(device: DeviceModel, n: int, d: int, restarts: int = 4,
 # ---------------------------------------------------------------------------
 # random device families
 # ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=1)
+def _ideal_device() -> DeviceModel:
+    """The ideal BB84 device whose Bob side and testing observables the
+    random families share; built once, its fields are never written."""
+    return ideal_bb84_device()
+
 
 def random_qubit_device(suite: RandomSuite) -> DeviceModel:
     """Haar-random single-round qubit device.
@@ -1116,7 +1186,7 @@ def random_qubit_device(suite: RandomSuite) -> DeviceModel:
     for _ in range(2):
         u = suite.unitary(2)
         projs.append(u[:, :1] @ dagger(u[:, :1]))
-    ideal = ideal_bb84_device()
+    ideal = _ideal_device()
     return DeviceModel(
         dim_a=2, dim_b=2, sigma_ab=sigma,
         alice_meas_0=BinaryMeasurement.from_projector(projs[0]),
@@ -1127,7 +1197,7 @@ def random_qubit_device(suite: RandomSuite) -> DeviceModel:
 
 def random_rotated_ideal_device(suite: RandomSuite, max_noise: float = 0.3) -> DeviceModel:
     """Locally rotated, partially depolarized EPR device; violates CHSH often."""
-    ideal = ideal_bb84_device()
+    ideal = _ideal_device()
     ua = suite.unitary(2)
     noise = float(suite.rng.random() * max_noise)
     rot = np.kron(ua, np.eye(2))
@@ -1239,12 +1309,11 @@ def verify_key_lemma(trials: int, n: int, d: int, gamma: float = 0.0,
                                   device.sigma_a)
         bound = bound_imperfect(n, d, eps, gamma)
         ctx = _GameContext(device, n, gamma)
+        family = [s for s in strategy_family(n, d, device.dim_b, suite)
+                  if s.memory_dim(device.dim_b, n) <= d]
         best: GuessResult | None = None
         best_kind = ""
-        for strat in strategy_family(n, d, device.dim_b, suite):
-            if strat.memory_dim(device.dim_b, n) > d:
-                continue
-            res = exact_win_probability(device, strat, n, d, gamma, _ctx=ctx)
+        for strat, res in zip(family, _score_strategies(ctx, family)):
             if best is None or res.win_prob > best.win_prob:
                 best, best_kind = res, strat.kind
         # A saturated bound (B' = 1) cannot be challenged by any probability;

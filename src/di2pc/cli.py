@@ -243,14 +243,25 @@ def _cmd_attack(args) -> int:
     return _EXIT_OK if res.converged else _EXIT_VERIFY
 
 
+# The flags each lemma reads besides --trials and --seed; `all` reads them all.
+_VERIFY_READS = {"key-lemma": ("n", "d", "gamma"), "norm-lemma": (),
+                 "overlap-lemma": ("n", "d")}
+
+
 def _cmd_verify(args) -> int:
     reports = []
     which = args.lemma
+    if which != "all":
+        unread = [f"--{k}" for k in ("n", "d", "gamma")
+                  if k not in _VERIFY_READS[which] and getattr(args, k) is not None]
+        if unread:
+            raise _UsageError(f"{which} does not read {', '.join(unread)}")
     if which in ("key-lemma", "all"):
         n = args.n if args.n is not None else 1
         d = args.d if args.d is not None else 1
+        gamma = args.gamma if args.gamma is not None else 0.0
         reports.append(verify_key_lemma(args.trials, n=n, d=d,
-                                        gamma=args.gamma, seed=args.seed))
+                                        gamma=gamma, seed=args.seed))
     if which in ("norm-lemma", "all"):
         reports.append(verify_norm_lemma(args.trials, seed=args.seed))
     if which in ("overlap-lemma", "all"):
@@ -381,7 +392,7 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--d", type=int, default=None)
-    p.add_argument("--gamma", type=float, default=0.0)
+    p.add_argument("--gamma", type=float, default=None)
     p.set_defaults(func=_cmd_verify)
 
     # Applied last so argparse patches the already-registered action defaults.

@@ -265,13 +265,15 @@ def matrix_to_obj(m: Array) -> dict:
 def matrix_from_obj(obj: dict) -> Array:
     try:
         rows, cols, data = int(obj["rows"]), int(obj["cols"]), obj["data"]
-    except (KeyError, TypeError) as exc:
+        if rows < 1 or cols < 1:
+            raise ShapeError("matrix dimensions must be positive")
+        if not isinstance(data, list):
+            raise ShapeError("matrix data must be a list of [re, im] pairs")
+        if len(data) != rows * cols:
+            raise ShapeError(f"expected {rows * cols} entries, got {len(data)}")
+        flat = np.array([complex(re, im) for re, im in data], dtype=complex)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ShapeError(f"malformed matrix object: {exc}") from exc
-    if rows < 1 or cols < 1:
-        raise ShapeError("matrix dimensions must be positive")
-    if len(data) != rows * cols:
-        raise ShapeError(f"expected {rows * cols} entries, got {len(data)}")
-    flat = np.array([complex(re, im) for re, im in data], dtype=complex)
     return as_matrix(flat.reshape(rows, cols))
 
 

@@ -156,6 +156,8 @@ class DeviceModel:
 
     @staticmethod
     def from_obj(obj: dict) -> "DeviceModel":
+        if not isinstance(obj, dict):
+            raise ShapeError(f"device object must be a JSON object, got {type(obj).__name__}")
         try:
             dim_a = int(obj["dim_a"])
             dim_b = int(obj["dim_b"])
@@ -169,6 +171,8 @@ class DeviceModel:
                 "bob_p0_b0", "bob_p0_b1", "t0", "t1")}
         except KeyError as exc:
             raise ShapeError(f"device object is missing field {exc}") from exc
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ShapeError(f"malformed device object: {exc}") from exc
         return DeviceModel(
             dim_a=dim_a, dim_b=dim_b, sigma_ab=mats["sigma_ab"],
             alice_meas_0=BinaryMeasurement.from_projector(mats["alice_p0_b0"]),

@@ -17,8 +17,10 @@ from di2pc.adversary import (
     _GameContext,
     _haar_isometry,
     _ipm_single,
+    _isometry,
     _polish,
     _qubit_optimum,
+    _score_strategies,
     _search_values,
     _structured_isometries,
     GeneralEncoding,
@@ -754,6 +756,66 @@ def test_lockstep_seesaw_matches_when_one_restart_stops_early():
     assert steps[1] < steps[0] == 100
 
 
+def _one_step_seesaw(device, n, d, restarts, seed, gamma, iters):
+    """The see-saw as it was before the look-ahead: all restarts in lockstep,
+    one step each per solver call; also returns how many steps each took."""
+    dim_in = device.dim_b ** n
+    ctx = _GameContext(device, n, gamma)
+    structured = _structured_isometries(device, n, d, dim_in)
+    suites = [RandomSuite(child_seed(seed, r)) for r in range(restarts)]
+    v = np.stack([structured[r] if r < len(structured)
+                  else _haar_isometry(suites[r], d * dim_in, dim_in)
+                  for r in range(restarts)])
+    val = _search_values(ctx, v, d)
+    step = np.full(restarts, 0.35)
+    stale = np.zeros(restarts, dtype=int)
+    steps = [0] * restarts
+    live = list(range(restarts))
+    for _ in range(iters):
+        noise = np.stack([suites[r].ginibre(*v.shape[1:]) for r in live])
+        cand = _isometry(v[live] + step[live, None, None] * noise)
+        cval = _search_values(ctx, cand, d)
+        for r, c, cv in zip(list(live), cand, cval):
+            steps[r] += 1
+            if cv > val[r] + 1e-12:
+                v[r], val[r], stale[r] = c, cv, 0
+                continue
+            stale[r] += 1
+            if stale[r] >= 4:
+                step[r] *= 0.6
+                stale[r] = 0
+                if step[r] < 1e-3:
+                    live.remove(r)
+        if not live:
+            break
+    enc = GeneralEncoding.from_isometry(v[int(np.argmax(val))], d)
+    lower, upper, f, conv = _discriminate_batch(ctx.rewards(enc), qubit_first=True)
+    return ctx.result(lower, upper, f, conv, want_decoders=False), enc, steps
+
+
+def test_lookahead_seesaw_matches_one_step_climber():
+    # 37 cases: six configs, three devices each, two (restarts, seed, iters)
+    # settings per device, iters mostly not a multiple of the look-ahead, and
+    # one where a restart stops early (step below 1e-3) while the other climbs on
+    configs = [(1, 1, 0.0), (1, 2, 0.0), (2, 1, 0.0), (2, 2, 0.0), (2, 1, 0.5),
+               (2, 2, 0.5)]
+    cases = [(child_seed(347, trial), n, d, gamma, 1 + (trial + k) % 3, 60 + trial, iters)
+             for n, d, gamma in configs for trial in range(3)
+             for k, iters in enumerate((13, 30 - trial))]
+    cases.append((child_seed(337, 0), 1, 1, 0.0, 2, 7, 100))
+    early = 0
+    for device_seed, n, d, gamma, restarts, seed, iters in cases:
+        device = random_qubit_device(RandomSuite(device_seed))
+        want, want_enc, steps = _one_step_seesaw(device, n, d, restarts, seed, gamma, iters)
+        got, got_enc = seesaw_search(device, n, d, restarts=restarts, seed=seed,
+                                     gamma=gamma, iters=iters)
+        assert got == want
+        assert all(np.array_equal(a[0], b[0]) for a, b in zip(got_enc.kraus, want_enc.kraus))
+        early += min(steps) < iters
+    assert early >= 1
+    assert any(iters % adversary._LOOKAHEAD for *_, iters in cases)
+
+
 def test_seesaw_needs_a_restart():
     with pytest.raises(DomainError):
         seesaw_search(ideal_bb84_device(), 1, 2, restarts=0)
@@ -773,6 +835,20 @@ def test_seesaw_never_beats_bound():
 # ---------------------------------------------------------------------------
 # verifiers
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n, d, gamma", [(1, 1, 0.0), (1, 2, 0.0), (2, 1, 0.0),
+                                         (2, 2, 0.0), (2, 1, 0.5), (2, 2, 0.5)])
+def test_family_scoring_equals_one_strategy_at_a_time(n, d, gamma):
+    # one certified call per reward shape gives each strategy the result,
+    # bit for bit, that its own call gives
+    for trial in range(20):
+        suite = RandomSuite(child_seed(353, trial))
+        device = random_qubit_device(suite)
+        family = [s for s in strategy_family(n, d, 2, suite) if s.memory_dim(2, n) <= d]
+        assert len({s.memory_dim(2, n) for s in family}) == min(d, 2)
+        batched = _score_strategies(_GameContext(device, n, gamma), family)
+        assert batched == [exact_win_probability(device, s, n, d, gamma) for s in family]
+
 
 def test_verify_key_lemma_small_runs():
     for n, d in ((1, 1), (1, 2), (2, 1), (2, 2)):

@@ -483,8 +483,9 @@ def test_verify_key_lemma_unconverged_exit_code(capsys, monkeypatch):
     solve = adversary._discriminate_batch
 
     def unconverged(*a, **k):
+        # every certificate left open by more than any tolerance
         lower, upper, f, _ = solve(*a, **k)
-        return lower, upper, f, False
+        return lower, upper + 1.0, f, False
     monkeypatch.setattr(adversary, "_discriminate_batch", unconverged)
     code, out, _ = run_cli(capsys, "verify", "key-lemma", "--trials", "2",
                            "--n", "1", "--d", "2")
@@ -528,3 +529,40 @@ def test_verify_overlap_rejects_empty_ranges(capsys, flag):
     assert code == 2
     assert out == ""
     assert json.loads(err.strip())["error"] == "DomainError"
+
+
+@pytest.mark.parametrize("lemma, flag", [("norm-lemma", "--n=1"), ("norm-lemma", "--d=1"),
+                                         ("norm-lemma", "--gamma=0"),
+                                         ("overlap-lemma", "--gamma=0")])
+def test_verify_rejects_flags_the_lemma_does_not_read(capsys, lemma, flag):
+    code, out, err = run_cli(capsys, "verify", lemma, "--trials", "1", flag)
+    assert (code, out) == (2, "")
+    payload = json.loads(err.strip())
+    assert payload["error"] == "usage" and flag.split("=")[0] in payload["detail"]
+
+
+def test_verify_rejects_an_unread_flag_from_the_config(capsys, tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"gamma": 0.25}))
+    code, out, err = run_cli(capsys, "--config", str(cfg), "verify", "norm-lemma",
+                             "--trials", "1")
+    assert (code, out) == (2, "")
+    assert json.loads(err.strip())["error"] == "usage"
+
+
+def test_verify_all_accepts_every_flag(capsys):
+    code, out, err = run_cli(capsys, "verify", "all", "--trials", "1", "--n", "2",
+                             "--d", "1", "--gamma", "0.5", "--seed", "3")
+    assert (code, err) == (0, "")
+    reports = json.loads(out)["reports"]
+    assert [r["name"] for r in reports] == ["key-lemma", "norm-lemma", "overlap-lemma"]
+    assert (reports[0]["details"]["n"], reports[0]["details"]["gamma"]) == (2, 0.5)
+    assert (reports[2]["details"]["n"], reports[2]["details"]["d"]) == (2, 1)
+
+
+def test_verify_key_lemma_reads_no_gamma_as_zero(capsys):
+    argv = ("verify", "key-lemma", "--trials", "2", "--n", "2", "--d", "1", "--seed", "4")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["reports"][0]["details"]["gamma"] == 0.0
+    assert run_cli(capsys, *argv, "--gamma", "0") == (code, out, err)

@@ -305,9 +305,14 @@ def test_cli_attack_out_of_range_exits_2(attack_device, point, bad):
     assert json.loads(err.strip())["error"] in ("usage", "DomainError")
 
 
+# how many of (trials, n, d, gamma) each lemma reads: norm-lemma only
+# --trials, overlap-lemma no --gamma
+_read_slots = {"key-lemma": 4, "norm-lemma": 1, "overlap-lemma": 3}
+
+
 def _verify_argv(lemma, trials, n, d, gamma, seed):
-    return ("verify", lemma, f"--trials={trials}", f"--n={n}", f"--d={d}",
-            f"--gamma={gamma!r}", f"--seed={seed}")
+    flags = (f"--trials={trials}", f"--n={n}", f"--d={d}", f"--gamma={gamma!r}")
+    return ("verify", lemma, *flags[:_read_slots[lemma]], f"--seed={seed}")
 
 
 _valid_verify_args = st.tuples(
@@ -333,11 +338,9 @@ def test_cli_verify_payload_equals_library(point):
     assert json.loads(out) == json.loads(json.dumps(payload))
 
 
-# one argument the lemma reads replaced by a value outside its range;
-# norm-lemma reads only --trials, overlap-lemma no --gamma
+# one argument the lemma reads replaced by a value outside its range
 _bad_verify_slots = (st.integers(-10 ** 6, 0), st.integers(-10 ** 6, 0),
                      st.integers(-10 ** 6, 0), _outside(0.0, 0.5))
-_read_slots = {"key-lemma": 4, "norm-lemma": 1, "overlap-lemma": 3}
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -350,3 +353,115 @@ def test_cli_verify_out_of_range_exits_2(point, data):
     assert code == 2
     assert out == ""
     assert json.loads(err.strip())["error"] in ("usage", "DomainError")
+
+
+def _assert_usage_exit(code, out, err, kinds=("usage", "DomainError")):
+    """Exit 2, nothing on stdout, and one JSON error line (no traceback)."""
+    assert (code, out) == (2, "")
+    assert json.loads(err.strip())["error"] in kinds
+
+
+# one of --s-steps and --gamma-steps below 2 or not an integer: a float's
+# spelling ("2.0", "1e3", "nan"), which int() never accepts
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.integers(2, 4), st.integers(2, 4), st.integers(0, 1),
+       st.one_of(st.integers(-10 ** 6, 1).map(str), st.floats().map(repr)))
+def test_cli_region_bad_steps_exit_2(s_steps, gamma_steps, slot, bad):
+    steps = [str(s_steps), str(gamma_steps)]
+    steps[slot] = bad
+    _assert_usage_exit(*_cli("region", f"--s-steps={steps[0]}",
+                             f"--gamma-steps={steps[1]}"))
+
+
+def _curve_argv(d, gamma, eps, s_steps):
+    return ("curve", f"--d={d}", f"--gamma={gamma!r}", f"--eps={eps!r}",
+            f"--s-steps={s_steps}")
+
+
+# every argument is checked before any bound is evaluated, so d ranges up to
+# the largest float
+_valid_curve_args = st.tuples(
+    st.integers(1, int(sys.float_info.max)), st.floats(0.0, 0.5),
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), st.integers(2, 4))
+# one argument replaced by a value outside its range: d below 1 or past the
+# largest float, gamma outside [0, 0.5], eps outside (0, 1), s-steps below 2
+_bad_curve_slots = (
+    st.one_of(st.integers(-10 ** 6, 0),
+              st.integers(int(sys.float_info.max) + 1, 2 ** 1100)),
+    _outside(0.0, 0.5),
+    st.one_of(st.floats(max_value=0.0), st.floats(min_value=1.0), st.just(math.nan)),
+    st.integers(-10 ** 6, 1))
+_bad_curve_slot = st.integers(0, 3).flatmap(
+    lambda i: st.tuples(st.just(i), _bad_curve_slots[i]))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_valid_curve_args, _bad_curve_slot)
+def test_cli_curve_out_of_range_exits_2(point, bad):
+    args = list(point)
+    args[bad[0]] = bad[1]
+    _assert_usage_exit(*_cli(*_curve_argv(*args)))
+
+
+_DEVICE_MATRICES = ("sigma_ab", "alice_p0_b0", "alice_p0_b1", "bob_p0_b0", "bob_p0_b1",
+                    "t0", "t1")
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-10 ** 6, 10 ** 6) | st.floats()
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6)
+
+
+@st.composite
+def _broken_device(draw):
+    """A valid device object with one part replaced by arbitrary JSON: the
+    whole object, a field, a matrix's rows, cols or data, or one entry."""
+    obj = ideal_bb84_device(noise_q=0.02).to_obj()
+    where = draw(st.sampled_from(["object", "field", "matrix", "entry"]))
+    value = draw(_json_values)
+    if where == "object":
+        return value
+    if where == "field":
+        obj[draw(st.sampled_from(sorted(obj)))] = value
+        return obj
+    mat = obj[draw(st.sampled_from(_DEVICE_MATRICES))]
+    if where == "matrix":
+        mat[draw(st.sampled_from(["rows", "cols", "data"]))] = value
+    else:
+        mat["data"][draw(st.integers(0, len(mat["data"]) - 1))] = value
+    return obj
+
+
+@pytest.fixture(scope="module")
+def device_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("jordan") / "device.json"
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(_broken_device())
+def test_cli_jordan_malformed_device_never_raises(device_path, obj):
+    device_path.write_text(json.dumps(obj))
+    code, out, err = _cli("jordan", f"--device={device_path}")
+    if code == 0:        # the replacement left a valid device
+        assert err == "" and "epsilon_plus" in json.loads(out)
+        return
+    error = json.loads(err.strip())["error"]
+    assert out == ""
+    # a dimension past the device cap exits 4, every other bad input 2
+    assert (code, error) == (4, "dimension-cap") or \
+        (code == 2 and error in ("ShapeError", "DomainError", "ArityError"))
+
+
+@pytest.mark.parametrize("obj", [
+    [1, 2], None, "device", {"dim_a": 2},
+    {**ideal_bb84_device().to_obj(), "dim_a": "two"},
+    {**ideal_bb84_device().to_obj(), "dim_a": None},
+    {**ideal_bb84_device().to_obj(), "noise_q": "x"},
+    {**ideal_bb84_device().to_obj(), "t0": {"rows": 2, "cols": 2, "data": 5}},
+    {**ideal_bb84_device().to_obj(), "t0": {"rows": 2, "cols": 2, "data": [[1, "a"]] * 4}},
+    {**ideal_bb84_device().to_obj(), "t0": {"rows": 2, "cols": 2, "data": [[1]] * 4}},
+])
+def test_cli_jordan_malformed_device_exits_2(device_path, obj):
+    device_path.write_text(json.dumps(obj))
+    _assert_usage_exit(*_cli("jordan", f"--device={device_path}"), kinds=("ShapeError",))
