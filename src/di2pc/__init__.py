@@ -62,7 +62,6 @@ from .bounds import (
     gamma_star,
     hamming_ball,
     min_rounds,
-    minentropy_rate,
     security_region,
     threshold,
 )

@@ -15,12 +15,14 @@ both is the module's self-check. The same B' certifies the guessing game,
 WSE in the noisy-entanglement model, and position verification; reports only
 differ by a label.
 
-All logarithms are base 2. Degenerate zeta = 1 makes the threshold infinite
-and the bound exactly 1 through the ordinary formulas (binomials vanish past
-n), so no special casing of the bound value is needed. Up to n = 1000 both
-forms are evaluated linearly in extended precision (exact binomials); beyond
-that, log2-space evaluation keeps n up to 10^6 from overflowing or losing
-the exponent.
+All logarithms are base 2. Both forms go through one guarded evaluator,
+``_bound``. Where t >= n (which includes zeta = 1, whose threshold is
+infinite) every weight min(1, sqrt(d) q^k) is 1, and the guard returns B = 1
+and log2 B = 0 exactly without evaluating either form; the closed form would
+lose that value for large d, as it cancels two terms of size
+sqrt(d) base^n. Otherwise, up to n = 1000 both forms are evaluated linearly
+in extended precision (exact binomials); beyond that, log2-space evaluation
+keeps n up to 10^6 from overflowing or losing the exponent.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,15 +57,14 @@ __all__ = [
     "gamma_star",
     "min_rounds",
     "hamming_ball",
-    "minentropy_rate",
     "bound_report",
 ]
 
 INSECURE = "insecure"
 
 _LOG2E = 1.0 / math.log(2.0)
-# Effectively infinite threshold used when log((1+zeta)/2) = 0; every sum
-# below caps the threshold at n, which reproduces the t := n convention.
+# Effectively infinite threshold used when log((1+zeta)/2) = 0; reports cap
+# it at n, and the bound's guard takes it as t >= n.
 _T_INF = 10 ** 18
 
 
@@ -133,8 +135,12 @@ def threshold(d: int, zeta: float) -> int:
     for d >= 2, represented by a huge sentinel that every consumer clips to n.
     """
     _validate(1, d, zeta)
-    if d == 1:
-        return 0
+    return 0 if d == 1 else _threshold(d, zeta)
+
+
+def _threshold(d: int, zeta: float) -> int:
+    """``threshold`` without validation, and the sentinel at zeta = 1 for
+    d = 1 too: every weight sqrt(d) q^k is then at least 1."""
     log_ratio = math.log2((1.0 + zeta) / 2.0)
     if log_ratio == 0.0:
         return _T_INF
@@ -180,10 +186,9 @@ def _log2_binom(n: int, k: np.ndarray) -> np.ndarray:
     return table[half]
 
 
-def _closed_linear(n: int, d: int, zeta: float) -> float:
+def _closed_linear(n: int, d: int, zeta: float, t: int) -> float:
     """Closed form: sqrt(d) base^n - sum_{k<=t} C(n,k) 2^-n (sqrt(d) q^k - 1)."""
     q = np.sqrt((1 + _LD(zeta)) / 2)
-    t = min(threshold(d, zeta), n)
     sqrt_d = np.sqrt(_LD(d))
     main = sqrt_d * ((1 + q) / 2) ** _LD(n)
     scale = _LD(2.0) ** (-n)
@@ -193,10 +198,9 @@ def _closed_linear(n: int, d: int, zeta: float) -> float:
     return float(main - corr)
 
 
-def _sum_linear(n: int, d: int, zeta: float) -> float:
+def _sum_linear(n: int, d: int, zeta: float, t: int) -> float:
     """Binomial-sum form: 2^-n [ sum_head C(n,k) + sqrt(d) sum_tail C(n,k) q^k ]."""
     q = np.sqrt((1 + _LD(zeta)) / 2)
-    t = min(threshold(d, zeta), n)
     scale = _LD(2.0) ** (-n)
     combs = _comb_longs(n)
     ks = np.arange(0, n + 1)
@@ -204,19 +208,10 @@ def _sum_linear(n: int, d: int, zeta: float) -> float:
     return float(np.sum(combs * scale * weights))
 
 
-def bound_perfect_log2(n: int, d: int, zeta: float) -> float:
-    """log2 of the raw (pre-clamp) closed-form bound B(n, d, zeta).
-
-    Large n is evaluated as log2(main) + log1p(-correction/main): the
+def _closed_log2(n: int, d: int, zeta: float, t: int) -> float:
+    """log2 of the closed form, as log2(main) + log1p(-correction/main): the
     correction terms (all nonnegative for k <= t) are summed relative to the
-    main term sqrt(d) * base^n, so nothing overflows or loses the exponent.
-    """
-    _validate(n, d, zeta)
-    if zeta == 1.0:
-        return 0.0
-    if n <= _LINEAR_N:
-        return math.log2(_closed_linear(n, d, zeta))
-    t = min(threshold(d, zeta), n)
+    main term sqrt(d) * base^n, so nothing overflows or loses the exponent."""
     log2_main = 0.5 * math.log2(d) + n * _log2_base(zeta)
     ks = np.arange(0, t + 1)
     coeff = math.sqrt(d) * (_q(zeta) ** ks) - 1.0
@@ -231,29 +226,8 @@ def bound_perfect_log2(n: int, d: int, zeta: float) -> float:
     return log2_main + math.log1p(-ratio) * _LOG2E
 
 
-def bound_perfect_raw(n: int, d: int, zeta: float) -> float:
-    """Raw closed-form bound before clamping to [0, 1]; may exceed 1."""
-    _validate(n, d, zeta)
-    if zeta == 1.0:
-        return 1.0
-    if n <= _LINEAR_N:
-        return _closed_linear(n, d, zeta)
-    return float(2.0 ** bound_perfect_log2(n, d, zeta))
-
-
-def bound_perfect(n: int, d: int, zeta: float) -> float:
-    """Key-lemma bound B(n, d, zeta), clamped into [0, 1]."""
-    return min(1.0, bound_perfect_raw(n, d, zeta))
-
-
-def bound_perfect_sumform_log2(n: int, d: int, zeta: float) -> float:
-    """log2 of 2^-n [ sum_{k<=t} C(n,k) + sqrt(d) sum_{k>t} C(n,k) q^k ]."""
-    _validate(n, d, zeta)
-    if zeta == 1.0:
-        return 0.0
-    if n <= _LINEAR_N:
-        return math.log2(_sum_linear(n, d, zeta))
-    t = min(threshold(d, zeta), n)
+def _sum_log2(n: int, d: int, zeta: float, t: int) -> float:
+    """log2 of the binomial-sum form, summed relative to its largest term."""
     ks = np.arange(0, n + 1)
     log2_terms = _log2_binom(n, ks) - n
     tail = ks > t
@@ -263,35 +237,77 @@ def bound_perfect_sumform_log2(n: int, d: int, zeta: float) -> float:
     return peak + math.log2(math.fsum(np.exp2(log2_terms - peak).tolist()))
 
 
+_CLOSED = (_closed_linear, _closed_log2)
+_SUM = (_sum_linear, _sum_log2)
+
+
+class _Bound(NamedTuple):
+    b: float              # raw B (the closed form may exceed 1 by roundoff)
+    log2_b: float
+    b_prime: float        # B' clamped into [0, 1]
+    log2_b_prime: float   # raw log2 B'
+
+
+def _bound(n: int, d: int, zeta: float, gamma: float = 0.0, form=_CLOSED) -> _Bound:
+    """B and B' from one form of the bound: the one evaluator behind every
+    public B/B' function and ``bound_report``.
+
+    Where t >= n (which includes zeta = 1) every weight min(1, sqrt(d) q^k) of
+    the sum form is 1, so B is exactly 1; both forms would otherwise lose it
+    to roundoff, the closed form by cancelling two terms of size
+    sqrt(d) base^n. Otherwise B is evaluated linearly up to ``_LINEAR_N`` and
+    in log2 space past it, where B' is clamped in the exponent (2^log2 B'
+    overflows once log2 B' passes 1024).
+    """
+    _validate(n, d, zeta, gamma)
+    t = _threshold(d, zeta)
+    h_n = binary_entropy(gamma) * n
+    if t >= n:
+        return _Bound(1.0, 0.0, 1.0, h_n)
+    linear, log2 = form
+    if n <= _LINEAR_N:
+        b = linear(n, d, zeta, t)
+        log2_b = math.log2(b)
+        # The entropy factor is exactly 1.0 at gamma = 0, so B' = B bit for bit.
+        return _Bound(b, log2_b, min(1.0, 2.0 ** h_n * b), h_n + log2_b)
+    log2_b = log2(n, d, zeta, t)
+    return _Bound(float(2.0 ** log2_b), log2_b,
+                  float(2.0 ** min(0.0, h_n + log2_b)), h_n + log2_b)
+
+
+def bound_perfect_log2(n: int, d: int, zeta: float) -> float:
+    """log2 of the raw (pre-clamp) closed-form bound B(n, d, zeta)."""
+    return _bound(n, d, zeta).log2_b
+
+
+def bound_perfect_raw(n: int, d: int, zeta: float) -> float:
+    """Raw closed-form bound before clamping to [0, 1]; may exceed 1."""
+    return _bound(n, d, zeta).b
+
+
+def bound_perfect(n: int, d: int, zeta: float) -> float:
+    """Key-lemma bound B(n, d, zeta), clamped into [0, 1]."""
+    return min(1.0, _bound(n, d, zeta).b)
+
+
+def bound_perfect_sumform_log2(n: int, d: int, zeta: float) -> float:
+    """log2 of 2^-n [ sum_{k<=t} C(n,k) + sqrt(d) sum_{k>t} C(n,k) q^k ]."""
+    return _bound(n, d, zeta, form=_SUM).log2_b
+
+
 def bound_perfect_sumform(n: int, d: int, zeta: float) -> float:
     """Raw bound via the explicit binomial-sum form (binomial-theorem identity)."""
-    _validate(n, d, zeta)
-    if zeta == 1.0:
-        return 1.0
-    if n <= _LINEAR_N:
-        return _sum_linear(n, d, zeta)
-    return float(2.0 ** bound_perfect_sumform_log2(n, d, zeta))
+    return _bound(n, d, zeta, form=_SUM).b
 
 
 def bound_imperfect_log2(n: int, d: int, zeta: float, gamma: float) -> float:
     """log2 of the raw imperfect-game bound 2^{h(gamma) n} B(n, d, zeta)."""
-    if gamma > 0.5:
-        raise DomainError(f"gamma must be at most 0.5, got {gamma!r}")
-    _validate(n, d, zeta, gamma)
-    return binary_entropy(gamma) * n + bound_perfect_log2(n, d, zeta)
+    return _bound(n, d, zeta, gamma).log2_b_prime
 
 
 def bound_imperfect(n: int, d: int, zeta: float, gamma: float) -> float:
     """B'(n, d, zeta, gamma), clamped into [0, 1]; gamma = 0 reduces to B."""
-    if gamma > 0.5:
-        raise DomainError(f"gamma must be at most 0.5, got {gamma!r}")
-    _validate(n, d, zeta, gamma)
-    if n <= _LINEAR_N:
-        # The entropy factor is exactly 1.0 at gamma = 0, so this reduces to
-        # bound_perfect bit for bit.
-        return min(1.0, 2.0 ** (binary_entropy(gamma) * n) * bound_perfect_raw(n, d, zeta))
-    # Clamped in the exponent: 2^log2 overflows once log2 passes 1024.
-    return float(2.0 ** min(0.0, bound_imperfect_log2(n, d, zeta, gamma)))
+    return _bound(n, d, zeta, gamma).b_prime
 
 
 def decay_margin(zeta: float, gamma: float) -> float:
@@ -305,7 +321,11 @@ def decay_condition(zeta: float, gamma: float) -> bool:
     return gamma <= 0.5 and decay_margin(zeta, gamma) > 0.0
 
 
-def gamma_star(zeta: float, tol: float = 1e-10) -> float:
+# Width of the bisection bracket at which gamma_star stops.
+_GAMMA_STAR_TOL = 1e-10
+
+
+def gamma_star(zeta: float) -> float:
     """Largest gamma with exponential decay, by bisection on h(gamma) = rate.
 
     Returns 0.0 when the region is empty (zeta = 1, i.e. no violation).
@@ -315,7 +335,7 @@ def gamma_star(zeta: float, tol: float = 1e-10) -> float:
     if target <= 0.0:
         return 0.0
     lo, hi = 0.0, 0.5
-    while hi - lo > tol:
+    while hi - lo > _GAMMA_STAR_TOL:
         mid = (lo + hi) / 2.0
         if binary_entropy(mid) < target:
             lo = mid
@@ -363,17 +383,6 @@ def hamming_ball(n: int, radius: int) -> int:
     if not 0 <= radius <= n:
         raise DomainError(f"radius must lie in [0, {n}], got {radius!r}")
     return sum(math.comb(n, k) for k in range(radius + 1))
-
-
-def minentropy_rate(bound_value: float, n: int) -> float:
-    """Certified min-entropy rate alpha = -log2(bound)/n in bits per round."""
-    if n < 1:
-        raise DomainError("n must be at least 1")
-    if bound_value < 0.0 or bound_value > 1.0 + 1e-12:
-        raise DomainError(f"bound value {bound_value!r} outside [0, 1]")
-    if bound_value == 0.0:
-        return math.inf
-    return -math.log2(min(1.0, bound_value)) / n
 
 
 def min_rounds(d: int, zeta: float, gamma: float, eps_target: float,
@@ -432,21 +441,11 @@ def bound_report(n: int, d: int, zeta: float | None = None,
         zeta = zeta_from_violation(s)
     if kind not in ("guessing", "wse_ne", "pv"):
         raise DomainError(f"unknown report kind {kind!r}")
-    _validate(n, d, zeta, gamma)
-    t = min(threshold(d, zeta), n)
-    # One evaluation of B serves both forms, as bound_perfect_raw and
-    # bound_perfect_log2 derive one from the other on either path.
-    if n <= _LINEAR_N:
-        raw = bound_perfect_raw(n, d, zeta)
-        log2_b = math.log2(raw)
-    else:
-        log2_b = bound_perfect_log2(n, d, zeta)
-        raw = float(2.0 ** log2_b)
-    b = min(1.0, raw)
-    log2_bi = binary_entropy(gamma) * n + log2_b
-    bi = float(2.0 ** min(0.0, log2_bi))
-    rate = 0.0 if log2_bi >= 0.0 else -min(0.0, log2_bi) / n
-    return BoundReport(n=n, d=d, zeta=zeta, gamma=gamma, threshold_t=t,
-                       b_perfect=b, b_imperfect=bi,
+    bound = _bound(n, d, zeta, gamma)
+    log2_bi = bound.log2_b_prime
+    rate = 0.0 if log2_bi >= 0.0 else -log2_bi / n
+    return BoundReport(n=n, d=d, zeta=zeta, gamma=gamma,
+                       threshold_t=min(threshold(d, zeta), n),
+                       b_perfect=min(1.0, bound.b), b_imperfect=bound.b_prime,
                        minentropy_rate=rate,
                        secure=decay_condition(zeta, gamma), kind=kind)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NonphysicalViolationError, ShapeError
+from .errors import DimensionCapError, DomainError, NonphysicalViolationError, ShapeError
 from .matcore import (
     Array,
     RandomSuite,
@@ -44,6 +44,10 @@ __all__ = [
 ]
 
 TSIRELSON = 2.0 * math.sqrt(2.0)
+
+# Most rounds per setting: a count up to this is exact as a float64 (and
+# fits the int64 the multinomial draw takes).
+_ROUNDS_CAP = 2 ** 53
 
 
 @dataclass(frozen=True)
@@ -148,39 +152,37 @@ def zeta_from_violation(s: float) -> float:
 def half_width(rounds_per_setting: int, delta: float) -> float:
     if not 0.0 < delta < 1.0:
         raise DomainError(f"confidence delta must lie in (0, 1), got {delta!r}")
+    if math.isinf(8.0 / delta):
+        raise DomainError(f"confidence delta {delta!r} is too small: 8/delta overflows")
     if rounds_per_setting < 1:
         raise DomainError("rounds_per_setting must be at least 1")
     return 4.0 * math.sqrt(math.log(8.0 / delta) / (2.0 * rounds_per_setting))
 
 
-def _joint_outcome_probs(obs_a: Array, obs_t: Array, state: Array) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Outcome probabilities of a product of binary observables on a state.
+def _eigenprojectors(obs: Array) -> list[Array]:
+    """Projectors onto the +1 and -1 eigenspaces of a binary observable."""
+    w, v = np.linalg.eigh((obs + obs.conj().T) / 2)
+    plus, minus = v[:, w >= 0], v[:, w < 0]
+    return [plus @ plus.conj().T, minus @ minus.conj().T]
 
-    Returns (probabilities, signs_a, signs_t) over the joint eigenspaces,
-    splitting each observable into its +-1 eigenprojectors.
+
+def _outcome_table(proj_a: np.ndarray, proj_b: np.ndarray, state: Array) -> np.ndarray:
+    """Joint outcome pmf of two binary measurements per side on ``state``,
+    indexed [setting_a, setting_b, x, y].
+
+    ``proj_a`` and ``proj_b`` hold each side's projectors, indexed
+    [setting, outcome]. All 16 kron(P^s_x, Q^t_y) are formed at once, by the
+    same broadcast multiply np.kron does (einsum rounds some complex products
+    differently).
     """
-    wa, va = np.linalg.eigh((obs_a + obs_a.conj().T) / 2)
-    wt, vt = np.linalg.eigh((obs_t + obs_t.conj().T) / 2)
-    sa = np.where(wa >= 0, 1.0, -1.0)
-    st = np.where(wt >= 0, 1.0, -1.0)
-    probs = []
-    signs_a = []
-    signs_t = []
-    for s_a in (1.0, -1.0):
-        pa = va[:, sa == s_a]
-        proj_a = pa @ pa.conj().T if pa.size else np.zeros_like(obs_a)
-        for s_t in (1.0, -1.0):
-            pt = vt[:, st == s_t]
-            proj_t = pt @ pt.conj().T if pt.size else np.zeros_like(obs_t)
-            prob = float(np.trace(np.kron(proj_a, proj_t) @ state).real)
-            probs.append(max(0.0, prob))
-            signs_a.append(s_a)
-            signs_t.append(s_t)
-    p = np.array(probs)
-    total = p.sum()
-    if abs(total - 1.0) > 1e-8:
-        raise DomainError(f"outcome probabilities sum to {total!r}")
-    return p / total, np.array(signs_a), np.array(signs_t)
+    da, db = proj_a.shape[-1], proj_b.shape[-1]
+    krons = (proj_a.reshape(2, 1, 2, 1, da, 1, da, 1)
+             * proj_b.reshape(1, 2, 1, 2, 1, db, 1, db)).reshape(2, 2, 2, 2, da * db, da * db)
+    table = np.maximum(np.trace(krons @ state, axis1=-2, axis2=-1).real, 0.0)
+    sums = table.sum(axis=(2, 3))
+    if np.max(np.abs(sums - 1.0)) > 1e-8:
+        raise DomainError("outcome table rows do not normalize")
+    return table / sums[:, :, None, None]
 
 
 def estimate_chsh(device, rounds_per_setting: int, delta: float,
@@ -192,15 +194,21 @@ def estimate_chsh(device, rounds_per_setting: int, delta: float,
     correlators combine into s_hat = E00 + E01 + E10 - E11.
     """
     hw = half_width(rounds_per_setting, delta)
-    setup = device.chsh_setup()
+    if rounds_per_setting > _ROUNDS_CAP:
+        raise DimensionCapError(
+            f"estimate_chsh is capped at {_ROUNDS_CAP} rounds per setting, "
+            f"got {rounds_per_setting}")
+    # Projectors from the observables' eigenvectors, not the device's stored
+    # p0/p1: the two differ by roundoff, which the multinomial draw turns
+    # into other counts, and so into other `chsh` output.
+    proj_a = np.array([_eigenprojectors(m.observable)
+                       for m in (device.alice_meas_0, device.alice_meas_1)])
+    proj_t = np.array([_eigenprojectors(t) for t in (device.test_t0, device.test_t1)])
+    table = _outcome_table(proj_a, proj_t, device.sigma_ab)
     rng = RandomSuite(seed).rng
-    correlators = []
-    for obs_a in (setup.a0, setup.a1):
-        for obs_t in (setup.t0, setup.t1):
-            probs, signs_a, signs_t = _joint_outcome_probs(obs_a, obs_t, setup.state)
-            counts = rng.multinomial(rounds_per_setting, probs)
-            correlators.append(float(np.sum(counts * signs_a * signs_t))
-                               / rounds_per_setting)
+    # joint outcome (x, y) counts with the sign (-1)^(x + y)
+    correlators = [int(np.dot(rng.multinomial(rounds_per_setting, probs), (1, -1, -1, 1)))
+                   / rounds_per_setting for probs in table.reshape(4, 4)]
     e00, e01, e10, e11 = correlators
     s_hat = e00 + e01 + e10 - e11
     return ChshEstimate(s_hat=s_hat, rounds_per_setting=rounds_per_setting,

@@ -125,11 +125,8 @@ def _cmd_region(args) -> int:
             for r in region.rows()]
     payload = {"rows": [dict(zip(("S", "gamma", "zeta", "secure", "gamma_star"), r))
                         for r in rows]}
-    if args.format == "json":
-        _emit(payload, args)
-    else:
-        _emit(payload, args, csv_rows=rows,
-              csv_header=["S", "gamma", "zeta", "secure", "gamma_star"])
+    _emit(payload, args, csv_rows=rows,
+          csv_header=["S", "gamma", "zeta", "secure", "gamma_star"])
     return _EXIT_OK
 
 
@@ -157,10 +154,7 @@ def _cmd_curve(args) -> int:
         secure = result != bounds_mod.INSECURE and result != ""
         rows.append([s, zeta, secure, result if secure else ""])
     payload = {"rows": [dict(zip(("S", "zeta", "secure", "n"), r)) for r in rows]}
-    if args.format == "json":
-        _emit(payload, args)
-    else:
-        _emit(payload, args, csv_rows=rows, csv_header=["S", "zeta", "secure", "n"])
+    _emit(payload, args, csv_rows=rows, csv_header=["S", "zeta", "secure", "n"])
     return _EXIT_OK
 
 
@@ -283,8 +277,10 @@ def _add_global_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
     overrides a pre-subcommand one without clobbering it otherwise.
     """
     d = argparse.SUPPRESS if suppress else None
+    # argparse converts a string default with the flag's type, so a bad
+    # DI2PC_SEED is a usage error like a bad --seed
     parser.add_argument("--seed", type=int,
-                        default=d if suppress else int(os.environ.get("DI2PC_SEED", "0")),
+                        default=d if suppress else os.environ.get("DI2PC_SEED", "0"),
                         help="master seed (env DI2PC_SEED overrides the default)")
     parser.add_argument("--format", choices=("json", "csv"),
                         default=d if suppress else "json")
@@ -306,8 +302,8 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     all_parsers = [parser]
 
-    def add_parser(name, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    def add_parser(name, subparsers=sub, **kwargs):
+        p = subparsers.add_parser(name, **kwargs)
         _add_global_flags(p, suppress=True)
         all_parsers.append(p)
         return p
@@ -354,18 +350,14 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
 
     p = add_parser("simulate", help="honest protocol runs")
     psub = p.add_subparsers(dest="what", required=True)
-    w = psub.add_parser("wse")
-    _add_global_flags(w, suppress=True)
-    all_parsers.append(w)
+    w = add_parser("wse", psub)
     w.add_argument("--device", required=True)
     w.add_argument("--n", type=int, required=True)
     w.add_argument("--runs", type=int, default=1)
     w.add_argument("--test-rounds", type=int, default=0,
                    help="CHSH testing rounds before the run (0 skips)")
     w.set_defaults(func=_cmd_simulate)
-    v = psub.add_parser("pv")
-    _add_global_flags(v, suppress=True)
-    all_parsers.append(v)
+    v = add_parser("pv", psub)
     v.add_argument("--device", required=True)
     v.add_argument("--n", type=int, required=True)
     v.add_argument("--gamma", type=float, default=0.0)
@@ -452,6 +444,10 @@ def main(argv: list[str] | None = None) -> int:
         if args.config is not None:
             # --config supplies defaults that explicit flags still override.
             args = build_parser(_load_config(args.config)).parse_args(argv)
+        if args.seed < 0:
+            # numpy seeds its generators from non-negative integers only
+            raise _UsageError("the seed (--seed or DI2PC_SEED) must be a "
+                              f"non-negative integer, got {args.seed}")
         return args.func(args)
     except _UsageError as exc:
         print(json.dumps({"error": "usage", "detail": str(exc)}), file=sys.stderr)

@@ -66,7 +66,7 @@ def as_matrix(m: object) -> Array:
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2:
         raise ShapeError(f"expected a 2-D matrix, got ndim={a.ndim}")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+    if not np.isfinite(a).all():
         raise DomainError("matrix contains non-finite entries")
     return a
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionCapError, DomainError, ShapeError
-from .chsh import ChshSetup
+from .chsh import ChshSetup, _outcome_table, estimate_chsh
 from .jordan import BinaryMeasurement
 from .matcore import (
     Array,
@@ -128,18 +128,9 @@ class DeviceModel:
         party in basis theta_b, with the wire noise applied when ``noisy``.
         """
         state = self.noisy_sigma_ab() if noisy else self.sigma_ab
-        da, db = self.dim_a, self.dim_b
         pa = np.array([[m.p0, m.p1] for m in (self.alice_meas_0, self.alice_meas_1)])
         pb = np.array([[m.p0, m.p1] for m in (self.bob_meas_0, self.bob_meas_1)])
-        # All 16 kron(P^ta_x, Q^tb_y) at once, by the same broadcast multiply
-        # np.kron does (einsum rounds some complex products differently).
-        krons = (pa.reshape(2, 1, 2, 1, da, 1, da, 1)
-                 * pb.reshape(1, 2, 1, 2, 1, db, 1, db)).reshape(2, 2, 2, 2, da * db, da * db)
-        table = np.maximum(np.trace(krons @ state, axis1=-2, axis2=-1).real, 0.0)
-        sums = table.sum(axis=(2, 3))
-        if np.max(np.abs(sums - 1.0)) > 1e-8:
-            raise DomainError("outcome table rows do not normalize")
-        return table / sums[:, :, None, None]
+        return _outcome_table(pa, pb, state)
 
     def to_obj(self) -> dict:
         return {
@@ -270,7 +261,6 @@ def _testing_phase(device: DeviceModel, seed, test_rounds: int | None,
     """Optional pre-protocol Bell test; returns the conservative certificate."""
     if not test_rounds:
         return None
-    from .chsh import estimate_chsh
     test_suite = RandomSuite(seed).child(987_654_321)
     est = estimate_chsh(device, test_rounds, test_delta,
                         seed=test_suite.seed_sequence)
@@ -317,12 +307,16 @@ class PvConfig:
     delta_t: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.pos_v1, self.pos_v2, self.pos_claimed))):
+            raise DomainError("positions must be finite")
         if not self.pos_v1 < self.pos_claimed < self.pos_v2:
             raise DomainError("claimed position must lie strictly between the verifiers")
         if self.n < 1:
             raise DomainError("n must be at least 1")
         if not 0.0 <= self.gamma <= 0.5:
             raise DomainError(f"gamma must lie in [0, 0.5], got {self.gamma!r}")
+        if not 0.0 <= self.delta_t < math.inf:
+            raise DomainError(f"delta_t must be finite and at least 0, got {self.delta_t!r}")
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,6 @@ from di2pc.bounds import (
     gamma_star,
     hamming_ball,
     min_rounds,
-    minentropy_rate,
     security_region,
     threshold,
 )
@@ -123,6 +122,24 @@ def test_import_leaves_scipy_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_every_export_resolves():
+    # the benchmark's tracer wraps each module's entry points by __all__, and
+    # the package re-exports names by import: a deleted function must leave
+    # neither list
+    import ast
+    import importlib
+    package = pathlib.Path(di2pc.__file__).parent
+    for path in sorted(package.glob("[!_]*.py")):
+        module = importlib.import_module(f"di2pc.{path.stem}")
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), (path.stem, name)
+    for node in ast.walk(ast.parse((package / "__init__.py").read_text())):
+        if isinstance(node, ast.ImportFrom):
+            source = importlib.import_module(f"di2pc.{node.module}")
+            for alias in node.names:
+                assert getattr(di2pc, alias.name) is getattr(source, alias.name)
 
 
 def test_binary_entropy_examples():
@@ -254,16 +271,19 @@ def test_hamming_ball_entropy_bound():
 
 
 def test_minentropy_rate_examples():
-    assert minentropy_rate(1.0, 10) == 0.0
-    assert minentropy_rate(2.0 ** -7, 7) == pytest.approx(1.0, abs=1e-12)
-    assert minentropy_rate(0.0, 5) == math.inf
-    with pytest.raises(DomainError):
-        minentropy_rate(1.5, 5)
+    # the report's rate is -log2(B')/n, read in log space: 0 where B is
+    # exactly 1, the monogamy rate at d = 1, and finite where B' underflows
+    assert bound_report(n=10, d=2 ** 62, zeta=0.99).minentropy_rate == 0.0
+    assert bound_report(n=10, d=1, zeta=1.0).minentropy_rate == 0.0
+    for n in (7, 5000):
+        rep = bound_report(n=n, d=1, zeta=0.0)
+        assert rep.minentropy_rate == pytest.approx(RATE0, abs=1e-12)
+    assert rep.b_imperfect == 0.0
 
 
 def test_minentropy_rate_reference_point():
-    val = bound_imperfect(100, 2, 0.0, 0.0)
-    assert minentropy_rate(val, 100) == pytest.approx(0.22345, abs=1e-4)
+    assert bound_report(n=100, d=2, zeta=0.0).minentropy_rate == pytest.approx(
+        0.22345, abs=1e-4)
 
 
 def test_bound_report_fields_consistent():
@@ -279,8 +299,44 @@ def test_bound_report_fields_consistent():
         assert rep.kind == "pv"
         # the report's one evaluation of B equals the public evaluators bit for bit
         assert rep.b_perfect == bound_perfect(n, 2, rep.zeta)
-        assert rep.b_imperfect == min(
-            1.0, 2.0 ** bound_imperfect_log2(n, 2, rep.zeta, 0.0))
+        assert rep.b_imperfect == bound_imperfect(n, 2, rep.zeta, 0.0)
+
+
+def test_bound_report_shares_the_public_evaluators():
+    # one evaluation of B and B' serves the report, on both paths
+    rng = np.random.default_rng(14)
+    for _ in range(300):
+        n = int(rng.integers(1, 3000))
+        d = int(2 ** rng.integers(0, 40))
+        zeta = float(rng.choice([rng.random(), 0.0, 1.0]))
+        gamma = float(rng.choice([0.0, rng.random() / 2, rng.random() / 20]))
+        rep = bound_report(n=n, d=d, zeta=zeta, gamma=gamma)
+        assert rep.b_imperfect == bound_imperfect(n, d, zeta, gamma)
+        assert rep.b_perfect == bound_perfect(n, d, zeta)
+        if gamma == 0.0:
+            assert rep.b_imperfect == rep.b_perfect
+
+
+def test_bound_is_exactly_one_where_every_weight_is_one():
+    # where t >= n (zeta = 1 included) B is exactly 1 on both forms and both
+    # paths; for large d the closed form used to cancel to far below 1
+    points = 0
+    for d in (1, 2, 2 ** 64, 2 ** 300, 2 ** 1000):
+        for zeta in (0.0, 0.1, 0.5, 0.9, 0.99, 1.0):
+            for n in (1, 10, 500, 999, 1000, 1001, 1500, 5000):
+                if zeta < 1.0 and threshold(d, zeta) < n:
+                    continue
+                points += n > 1000
+                assert bound_perfect_raw(n, d, zeta) == 1.0
+                assert bound_perfect_sumform(n, d, zeta) == 1.0
+                assert bound_perfect_log2(n, d, zeta) == 0.0
+                assert bound_perfect_sumform_log2(n, d, zeta) == 0.0
+                assert bound_imperfect(n, d, zeta, 0.0) == 1.0
+                assert bound_imperfect_log2(n, d, zeta, 0.0) == 0.0
+                rep = bound_report(n=n, d=d, zeta=zeta)
+                assert (rep.b_perfect, rep.b_imperfect, rep.minentropy_rate) == (
+                    1.0, 1.0, 0.0)
+    assert points >= 20   # the log-space path is covered too
 
 
 def test_imperfect_bound_clamps_before_overflow():

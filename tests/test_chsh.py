@@ -203,3 +203,63 @@ def test_certificate_soundness_on_random_devices():
         assert eps <= cert.zeta + 1e-9
         certified += int(cert.certified)
     assert certified > 100  # the rotated-ideal family does violate CHSH
+
+
+def _oracle_joint_outcome_probs(obs_a, obs_t, state):
+    """The per-setting loop estimate_chsh used before it shared the device's
+    outcome table: eigenprojectors of each observable, one trace per outcome."""
+    wa, va = np.linalg.eigh((obs_a + obs_a.conj().T) / 2)
+    wt, vt = np.linalg.eigh((obs_t + obs_t.conj().T) / 2)
+    sa = np.where(wa >= 0, 1.0, -1.0)
+    st = np.where(wt >= 0, 1.0, -1.0)
+    probs, signs_a, signs_t = [], [], []
+    for s_a in (1.0, -1.0):
+        pa = va[:, sa == s_a]
+        proj_a = pa @ pa.conj().T if pa.size else np.zeros_like(obs_a)
+        for s_t in (1.0, -1.0):
+            pt = vt[:, st == s_t]
+            proj_t = pt @ pt.conj().T if pt.size else np.zeros_like(obs_t)
+            probs.append(max(0.0, float(np.trace(np.kron(proj_a, proj_t) @ state).real)))
+            signs_a.append(s_a)
+            signs_t.append(s_t)
+    p = np.array(probs)
+    assert abs(p.sum() - 1.0) <= 1e-8
+    return p / p.sum(), np.array(signs_a), np.array(signs_t)
+
+
+def _oracle_estimate(device, rounds, delta, seed):
+    setup = device.chsh_setup()
+    rng = RandomSuite(seed).rng
+    correlators = []
+    for obs_a in (setup.a0, setup.a1):
+        for obs_t in (setup.t0, setup.t1):
+            probs, signs_a, signs_t = _oracle_joint_outcome_probs(obs_a, obs_t, setup.state)
+            counts = rng.multinomial(rounds, probs)
+            correlators.append(float(np.sum(counts * signs_a * signs_t)) / rounds)
+    e00, e01, e10, e11 = correlators
+    return e00 + e01 + e10 - e11
+
+
+def _estimate_devices():
+    from di2pc.adversary import random_qubit_device, random_rotated_ideal_device
+    from test_protocols import product_device, random_device
+    devices = [ideal_bb84_device(noise_q=q) for q in (0.0, 0.02, 0.1, 0.5, 1.0)]
+    devices += [product_device(b) for b in ((0, 0), (0, 1), (1, 0), (1, 1))]
+    for s in range(30):
+        devices.append(random_qubit_device(RandomSuite(s)))
+        devices.append(random_rotated_ideal_device(RandomSuite(100 + s)))
+    for s in range(48):
+        suite = RandomSuite(200 + s)
+        devices.append(random_device(suite, 1 + s % 4, 1 + (s // 4) % 4, 0.0))
+    return devices
+
+
+def test_estimate_equals_eigenprojector_loop_oracle():
+    # estimate_chsh reads the device's outcome-table builder; its estimates
+    # equal the per-setting eigenprojector loop it replaced, bit for bit
+    devices = _estimate_devices()
+    assert len(devices) >= 100
+    for i, device in enumerate(devices):
+        for rounds, seed in ((1, i), (1000, 3 * i), (123_457, 5 + i)):
+            est = estimate_chsh(device, rounds, 0.01, seed=seed)
+            assert est.s_hat == _oracle_estimate(device, rounds, 0.01, seed)

@@ -566,3 +566,51 @@ def test_verify_key_lemma_reads_no_gamma_as_zero(capsys):
     assert (code, err) == (0, "")
     assert json.loads(out)["reports"][0]["details"]["gamma"] == 0.0
     assert run_cli(capsys, *argv, "--gamma", "0") == (code, out, err)
+
+
+def _mp_sumform(n, d, zeta):
+    """B(n, d, zeta) from its binomial-sum form in 50-digit mpmath: every term
+    is nonnegative, so nothing cancels."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        ratio = (1 + mpmath.mpf(zeta)) / 2
+        q = mpmath.sqrt(ratio)
+        t = int(mpmath.floor(mpmath.log(d, 2) / -mpmath.log(ratio, 2)))
+        total, comb = mpmath.mpf(0), 1
+        for k in range(n + 1):
+            total += comb * (1 if k <= t else mpmath.sqrt(d) * q ** k)
+            comb = comb * (n - k) // (k + 1)
+        return total / mpmath.mpf(2) ** n
+
+
+def test_large_memory_dimension_exits_0(capsys):
+    # at d = 2^200 the closed form used to cancel below 0 where t >= n
+    d = str(2 ** 200)
+    code, out, err = run_cli(capsys, "bound", "--n", "10", "--d", d, "--zeta", "0.5")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert (payload["b_perfect"], payload["b_imperfect"], payload["minentropy_rate"]) == (
+        1.0, 1.0, 0.0)
+    code, out, err = run_cli(capsys, "min-n", "--d", d, "--zeta", ".5", "--eps", "1e-6")
+    assert (code, err, json.loads(out)) == (0, "", {"n": 1199})
+    assert _mp_sumform(1199, 2 ** 200, 0.5) <= 1e-6 < _mp_sumform(1198, 2 ** 200, 0.5)
+    code, out, err = run_cli(capsys, "curve", "--d", d, "--gamma", "0", "--eps", "1e-6",
+                             "--s-steps", "5")
+    assert (code, err) == (0, "")
+    assert [row["n"] for row in json.loads(out)["rows"]][-1] == 525
+
+
+@pytest.mark.parametrize("command", ["chsh --device DEV --rounds 1000",
+                                     "simulate wse --device DEV --n 10",
+                                     "simulate pv --device DEV --n 10",
+                                     "verify norm-lemma --trials 1"])
+@pytest.mark.parametrize("where", ["flag", "env"])
+def test_negative_seed_exits_2(capsys, device_file, monkeypatch, command, where):
+    argv = command.replace("DEV", device_file).split()
+    if where == "env":
+        monkeypatch.setenv("DI2PC_SEED", "-1")
+    else:
+        argv.append("--seed=-1")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert json.loads(err.strip())["error"] == "usage"

@@ -9,6 +9,7 @@ import pytest
 from di2pc.errors import DimensionCapError, DomainError, ShapeError
 from di2pc.matcore import (
     RandomSuite,
+    as_matrix,
     check_binary_observable,
     check_density_operator,
     check_povm,
@@ -280,3 +281,14 @@ def test_partial_trace_keep_nothing_gives_trace():
     out = partial_trace(rho, [2, 3], [])
     assert out.shape == (1, 1)
     assert out[0, 0].real == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("bad", [complex(math.nan, 0.0), complex(0.0, math.nan),
+                                 complex(math.inf, 0.0), complex(0.0, -math.inf),
+                                 complex(math.nan, math.inf)])
+def test_as_matrix_rejects_non_finite_real_or_imaginary_part(bad):
+    m = np.eye(2, dtype=complex)
+    m[0, 1] = bad
+    with pytest.raises(DomainError):
+        as_matrix(m)
+    assert np.array_equal(as_matrix(np.eye(2) + 1e308j), np.eye(2) + 1e308j)

@@ -12,13 +12,13 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import assume, given, settings  # noqa: E402
+from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra import numpy as hnp  # noqa: E402
 
 from di2pc import adversary  # noqa: E402
 from di2pc.bounds import INSECURE, bound_report, min_rounds  # noqa: E402
-from di2pc.chsh import TSIRELSON, zeta_from_violation  # noqa: E402
+from di2pc.chsh import TSIRELSON, estimate_chsh, zeta_from_violation  # noqa: E402
 from di2pc.cli import _ATTACK_TOL, main  # noqa: E402
 from di2pc.errors import DimensionCapError, Di2pcError  # noqa: E402
 from di2pc.adversary import (  # noqa: E402
@@ -29,7 +29,13 @@ from di2pc.adversary import (  # noqa: E402
     random_rotated_ideal_device,
 )
 from di2pc.matcore import RandomSuite  # noqa: E402
-from di2pc.protocols import DeviceModel, ideal_bb84_device, run_pv, run_wse  # noqa: E402
+from di2pc.protocols import (  # noqa: E402
+    DeviceModel,
+    PvConfig,
+    ideal_bb84_device,
+    run_pv,
+    run_wse,
+)
 from test_adversary import _qubit_optimum_all_sets  # noqa: E402
 from test_protocols import (  # noqa: E402
     oracle_pv_obj,
@@ -338,16 +344,18 @@ def test_cli_verify_payload_equals_library(point):
     assert json.loads(out) == json.loads(json.dumps(payload))
 
 
-# one argument the lemma reads replaced by a value outside its range
+# one argument the lemma reads, or the seed, replaced by a value outside its
+# range
 _bad_verify_slots = (st.integers(-10 ** 6, 0), st.integers(-10 ** 6, 0),
-                     st.integers(-10 ** 6, 0), _outside(0.0, 0.5))
+                     st.integers(-10 ** 6, 0), _outside(0.0, 0.5),
+                     st.integers(-2 ** 64, -1))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(_valid_verify_args, st.data())
 def test_cli_verify_out_of_range_exits_2(point, data):
     args = list(point)
-    slot = data.draw(st.integers(0, _read_slots[args[0]] - 1))
+    slot = data.draw(st.sampled_from([*range(_read_slots[args[0]]), 4]))
     args[slot + 1] = data.draw(_bad_verify_slots[slot])
     code, out, err = _cli(*_verify_argv(*args))
     assert code == 2
@@ -401,6 +409,157 @@ def test_cli_curve_out_of_range_exits_2(point, bad):
     args = list(point)
     args[bad[0]] = bad[1]
     _assert_usage_exit(*_cli(*_curve_argv(*args)))
+
+
+def _chsh_argv(path, rounds, delta, seed):
+    return ("chsh", f"--device={path}", f"--rounds={rounds}", f"--delta={delta!r}",
+            f"--seed={seed}")
+
+
+# delta from 1e-300 up: below about 4.5e-308, 8/delta overflows
+_valid_chsh_args = st.tuples(st.integers(1, 2 ** 53),
+                             st.floats(1e-300, 1.0, exclude_max=True),
+                             st.integers(0, 2 ** 63 - 1))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(_valid_chsh_args)
+def test_cli_chsh_payload_equals_library(attack_device, point):
+    device, path = attack_device
+    rounds, delta, seed = point
+    code, out, err = _cli(*_chsh_argv(path, *point))
+    assert (code, err) == (0, "")
+    est = estimate_chsh(device, rounds, delta, seed=seed)
+    assert json.loads(out) == {
+        "s_hat": est.s_hat, "half_width": est.half_width,
+        "rounds_per_setting": rounds, "confidence_delta": delta,
+        "zeta_conservative": est.zeta_conservative}
+
+
+# (slot, value, exit code): a round count below 1, or past the cap (exit
+# 4); delta outside (0, 1), or so small that 8/delta overflows; a negative
+# seed
+_bad_chsh_arg = st.one_of(
+    st.tuples(st.just(0), st.integers(-10 ** 6, 0), st.just(2)),
+    st.tuples(st.just(0), st.integers(2 ** 53 + 1, 10 ** 30), st.just(4)),
+    st.tuples(st.just(1), st.one_of(_outside(0.0, 1.0), st.sampled_from([0.0, 1.0]),
+                                    st.floats(0.0, 4e-308, exclude_min=True)),
+              st.just(2)),
+    st.tuples(st.just(2), st.integers(-2 ** 64, -1), st.just(2)))
+
+
+def _assert_bad_input_exit(code, out, err, want):
+    """Exit 2 (4 past a size cap), nothing on stdout, one JSON error line."""
+    assert (code, out) == (want, "")
+    error = json.loads(err.strip())["error"]
+    assert error == "dimension-cap" if want == 4 else error in ("usage", "DomainError")
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_valid_chsh_args, _bad_chsh_arg)
+@example((100, 0.01, 0), (0, 10 ** 20, 4))      # was an OverflowError traceback
+@example((100, 0.01, 0), (1, 1e-320, 2))        # printed "half_width": Infinity
+def test_cli_chsh_bad_arguments_exit_2_or_4(attack_device, point, bad):
+    args = list(point)
+    slot, value, want = bad
+    args[slot] = value
+    _assert_bad_input_exit(*_cli(*_chsh_argv(attack_device[1], *args)), want)
+
+
+def _wse_argv(path, n, runs, test_rounds, seed):
+    return ("simulate", "wse", f"--device={path}", f"--n={n}", f"--runs={runs}",
+            f"--test-rounds={test_rounds}", f"--seed={seed}")
+
+
+# (n, runs, test rounds, seed); 0 test rounds skips the Bell test
+_valid_wse_args = st.tuples(st.integers(1, 2000), st.just(1), st.integers(0, 10 ** 4),
+                            st.integers(0, 2 ** 63 - 1))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(_valid_wse_args)
+def test_cli_simulate_wse_payload_equals_library(attack_device, point):
+    device, path = attack_device
+    n, _, test_rounds, seed = point
+    code, out, err = _cli(*_wse_argv(path, *point))
+    assert (code, err) == (0, "")
+    tr = run_wse(device, n, seed=seed, test_rounds=test_rounds or None)
+    assert json.loads(out) == json.loads(json.dumps(tr.to_obj()))
+
+
+# (slot, value, exit code): n below 1 or past the cap (exit 4), runs below 1,
+# test rounds below 0 or past the CHSH cap (exit 4), a negative seed
+_bad_wse_arg = st.one_of(
+    st.tuples(st.just(0), st.integers(-10 ** 6, 0), st.just(2)),
+    st.tuples(st.just(0), st.integers(10 ** 7 + 1, 10 ** 30), st.just(4)),
+    st.tuples(st.just(1), st.integers(-10 ** 6, 0), st.just(2)),
+    st.tuples(st.just(2), st.integers(-10 ** 6, -1), st.just(2)),
+    st.tuples(st.just(2), st.integers(2 ** 53 + 1, 10 ** 30), st.just(4)),
+    st.tuples(st.just(3), st.integers(-2 ** 64, -1), st.just(2)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_valid_wse_args, _bad_wse_arg)
+def test_cli_simulate_wse_bad_arguments_exit_2_or_4(attack_device, point, bad):
+    args = list(point)
+    slot, value, want = bad
+    args[slot] = value
+    _assert_bad_input_exit(*_cli(*_wse_argv(attack_device[1], *args)), want)
+
+
+def _pv_argv(path, n, gamma, v1, claim, v2, dt, test_rounds, seed):
+    return ("simulate", "pv", f"--device={path}", f"--n={n}", f"--gamma={gamma!r}",
+            f"--v1={v1!r}", f"--claim={claim!r}", f"--v2={v2!r}", f"--dt={dt!r}",
+            f"--test-rounds={test_rounds}", f"--seed={seed}")
+
+
+# v1 < claim < v2, built from v1 and two positive gaps
+_valid_pv_args = st.tuples(
+    st.integers(1, 2000), st.floats(0.0, 0.5), st.floats(-100.0, 100.0),
+    st.floats(1e-3, 100.0), st.floats(1e-3, 100.0), st.floats(0.0, 10.0),
+    st.integers(0, 10 ** 4), st.integers(0, 2 ** 63 - 1)).map(
+        lambda a: (a[0], a[1], a[2], a[2] + a[3], a[2] + a[3] + a[4], *a[5:]))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(_valid_pv_args)
+def test_cli_simulate_pv_payload_equals_library(attack_device, point):
+    device, path = attack_device
+    n, gamma, v1, claim, v2, dt, test_rounds, seed = point
+    code, out, err = _cli(*_pv_argv(path, *point))
+    assert (code, err) == (0, "")
+    cfg = PvConfig(pos_v1=v1, pos_v2=v2, pos_claimed=claim, n=n, gamma=gamma, delta_t=dt)
+    tr = run_pv(device, cfg, seed=seed, test_rounds=test_rounds or None)
+    assert json.loads(out) == json.loads(json.dumps(tr.to_obj()))
+
+
+_non_finite = st.sampled_from([math.nan, math.inf, -math.inf])
+# (slot, value, exit code): n below 1 or past the cap (exit 4), gamma outside
+# [0, 0.5], a position that is not finite, v1 at or past the claim (valid
+# claims lie below 200) or v2 at or below it (valid claims lie above -100),
+# dt negative or not finite, test rounds below 0, a negative seed
+_bad_pv_arg = st.one_of(
+    st.tuples(st.just(0), st.integers(-10 ** 6, 0), st.just(2)),
+    st.tuples(st.just(0), st.integers(10 ** 7 + 1, 10 ** 30), st.just(4)),
+    st.tuples(st.just(1), _outside(0.0, 0.5), st.just(2)),
+    st.tuples(st.integers(2, 4), _non_finite, st.just(2)),
+    st.tuples(st.just(2), st.floats(200.0, 1e300), st.just(2)),
+    st.tuples(st.just(4), st.floats(-1e300, -100.0), st.just(2)),
+    st.tuples(st.just(5), st.one_of(st.floats(max_value=0.0, exclude_max=True),
+                                    _non_finite), st.just(2)),
+    st.tuples(st.just(6), st.integers(-10 ** 6, -1), st.just(2)),
+    st.tuples(st.just(7), st.integers(-2 ** 64, -1), st.just(2)))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(_valid_pv_args, _bad_pv_arg)
+@example((10, 0.0, 0.0, 0.5, 1.0, 1.0, 0, 0), (5, math.nan, 2))   # was accepted: false
+@example((10, 0.0, 0.0, 0.5, 1.0, 1.0, 0, 0), (4, math.inf, 2))   # printed NaN times
+def test_cli_simulate_pv_bad_arguments_exit_2_or_4(attack_device, point, bad):
+    args = list(point)
+    slot, value, want = bad
+    args[slot] = value
+    _assert_bad_input_exit(*_cli(*_pv_argv(attack_device[1], *args)), want)
 
 
 _DEVICE_MATRICES = ("sigma_ab", "alice_p0_b0", "alice_p0_b1", "bob_p0_b0", "bob_p0_b1",
