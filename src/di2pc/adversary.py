@@ -6,22 +6,27 @@ only a d-dimensional quantum memory (plus unlimited classical notes), must
 output a guess y with d_H(x, y) <= floor(gamma n).
 
 For a concrete encoding strategy the winning probability is computed
-exactly: for every theta the post-measurement ensemble on Bob's memory is
-built branch by classical branch, and the optimal decoding is a quantum
-state discrimination problem with a dual certificate (eigenvalue lifting),
-so every reported value comes with a certified optimality gap. Guesses whose
-reward operator another guess dominates are dropped first; closed forms
-solve what is left where they exist (scalar memories, one guess, two-outcome
-Helstrom), and a fixed-point iteration with an interior-point fallback
-solves the rest, on one schedule. The dual bound is rounded outward, so it
-stays at or above the value of the returned POVM in float64.
+exactly. A product attack whose value factorizes (every round measured, or
+no error allowed) is scored round by round from closed-form per-round optima
+(``_product_results``), its value exact up to a stated rounding allowance.
+For every other strategy, for every theta the post-measurement ensemble on
+Bob's memory is built branch by classical branch, and the optimal decoding
+is a quantum state discrimination problem with a dual certificate
+(eigenvalue lifting), so every reported value comes with a certified
+optimality gap. Guesses whose reward operator another guess dominates are
+dropped first; closed forms solve what is left where they exist (scalar
+memories, one guess, two-outcome Helstrom), and a fixed-point iteration
+with an interior-point fallback solves the rest, on one schedule. The dual
+bound is rounded outward, so it stays at or above the value of the
+returned POVM in float64.
 
 The module also hosts the see-saw encoding search (a heuristic lower bound
 on the game value) and the three fuzzed inequality verifiers backing the
 security statement: the key-lemma bound itself, the norm-of-sum inequality,
 and the per-block overlap bounds, each folded into its report by one loop
-(``_run_trials``). The key-lemma fuzz solves its whole strategy family in
-one certified call per reward shape (``_score_strategies``). The search's
+(``_run_trials``). The key-lemma fuzz scores its strategy family in one
+call (``_score_strategies``): the product attacks round by round, the rest
+in one certified solver call per reward shape. The search's
 restarts climb together, and one solver call scores several steps ahead of
 every live restart, their rewards built straight from the stacked
 isometries. There every qubit problem, with any number of guesses, goes
@@ -808,7 +813,11 @@ class GuessResult:
 
     ``win_prob`` is achieved by explicit decoders (a valid lower bound on
     the optimum for this encoding); ``certified_gap`` bounds how far the
-    optimal decoding could exceed it.
+    optimal decoding could exceed it. For a strategy scored from the dense
+    game that is the solver's dual gap. For a product attack scored round
+    by round (see ``exact_win_probability``) the value is the optimum in
+    closed form, and ``certified_gap`` is only an allowance for its float64
+    rounding, at most 1e-12; ``converged`` is then always true.
     """
 
     win_prob: float
@@ -838,6 +847,17 @@ def _product_rewards(table: Array, rounds: tuple[float | None, ...]) -> Array:
     return _kron_axes(factors, 5)
 
 
+@lru_cache(maxsize=None)
+def _basis_strings(n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[str, ...], np.ndarray]:
+    """The 2^n basis strings in the dense game's order (round 0 most
+    significant): as tuples, as keys such as "01", and as a (2^n, n) bit
+    array; shared between contexts, so none of them can be written."""
+    thetas = tuple(itertools.product((0, 1), repeat=n))
+    bits = np.array(thetas)
+    bits.flags.writeable = False
+    return thetas, tuple("".join(map(str, theta)) for theta in thetas), bits
+
+
 class _GameContext:
     """Strategy-independent game data for one (device, n, gamma) triple.
 
@@ -854,8 +874,7 @@ class _GameContext:
         self.n = n
         self.gamma = gamma
         self.radius = math.floor(gamma * n)
-        self.thetas = list(itertools.product((0, 1), repeat=n))
-        self.keys = ["".join(str(t) for t in theta) for theta in self.thetas]
+        self.thetas, self.keys, self.bits = _basis_strings(n)
         # tr_A[(P^t_x (x) I) sigma_AB] for all four projectors at once: the
         # broadcast multiply np.kron does, one stacked product, and no
         # re-validation of the device's fields
@@ -916,22 +935,137 @@ class _GameContext:
             return w
         return np.einsum("yx,mxad->myad", self.ball_mask, w)
 
-    def result(self, lower: np.ndarray, upper: np.ndarray, f: np.ndarray,
-               converged: bool, want_decoders: bool) -> GuessResult:
+    def factorizes(self, strategy: Strategy) -> bool:
+        """Whether ``strategy``'s optimal value is a function of per-round
+        values: a product attack that measures every round, or any product
+        attack in a game with no error allowed."""
+        return isinstance(strategy, _ProductStrategy) and (
+            self.radius == 0 or None not in strategy.rounds(self.device.dim_b, self.n))
+
+    def decoders(self, f: np.ndarray) -> dict:
+        """Decoders keyed by basis string from stacked POVMs, shape
+        (thetas*branches, guesses, mem, mem): per branch, one element per
+        guess."""
+        m_count = f.shape[0] // len(self.thetas)
+        return {key: [[f[ti * m_count + m, y] for y in range(f.shape[1])]
+                      for m in range(m_count)]
+                for ti, key in enumerate(self.keys)}
+
+    def result(self, lower: np.ndarray, upper: np.ndarray, converged: bool,
+               decoders: dict | None = None) -> GuessResult:
+        """A result from values and bounds per basis string, or per (basis
+        string, branch), summed per basis string."""
         n_thetas = len(self.thetas)
         low = lower.reshape(n_thetas, -1).sum(axis=1)
         gap = np.clip(upper - lower, 0.0, None).reshape(n_thetas, -1).sum(axis=1)
         per_theta = dict(zip(self.keys, low.tolist()))
-        decoders = None
-        if want_decoders:
-            m_count = f.shape[0] // n_thetas
-            decoders = {key: [[f[ti * m_count + m, y] for y in range(f.shape[1])]
-                              for m in range(m_count)]
-                        for ti, key in enumerate(self.keys)}
         win = float(low.sum() / n_thetas)
         return GuessResult(win_prob=win, per_theta=per_theta,
                            certified_gap=float(gap.sum() / n_thetas),
                            converged=converged, decoders=decoders)
+
+
+def _measured_optima(table: Array, angles: list[float]) -> tuple[Array, Array]:
+    """Per-round optima of qubit rounds measured at ``angles``: the value per
+    basis, shape (rounds, 2), and the MAP guess per basis and branch, shape
+    (rounds, 2, 2).
+
+    Branch m of a round at angle a has the bra K_m of ``_round_kraus``, (c,
+    s) or (-s, c), so tr(K_m T K_m^+) for a Hermitian T = table[t, x] is c^2
+    T_00 + s^2 T_11 +- 2 c s Re T_01. Branch m guesses the x where that is
+    largest, and the round is worth the sum over m of those maxima. Every
+    step is elementwise over the rounds, so a round's values do not depend
+    on the others.
+    """
+    cs = np.array([(math.cos(a), math.sin(a)) for a in angles])[:, :, None, None]
+    c, s = cs[:, 0], cs[:, 1]
+    d0, d1, cross = table[..., 0, 0].real, table[..., 1, 1].real, 2 * table[..., 0, 1].real
+    p = np.stack([c * c * d0 + s * s * d1 + c * s * cross,
+                  s * s * d0 + c * c * d1 - c * s * cross], axis=2)   # (rounds, t, m, x)
+    return p.max(axis=3).sum(axis=2), p.argmax(axis=3)
+
+
+def _kept_optimum(table: Array) -> tuple[Array, Array]:
+    """The optimum of a kept round: the value per basis, shape (2,), and the
+    Helstrom POVM of G_x = table[t, x] per basis, shape (2, 2, dim_b, dim_b),
+    worth (tr(G_0 + G_1) + ||G_0 - G_1||_1) / 2."""
+    f0 = _helstrom(table[:, 0], table[:, 1])
+    f = np.stack([f0, np.eye(table.shape[-1]) - f0], axis=1)
+    return np.einsum("txab,txba->t", f, table).real, f
+
+
+def _within_radius(v: np.ndarray, radius: int) -> np.ndarray:
+    """P[at most ``radius`` rounds fail] for independent rounds that succeed
+    with probabilities ``v``, shape (..., rounds): the Poisson-binomial cdf,
+    by the recursion over rounds on the failure count, truncated past the
+    radius. At radius 0 that is the product of ``v``."""
+    if radius == 0:
+        return v.prod(axis=-1)
+    dist = np.zeros(v.shape[:-1] + (min(radius, v.shape[-1]) + 1,))
+    dist[..., 0] = 1.0
+    for i in range(v.shape[-1]):
+        win = v[..., i:i + 1]
+        dist[..., 1:] = dist[..., 1:] * win + dist[..., :-1] * (1.0 - win)
+        dist[..., 0] *= win[..., 0]
+    return dist.sum(axis=-1)
+
+
+# A product attack's value per basis string is exact up to float64 rounding:
+# a few ulps in each round's value (eigh's backward error grows with dim_b)
+# and one per round and term in the product or the recursion. This allowance
+# per round and per dimension of B covers them; at the caps (n = 6, dim_b =
+# 16) it comes to 4e-13.
+_PRODUCT_ALLOWANCE = 16 * _EPS
+
+
+def _product_results(ctx: _GameContext, strategies: list[_ProductStrategy],
+                     want_decoders: bool) -> list[GuessResult]:
+    """The optimal values of product attacks whose values factorize
+    (``_GameContext.factorizes``), from their per-round optima.
+
+    The rounds are independent games, since the device is memoryless and
+    the attack acts round by round. With every round measured the memory is
+    classical, so the rounds' success indicators under per-round MAP
+    decoding are independent Bernoulli variables, and given the record no
+    guess beats MAP in any round: the value at radius r is the
+    Poisson-binomial cdf at r of the per-round failure probabilities. With
+    no error allowed it is the product of the per-round values, kept rounds
+    included, since the guessing probability of product cq-states is
+    multiplicative (König, Renner & Schaffner, IEEE TIT 55, 4337, 2009). The
+    decoders are the Kronecker product of the per-round ones, in the dense
+    game's branch and guess order. Every step is elementwise over the
+    strategies, so each one's result does not depend on the others.
+    """
+    for s in strategies:
+        _check_caps(s, ctx.n)
+    rounds = [a for s in strategies for a in s.rounds(ctx.device.dim_b, ctx.n)]
+    measured = [i for i, a in enumerate(rounds) if a is not None]
+    kept = [i for i, a in enumerate(rounds) if a is None]
+    v = np.empty((len(rounds), 2))
+    if measured:
+        v[measured], guess = _measured_optima(ctx.table, [rounds[i] for i in measured])
+    if kept:
+        v[kept], helstrom = _kept_optimum(ctx.table)
+    # (strategies, rounds, bases) -> (strategies, basis strings, rounds)
+    v = v.reshape(len(strategies), ctx.n, 2)[:, np.arange(ctx.n), ctx.bits]
+    low = _within_radius(v, ctx.radius)
+    factors = [None] * len(rounds)      # per round, its decoders per basis
+    if want_decoders:
+        for j, i in enumerate(measured):
+            factors[i] = (np.arange(2) == guess[j, ..., None])[..., None, None]
+        for i in kept:
+            factors[i] = helstrom[:, None]
+    allowance = _PRODUCT_ALLOWANCE * (ctx.n + 1) * ctx.device.dim_b
+    results = []
+    for si, value in enumerate(low):
+        decoders = None
+        if want_decoders:
+            own = factors[si * ctx.n:(si + 1) * ctx.n]
+            decoders = {key: [list(branch) for branch in
+                              _kron_axes([f[t] for f, t in zip(own, theta)], 4)]
+                        for key, theta in zip(ctx.keys, ctx.thetas)}
+        results.append(ctx.result(value, value + allowance, True, decoders))
+    return results
 
 
 def exact_win_probability(device: DeviceModel, strategy: Strategy, n: int,
@@ -940,10 +1074,17 @@ def exact_win_probability(device: DeviceModel, strategy: Strategy, n: int,
                           _ctx: "_GameContext | None" = None) -> GuessResult:
     """Exact winning probability of ``strategy`` with optimal decoding.
 
-    Enumerates all 2^n basis strings; for each, solves the discrimination of
-    the post-measurement ensemble (with Hamming-ball rewards when gamma > 0)
-    branch by classical branch. The strategy must fit the stated memory
-    dimension d.
+    Enumerates all 2^n basis strings. A product attack (``MeasureAll``,
+    ``StoreSubset``) is scored round by round wherever its value factorizes,
+    that is when it measures every round (any gamma) or when floor(gamma n)
+    = 0: the device is memoryless, so per-round MAP and Helstrom values
+    combine exactly (``_product_results`` gives the two arguments), and
+    ``certified_gap`` is then a rounding allowance of at most 1e-12, not a
+    solver gap. Every other strategy (``StoreSubset`` with errors allowed,
+    ``GeneralEncoding``) goes to the dense game: for each basis string the
+    discrimination of the post-measurement ensemble (with Hamming-ball
+    rewards when gamma > 0) is solved branch by classical branch, with a
+    dual certificate. The strategy must fit the stated memory dimension d.
     """
     _require_positive(d=d)
     _check_caps(strategy, n)
@@ -958,15 +1099,19 @@ def _score_strategies(ctx: _GameContext, strategies: list[Strategy], tol: float 
                       want_decoders: bool = False) -> list[GuessResult]:
     """Certified results of several strategies on one game, in their order.
 
-    The rewards of all strategies with one reward shape (guesses, mem, mem)
-    are stacked and solved in one certified call; each strategy's result,
-    its ``converged`` included, is read from its own slice.
+    A product attack whose value factorizes is scored round by round
+    (``_product_results``). The dense rewards of all other strategies with
+    one reward shape (guesses, mem, mem) are stacked and solved in one
+    certified call; each strategy's result, its ``converged`` included, is
+    read from its own slice.
     """
-    rewards = [ctx.rewards(s) for s in strategies]
+    product = [i for i, s in enumerate(strategies) if ctx.factorizes(s)]
+    results = dict(zip(product, _product_results(
+        ctx, [strategies[i] for i in product], want_decoders)))
+    rewards = {i: ctx.rewards(s) for i, s in enumerate(strategies) if i not in results}
     shapes: dict[tuple, list[int]] = {}
-    for i, g in enumerate(rewards):
+    for i, g in rewards.items():
         shapes.setdefault(g.shape[1:], []).append(i)
-    results: list[GuessResult] = [None] * len(strategies)
     for members in shapes.values():
         # a lone strategy's rewards go in as they are, not copied
         g = rewards[members[0]] if len(members) == 1 \
@@ -976,9 +1121,9 @@ def _score_strategies(ctx: _GameContext, strategies: list[Strategy], tol: float 
         for i, end in zip(members, ends):
             part = slice(end - len(rewards[i]), end)
             low, up = lower[part], upper[part]
-            results[i] = ctx.result(low, up, f[part], bool(np.all(up - low <= tol)),
-                                    want_decoders)
-    return results
+            results[i] = ctx.result(low, up, bool(np.all(up - low <= tol)),
+                                    ctx.decoders(f[part]) if want_decoders else None)
+    return [results[i] for i in range(len(strategies))]
 
 
 # How far Alice's outcome probabilities for one basis string may sum from 1.
@@ -1000,24 +1145,26 @@ def replay_win_probability(device: DeviceModel, strategy: Strategy, n: int,
     radius = math.floor(gamma * n)
     wins = 0
     ctx = _GameContext(device, n, 0.0)
+    # branch operators E_m rho^theta_x E_m^+ of the unmasked rewards, and
+    # their weights
     g = ctx.rewards(strategy)
+    weights = np.maximum(0.0, np.einsum("kxii->kx", g).real)
     m_count = g.shape[0] // len(ctx.thetas)
+    # Alice's outcome distribution per basis string, a product over rounds
+    q = np.stack([_kron_axes(np.trace(ctx.table[list(theta)], axis1=2, axis2=3), 1).real
+                  for theta in ctx.thetas])
+    total = q.sum(axis=1)
+    off = np.abs(total - 1.0) > _PROB_SUM_TOL
+    if off.any():
+        raise DomainError(f"outcome probabilities sum to {total[off][0]!r}")
     for _ in range(trials):
         ti = rng.integers(len(ctx.thetas))
-        theta = ctx.thetas[ti]
-        # Alice's outcome distribution for theta, a product over rounds
-        q = _kron_axes(np.trace(ctx.table[list(theta)], axis1=2, axis2=3), 1).real
-        total = q.sum()
-        if abs(total - 1.0) > _PROB_SUM_TOL:
-            raise DomainError(f"outcome probabilities sum to {total!r}")
-        x = int(rng.choice(len(q), p=q / total))
-        # branch operators E_m rho^theta_x E_m^+ of the unmasked rewards
-        branch_ops = g[ti * m_count:(ti + 1) * m_count, x]
-        joint = np.array([max(0.0, float(np.trace(ops).real)) for ops in branch_ops])
-        m = int(rng.choice(len(joint), p=joint / joint.sum()))
-        rho = branch_ops[m] / joint[m]
-        povm = decoders[ctx.keys[ti]][m]
-        probs = np.array([max(0.0, float(np.trace(f @ rho).real)) for f in povm])
+        x = int(rng.choice(q.shape[1], p=q[ti] / total[ti]))
+        joint = weights[ti * m_count:(ti + 1) * m_count, x]
+        m = int(rng.choice(m_count, p=joint / joint.sum()))
+        rho = g[ti * m_count + m, x] / joint[m]
+        povm = np.asarray(decoders[ctx.keys[ti]][m])
+        probs = np.maximum(0.0, np.einsum("yab,ba->y", povm, rho).real)
         y = int(rng.choice(len(probs), p=probs / probs.sum()))
         wins += int(bin(x ^ y).count("1") <= radius)
     return wins / trials
@@ -1157,8 +1304,8 @@ def seesaw_search(device: DeviceModel, n: int, d: int, restarts: int = 4,
             if step[r] < _MIN_STEP or not left[r]:
                 live.remove(r)
     enc = GeneralEncoding.from_isometry(v[int(np.argmax(val))], d)
-    lower, upper, f, conv = _discriminate_batch(ctx.rewards(enc), qubit_first=True)
-    return ctx.result(lower, upper, f, conv, want_decoders=False), enc
+    lower, upper, _, conv = _discriminate_batch(ctx.rewards(enc), qubit_first=True)
+    return ctx.result(lower, upper, conv), enc
 
 
 # ---------------------------------------------------------------------------

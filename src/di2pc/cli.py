@@ -15,6 +15,7 @@ dimensions). Errors go to stderr as one-line JSON
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -36,16 +37,26 @@ from .chsh import TSIRELSON, estimate_chsh, zeta_from_violation
 from .errors import CapExceededError, Di2pcError, DimensionCapError
 from .jordan import block_probabilities, decompose_pair, epsilon_plus_blocks
 from .matcore import child_seed
-from .protocols import DeviceModel, PvConfig, run_pv, run_wse
+from .protocols import (
+    _BLOCK,
+    DeviceModel,
+    PvConfig,
+    WseTranscript,
+    _bits,
+    run_pv,
+    run_wse,
+)
 
 _EXIT_OK = 0
 _EXIT_USAGE = 2
 _EXIT_VERIFY = 3
 _EXIT_CAP = 4
 
-# A `simulate wse` transcript is about 8.4 MB of JSON per 10^6 rounds. On a
-# 2-core x86-64 Linux machine one run of 10^6 rounds took 0.6 s of CPU and
-# 99 MB peak RSS, and one at this cap 2.5 s and 497 MB (84 MB of JSON).
+# A `simulate wse` transcript is about 8.4 MB of JSON per 10^6 rounds, drawn
+# in blocks and written out piece by piece. On a 2-core x86-64 Linux machine
+# one run of 10^6 rounds peaked at 56 MB RSS in 0.7 s wall, and one at this
+# cap at 130 MB in 2.3 s (84 MB of JSON); building the whole JSON object
+# first had peaked at 96 and 485 MB.
 _SIMULATE_CAP_ROUNDS = 10 ** 7
 
 # Certificate gap `attack` asks of the discrimination solver.
@@ -75,12 +86,42 @@ def _emit(payload, args, csv_rows=None, csv_header=None) -> None:
         text = buf.getvalue()
     else:
         text = json.dumps(payload, sort_keys=True) + "\n"
+    with _output(args) as fh:
+        fh.write(text)
+
+
+@contextlib.contextmanager
+def _output(args):
+    """The stream of --out: the named file, or stdout for none or "-"."""
     out = getattr(args, "out", None)
     if out and out != "-":
         with open(out, "w") as fh:
-            fh.write(text)
+            yield fh
     else:
-        sys.stdout.write(text)
+        yield sys.stdout
+
+
+def _write_wse(tr: WseTranscript, fh) -> None:
+    """Write the bytes of ``json.dumps(tr.to_obj(), sort_keys=True)`` and a
+    newline without building either: bit strings and the index set go out
+    block by block, in the keys' sorted order."""
+    def bits(a):
+        for start in range(0, a.size, _BLOCK):
+            fh.write(_bits(a[start:start + _BLOCK]))
+
+    fh.write('{"index_set": [')
+    for start in range(0, tr.index_set.size, _BLOCK):
+        fh.write((", " if start else "")
+                 + ", ".join(map(str, tr.index_set[start:start + _BLOCK].tolist())))
+    fh.write(f'], "n": {tr.n}, "substring": "')
+    bits(tr.substring)
+    for key in ("theta", "theta_prime", "x", "x_prime"):
+        fh.write(f'", "{key}": "')
+        bits(getattr(tr, key))
+    fh.write('"')
+    if tr.zeta_conservative is not None:
+        fh.write(f', "zeta_conservative": {json.dumps(tr.zeta_conservative)}')
+    fh.write("}\n")
 
 
 def _load_device(path: str) -> DeviceModel:
@@ -202,8 +243,9 @@ def _cmd_simulate(args) -> int:
                    "match_rate": matches / args.runs,
                    "mean_index_fraction": sizes / (args.runs * args.n)}, args)
         else:
-            _emit(run_wse(device, args.n, seed=args.seed,
-                          test_rounds=test_rounds).to_obj(), args)
+            tr = run_wse(device, args.n, seed=args.seed, test_rounds=test_rounds)
+            with _output(args) as fh:
+                _write_wse(tr, fh)
     else:
         cfg = PvConfig(pos_v1=args.v1, pos_v2=args.v2, pos_claimed=args.claim,
                        n=args.n, gamma=args.gamma, delta_t=args.dt)

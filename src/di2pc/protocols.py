@@ -8,11 +8,11 @@ testing device is local to Alice, so the Bell test sees the state before the
 wire.
 
 Rounds are sampled independently (the i.i.d. structure makes this exact) in
-whole-array numpy code: all 16 Born probabilities come from one batched
-product, each round's outcome pair is one uniform draw counted against the
-cdf of its basis setting (no (n, 4) temporaries), and transcripts encode bit
-strings straight from byte buffers, so the CLI's cap of 10^7 rounds runs in
-seconds.
+array code: all 16 Born probabilities come from one batched product, each
+round's outcome pair is one uniform draw counted against the cdf of its
+basis setting (no (n, 4) temporaries), bases and draws are taken in
+fixed-size blocks into uint8 arrays, and transcripts encode bit strings
+straight from byte buffers, so the CLI's cap of 10^7 rounds runs in seconds.
 
 Position verification runs on a 1-D line with unit signal speed: both
 dispatches are scheduled to arrive at the claimed position simultaneously,
@@ -240,20 +240,39 @@ class WseTranscript:
         return obj
 
 
+# Rounds are drawn this many at a time, so that no int64 or float64 array of
+# length n is held; the draws of one kind follow each other in the stream as
+# one call of size n would make them.
+_BLOCK = 1 << 16
+
+
+def _random_bases(rng: np.random.Generator, n: int) -> np.ndarray:
+    """n uniform basis bits as uint8, the stream of rng.integers(0, 2, n)."""
+    out = np.empty(n, dtype=np.uint8)
+    for start in range(0, n, _BLOCK):
+        out[start:start + _BLOCK] = rng.integers(0, 2, size=min(_BLOCK, n - start))
+    return out
+
+
 def _sample_rounds(table: np.ndarray, theta: np.ndarray, theta_prime: np.ndarray,
                    rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Per-round joint outcomes (x, x') from the pmf of each round's basis pair.
 
-    One uniform draw per round; the joint outcome 2x + x' is the number of
-    cdf entries of setting 2 theta + theta' that the draw exceeds.
+    One uniform draw per round, in blocks; the joint outcome 2x + x' is the
+    number of cdf entries of setting 2 theta + theta' that the draw exceeds.
     """
     cdf = np.cumsum(table.reshape(4, 4), axis=-1)
-    setting = 2 * theta + theta_prime
-    u = rng.random(theta.size)
-    joint = np.zeros(theta.size, dtype=np.uint8)
-    for j in range(4):
-        joint += u > cdf[setting, j]
-    return joint >> 1, joint & 1
+    x = np.empty(theta.size, dtype=np.uint8)
+    x_prime = np.empty(theta.size, dtype=np.uint8)
+    for start in range(0, theta.size, _BLOCK):
+        block = slice(start, start + _BLOCK)
+        setting = 2 * theta[block] + theta_prime[block]
+        u = rng.random(setting.size)
+        joint = np.zeros(setting.size, dtype=np.uint8)
+        for j in range(4):
+            joint += u > cdf[setting, j]
+        x[block], x_prime[block] = joint >> 1, joint & 1
+    return x, x_prime
 
 
 def _testing_phase(device: DeviceModel, seed, test_rounds: int | None,
@@ -281,8 +300,8 @@ def run_wse(device: DeviceModel, n: int, seed: int = 0,
         raise DomainError("n must be at least 1")
     zeta = _testing_phase(device, seed, test_rounds, test_delta)
     rng = RandomSuite(seed).rng
-    theta = rng.integers(0, 2, size=n).astype(np.uint8)
-    theta_prime = rng.integers(0, 2, size=n).astype(np.uint8)
+    theta = _random_bases(rng, n)
+    theta_prime = _random_bases(rng, n)
     x, x_prime = _sample_rounds(device.outcome_table(), theta, theta_prime, rng)
     index_set = np.flatnonzero(theta == theta_prime)
     return WseTranscript(theta=theta, x=x, theta_prime=theta_prime,
@@ -359,7 +378,7 @@ def run_pv(device: DeviceModel, cfg: PvConfig, seed: int = 0,
         raise DomainError("prover must sit between the verifiers")
     zeta = _testing_phase(device, seed, test_rounds, test_delta)
     rng = RandomSuite(seed).rng
-    theta = rng.integers(0, 2, size=cfg.n).astype(np.uint8)
+    theta = _random_bases(rng, cfg.n)
     # Honest prover measures in the announced bases: basis pairs coincide.
     x, y = _sample_rounds(device.outcome_table(), theta, theta, rng)
 

@@ -3,6 +3,7 @@
 import functools
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -653,12 +654,18 @@ def test_strategy_objects_roundtrip():
 
 
 def test_monte_carlo_replay_matches_exact_value():
+    # at n = 2 the decoders are Kronecker products of per-round ones, MAP for
+    # measured rounds and Helstrom for kept ones, and one error is allowed
+    # in the last case
     device = ideal_bb84_device()
-    for strat, d in ((breidbart(1), 1), (StoreSubset(keep=(0,)), 2)):
-        res = exact_win_probability(device, strat, 1, d, 0.0,
+    for strat, n, d, gamma in ((breidbart(1), 1, 1, 0.0), (StoreSubset(keep=(0,)), 1, 2, 0.0),
+                               (MeasureAll(angles=(0.2, 0.9)), 2, 1, 0.0),
+                               (StoreSubset(keep=(1,), angles=(0.4,)), 2, 2, 0.0),
+                               (MeasureAll(angles=(0.2, 0.9)), 2, 1, 0.5)):
+        res = exact_win_probability(device, strat, n, d, gamma,
                                     want_decoders=True)
         trials = 20_000
-        emp = replay_win_probability(device, strat, 1, 0.0, res.decoders,
+        emp = replay_win_probability(device, strat, n, gamma, res.decoders,
                                      trials, seed=11)
         sigma = math.sqrt(res.win_prob * (1 - res.win_prob) / trials) + 1e-9
         assert abs(emp - res.win_prob) < 3 * sigma + 1e-9
@@ -724,8 +731,8 @@ def _sequential_seesaw(device, n, d, restarts, seed, gamma, iters):
     # the winner is scored as seesaw_search scores it: once, closed form first,
     # at the certificate's default tol
     enc = GeneralEncoding.from_isometry(best_v, d)
-    lower, upper, f, conv = _discriminate_batch(ctx.rewards(enc), qubit_first=True)
-    return ctx.result(lower, upper, f, conv, want_decoders=False), enc, steps
+    lower, upper, _, conv = _discriminate_batch(ctx.rewards(enc), qubit_first=True)
+    return ctx.result(lower, upper, conv), enc, steps
 
 
 def _assert_same_search(device, n, d, restarts, seed, gamma, iters):
@@ -789,8 +796,8 @@ def _one_step_seesaw(device, n, d, restarts, seed, gamma, iters):
         if not live:
             break
     enc = GeneralEncoding.from_isometry(v[int(np.argmax(val))], d)
-    lower, upper, f, conv = _discriminate_batch(ctx.rewards(enc), qubit_first=True)
-    return ctx.result(lower, upper, f, conv, want_decoders=False), enc, steps
+    lower, upper, _, conv = _discriminate_batch(ctx.rewards(enc), qubit_first=True)
+    return ctx.result(lower, upper, conv), enc, steps
 
 
 def test_lookahead_seesaw_matches_one_step_climber():
@@ -959,6 +966,26 @@ def test_measure_all_matches_analytic_value():
         x2 = math.cos(mu - math.pi / 4) ** 2
         expect = (max(c2, 1 - c2) + max(x2, 1 - x2)) / 2
         assert res.win_prob == pytest.approx(expect, abs=1e-12)
+
+
+def test_only_stored_rounds_with_errors_allowed_reach_the_solver():
+    # product attacks are scored round by round unless a kept round meets a
+    # Hamming ball; then the dense game goes to the certified solver
+    device = random_qubit_device(RandomSuite(359))
+    cases = [(MeasureAll(angles=(0.3, 1.1, 0.2)), 1, 0.0, 0),
+             (MeasureAll(angles=(0.3, 1.1, 0.2)), 1, 0.4, 0),
+             (StoreSubset(keep=(1,)), 2, 0.0, 0),
+             (StoreSubset(keep=(1,)), 2, 0.2, 0),      # floor(0.2 * 3) = 0
+             (StoreSubset(keep=(1,)), 2, 0.4, 1),
+             (GeneralEncoding.from_isometry(np.eye(8, dtype=complex), 1), 1, 0.0, 1)]
+    for strat, d, gamma, calls in cases:
+        with mock.patch.object(adversary, "_discriminate_batch",
+                               wraps=adversary._discriminate_batch) as solve:
+            res = exact_win_probability(device, strat, 3, d, gamma)
+        assert solve.call_count == calls, (strat, gamma)
+        assert res.converged
+        if not calls:
+            assert 0.0 < res.certified_gap <= 1e-12
 
 
 def test_intercept_game_value_factorizes_over_rounds():

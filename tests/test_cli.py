@@ -10,7 +10,7 @@ from di2pc import bounds
 from di2pc.chsh import TSIRELSON, estimate_chsh
 from di2pc.cli import main
 from di2pc.jordan import decompose_pair, epsilon_plus_blocks
-from di2pc.protocols import ideal_bb84_device
+from di2pc.protocols import _BLOCK, DeviceModel, ideal_bb84_device, run_wse
 
 
 @pytest.fixture()
@@ -118,6 +118,31 @@ def test_simulate_wse(capsys, device_file):
     assert len(payload["x"]) == 32
     assert payload["substring"] == "".join(
         payload["x_prime"][k] for k in payload["index_set"])
+
+
+@pytest.mark.parametrize("n, test_rounds", [(1, None), (7, 500), (2 * _BLOCK + 5, None),
+                                           (_BLOCK + 1, 2000)])
+def test_simulate_wse_writes_the_json_dump_bytes(capsys, tmp_path, device_file,
+                                                n, test_rounds):
+    # the transcript is written piece by piece, blocks of the index set and
+    # the bit strings included; it must be the bytes of the sorted-key dump
+    device = DeviceModel.from_obj(json.loads(open(device_file).read()))
+    extra = ["--test-rounds", str(test_rounds)] if test_rounds else []
+    empty = False
+    for seed in range(8):
+        tr = run_wse(device, n, seed=seed, test_rounds=test_rounds)
+        want = json.dumps(tr.to_obj(), sort_keys=True) + "\n"
+        empty |= tr.index_set.size == 0
+        code, out, _ = run_cli(capsys, "--seed", str(seed), "simulate", "wse",
+                               "--device", device_file, "--n", str(n), *extra)
+        assert code == 0 and out == want
+        path = tmp_path / f"wse-{seed}.json"
+        code, out, _ = run_cli(capsys, "--seed", str(seed), "--out", str(path),
+                               "simulate", "wse", "--device", device_file,
+                               "--n", str(n), *extra)
+        assert code == 0 and out == "" and path.read_text() == want
+    # at n = 1 some seed leaves the index set empty
+    assert empty or n > 1
 
 
 def test_simulate_wse_aggregate(capsys, device_file):
@@ -487,8 +512,10 @@ def test_verify_key_lemma_unconverged_exit_code(capsys, monkeypatch):
         lower, upper, f, _ = solve(*a, **k)
         return lower, upper + 1.0, f, False
     monkeypatch.setattr(adversary, "_discriminate_batch", unconverged)
+    # with one error allowed, stored rounds are scored by the solver: product
+    # attacks at gamma = 0 or with every round measured never reach it
     code, out, _ = run_cli(capsys, "verify", "key-lemma", "--trials", "2",
-                           "--n", "1", "--d", "2")
+                           "--n", "2", "--d", "2", "--gamma", "0.5")
     payload = json.loads(out)
     assert code == 3
     assert payload["passed"] is True

@@ -117,6 +117,54 @@ def test_search_mode_batch_equals_separate_calls(batches):
     assert np.array_equal(joint, apart)
 
 
+def _dense_bracket(ctx, strategy):
+    """Per basis string, the certified (lower, upper) of the dense path for
+    ``strategy`` written as a ``GeneralEncoding`` of its Kraus branches: the
+    rewards are built and solved as for any instrument, past the encoding
+    cap of ``exact_win_probability``."""
+    enc = adversary.GeneralEncoding(
+        tuple(tuple(branch) for branch in strategy.kraus_branches(2, ctx.n)))
+    lower, upper, _, _ = _discriminate_batch(
+        ctx._instrument_rewards(enc.kraus_array(2, ctx.n)[None]))
+    thetas = len(ctx.thetas)
+    return lower.reshape(thetas, -1).sum(axis=1), upper.reshape(thetas, -1).sum(axis=1)
+
+
+# (n, device seed, per-round angles, kept rounds, gamma); at most two kept
+# rounds keep the dense side's memory at 4
+_product_attacks = st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.just(n), st.integers(0, 2 ** 32 - 1),
+    st.lists(st.floats(0.0, math.pi / 2), min_size=n, max_size=n),
+    st.sets(st.integers(0, n - 1), min_size=1, max_size=2),
+    st.sampled_from([0.0, 0.3, 0.5])))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(_product_attacks)
+def test_product_attacks_equal_dense_certified_path(point):
+    # the round-by-round value is the optimum: it lies in the dense path's
+    # certified bracket for every basis string, so it equals the dense value
+    # to 1e-12 wherever that bracket is closed
+    n, seed, angles, keep, gamma = point
+    device = random_qubit_device(RandomSuite(seed))
+    ctx = adversary._GameContext(device, n, gamma)
+    strategies = [adversary.MeasureAll(angles=tuple(angles))]
+    if ctx.radius == 0:
+        strategies.append(adversary.StoreSubset(keep=tuple(sorted(keep)),
+                                                angles=tuple(angles[len(keep):])))
+    for strategy in strategies:
+        with mock.patch.object(adversary, "_discriminate_batch",
+                               side_effect=AssertionError("solver reached")):
+            res = adversary.exact_win_probability(
+                device, strategy, n, strategy.memory_dim(2, n), gamma, _ctx=ctx)
+        lower, upper = _dense_bracket(ctx, strategy)
+        got = np.array([res.per_theta[key] for key in ctx.keys])
+        assert list(res.per_theta) == list(ctx.keys)
+        assert res.converged is True and 0.0 < res.certified_gap <= 1e-12
+        assert np.all(lower - 1e-12 <= got) and np.all(got <= upper + 1e-12)
+        assert lower.mean() - 1e-12 <= res.win_prob <= upper.mean() + 1e-12
+
+
 _devices = st.builds(
     lambda seed, dims, noise: random_device(RandomSuite(seed), *dims, noise),
     st.integers(0, 2 ** 32 - 1), st.tuples(st.integers(1, 4), st.integers(1, 4)),

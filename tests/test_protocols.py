@@ -15,6 +15,7 @@ from di2pc.matcore import RandomSuite
 from di2pc.protocols import (
     DeviceModel,
     PvConfig,
+    _BLOCK,
     _sample_rounds,
     apply_depolarizing,
     completeness_report,
@@ -400,6 +401,27 @@ def test_sample_rounds_equals_oracle_on_devices():
                                     np.random.default_rng(100 + i))
         for g, w in zip(got, want):
             assert g.dtype == np.uint8 and np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("n", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7])
+def test_blocked_sampling_equals_one_shot_draws(n):
+    # bases and uniforms drawn block by block follow the stream of one draw
+    # of size n each: all theta, then all theta', then all u
+    for i, device in enumerate(oracle_devices()[:4]):
+        table = device.outcome_table()
+        rng = RandomSuite(i).rng
+        theta = rng.integers(0, 2, size=n).astype(np.uint8)
+        theta_prime = rng.integers(0, 2, size=n).astype(np.uint8)
+        x, x_prime = oracle_sample_rounds(table, theta, theta_prime, rng)
+        tr = run_wse(device, n, seed=i)
+        for got, want in ((tr.theta, theta), (tr.theta_prime, theta_prime),
+                          (tr.x, x), (tr.x_prime, x_prime)):
+            assert got.dtype == np.uint8 and np.array_equal(got, want)
+        rng = RandomSuite(i).rng
+        theta = rng.integers(0, 2, size=n).astype(np.uint8)
+        x, y = oracle_sample_rounds(table, theta, theta, rng)
+        pv = run_pv(device, unit_line_config(n, 0.1), seed=i)
+        assert np.array_equal(pv.x, x) and np.array_equal(pv.y, y)
 
 
 def test_transcripts_equal_oracle_encodings_on_listed_devices():
