@@ -1130,6 +1130,23 @@ def _score_strategies(ctx: _GameContext, strategies: list[Strategy], tol: float 
 _PROB_SUM_TOL = 1e-10
 
 
+def _draw(rng: np.random.Generator, cdfs: dict, key: tuple, weights) -> int:
+    """The index ``rng.choice(len(w), p=w / w.sum())`` draws, ``w =
+    weights(*key)``: one ``rng.random()`` placed in the table that ``choice``
+    builds from ``p`` (its running sum over its last entry), kept in ``cdfs``
+    under ``key``."""
+    cdf = cdfs.get(key)
+    if cdf is None:
+        w = weights(*key)
+        mass = w.sum()
+        if not (np.isfinite(w).all() and (w >= 0).all() and mass > 0):
+            raise DomainError(f"cannot draw from the weights {w!r}")
+        cdf = (w / mass).cumsum()
+        cdf /= cdf[-1]
+        cdfs[key] = cdf
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
 def replay_win_probability(device: DeviceModel, strategy: Strategy, n: int,
                            gamma: float, decoders: dict, trials: int,
                            seed: int = 0) -> float:
@@ -1157,15 +1174,22 @@ def replay_win_probability(device: DeviceModel, strategy: Strategy, n: int,
     off = np.abs(total - 1.0) > _PROB_SUM_TOL
     if off.any():
         raise DomainError(f"outcome probabilities sum to {total[off][0]!r}")
-    for _ in range(trials):
-        ti = rng.integers(len(ctx.thetas))
-        x = int(rng.choice(q.shape[1], p=q[ti] / total[ti]))
-        joint = weights[ti * m_count:(ti + 1) * m_count, x]
-        m = int(rng.choice(m_count, p=joint / joint.sum()))
-        rho = g[ti * m_count + m, x] / joint[m]
+
+    def branch_weights(ti, x):
+        return weights[ti * m_count:(ti + 1) * m_count, x]
+
+    def decoder_weights(ti, m, x):
+        rho = g[ti * m_count + m, x] / weights[ti * m_count + m, x]
         povm = np.asarray(decoders[ctx.keys[ti]][m])
-        probs = np.maximum(0.0, np.einsum("yab,ba->y", povm, rho).real)
-        y = int(rng.choice(len(probs), p=probs / probs.sum()))
+        return np.maximum(0.0, np.einsum("yab,ba->y", povm, rho).real)
+
+    # each stage's table is built once per theta, (theta, x) and (theta, m, x)
+    cdfs: dict[tuple, np.ndarray] = {}
+    for _ in range(trials):
+        ti = int(rng.integers(len(ctx.thetas)))
+        x = _draw(rng, cdfs, (ti,), q.__getitem__)
+        m = _draw(rng, cdfs, (ti, x), branch_weights)
+        y = _draw(rng, cdfs, (ti, m, x), decoder_weights)
         wins += int(bin(x ^ y).count("1") <= radius)
     return wins / trials
 

@@ -653,15 +653,18 @@ def test_strategy_objects_roundtrip():
         assert back == strat
 
 
+# at n = 2 the decoders are Kronecker products of per-round ones, MAP for
+# measured rounds and Helstrom for kept ones, and one error is allowed in the
+# last case
+_REPLAY_CASES = ((breidbart(1), 1, 1, 0.0), (StoreSubset(keep=(0,)), 1, 2, 0.0),
+                 (MeasureAll(angles=(0.2, 0.9)), 2, 1, 0.0),
+                 (StoreSubset(keep=(1,), angles=(0.4,)), 2, 2, 0.0),
+                 (MeasureAll(angles=(0.2, 0.9)), 2, 1, 0.5))
+
+
 def test_monte_carlo_replay_matches_exact_value():
-    # at n = 2 the decoders are Kronecker products of per-round ones, MAP for
-    # measured rounds and Helstrom for kept ones, and one error is allowed
-    # in the last case
     device = ideal_bb84_device()
-    for strat, n, d, gamma in ((breidbart(1), 1, 1, 0.0), (StoreSubset(keep=(0,)), 1, 2, 0.0),
-                               (MeasureAll(angles=(0.2, 0.9)), 2, 1, 0.0),
-                               (StoreSubset(keep=(1,), angles=(0.4,)), 2, 2, 0.0),
-                               (MeasureAll(angles=(0.2, 0.9)), 2, 1, 0.5)):
+    for strat, n, d, gamma in _REPLAY_CASES:
         res = exact_win_probability(device, strat, n, d, gamma,
                                     want_decoders=True)
         trials = 20_000
@@ -669,6 +672,56 @@ def test_monte_carlo_replay_matches_exact_value():
                                      trials, seed=11)
         sigma = math.sqrt(res.win_prob * (1 - res.win_prob) / trials) + 1e-9
         assert abs(emp - res.win_prob) < 3 * sigma + 1e-9
+
+
+def _replay_wins_with_choice(device, strategy, n, gamma, decoders, trials, seed):
+    """Win count of the replay drawn by three ``Generator.choice`` calls per
+    trial, each stage's distribution rebuilt every trial."""
+    rng = RandomSuite(seed).rng
+    ctx = _GameContext(device, n, 0.0)
+    g = ctx.rewards(strategy)
+    weights = np.maximum(0.0, np.einsum("kxii->kx", g).real)
+    m_count = g.shape[0] // len(ctx.thetas)
+    q = np.stack([adversary._kron_axes(np.trace(ctx.table[list(theta)], axis1=2,
+                                                axis2=3), 1).real
+                  for theta in ctx.thetas])
+    total = q.sum(axis=1)
+    wins = 0
+    for _ in range(trials):
+        ti = rng.integers(len(ctx.thetas))
+        x = int(rng.choice(q.shape[1], p=q[ti] / total[ti]))
+        joint = weights[ti * m_count:(ti + 1) * m_count, x]
+        m = int(rng.choice(m_count, p=joint / joint.sum()))
+        rho = g[ti * m_count + m, x] / joint[m]
+        povm = np.asarray(decoders[ctx.keys[ti]][m])
+        probs = np.maximum(0.0, np.einsum("yab,ba->y", povm, rho).real)
+        y = int(rng.choice(len(probs), p=probs / probs.sum()))
+        wins += int(bin(x ^ y).count("1") <= math.floor(gamma * n))
+    return wins
+
+
+@pytest.mark.parametrize("seed", [11, 12])
+def test_replay_draws_as_generator_choice(seed):
+    device = ideal_bb84_device()
+    trials = 3_000
+    for strat, n, d, gamma in _REPLAY_CASES:
+        decoders = exact_win_probability(device, strat, n, d, gamma,
+                                         want_decoders=True).decoders
+        rate = replay_win_probability(device, strat, n, gamma, decoders, trials, seed=seed)
+        assert round(rate * trials) == _replay_wins_with_choice(
+            device, strat, n, gamma, decoders, trials, seed)
+
+
+@pytest.mark.parametrize("bad", [np.nan, 0.0])
+def test_replay_rejects_weights_it_cannot_draw_from(bad):
+    # decoder outcome weights that are not finite, or that have no mass
+    device = ideal_bb84_device()
+    decoders = exact_win_probability(device, breidbart(1), 1, 1, 0.0,
+                                     want_decoders=True).decoders
+    broken = {key: [np.asarray(povm) * bad for povm in branches]
+              for key, branches in decoders.items()}
+    with pytest.raises(DomainError):
+        replay_win_probability(device, breidbart(1), 1, 0.0, broken, 10)
 
 
 # ---------------------------------------------------------------------------
