@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -91,6 +92,7 @@ _GAME_CAP_ROUNDS = 6
 _ENCODING_CAP_ROUNDS = 3
 
 _EPS = float(np.finfo(float).eps)
+_FLOAT_MAX = float(np.finfo(float).max)
 
 # How far an encoding's sum of E^+ E may stray from the identity, entrywise.
 _TP_TOL = 1e-9
@@ -132,6 +134,17 @@ def _kron_axes(factors: list[Array], ndim: int) -> Array:
 # attack strategies: each yields per-classical-outcome Kraus lists B^(x)n -> memory
 # ---------------------------------------------------------------------------
 
+def _angle_tuple(angles) -> tuple[float, ...]:
+    """``angles`` as a tuple of floats; ``StrategyError`` unless it is a list
+    of real numbers that are finite floats (nan fails the comparison, and a
+    bool is not one)."""
+    if not isinstance(angles, (list, tuple)) or not all(
+            isinstance(a, numbers.Real) and not isinstance(a, bool) and abs(a) <= _FLOAT_MAX
+            for a in angles):
+        raise StrategyError(f"angles must be a list of finite numbers, got {angles!r}")
+    return tuple(map(float, angles))
+
+
 class _ProductStrategy:
     """An attack that treats every round on its own: ``rounds(dim_b, n)``
     gives, per round, the measurement angle or ``None`` for a kept round."""
@@ -152,6 +165,9 @@ class MeasureAll(_ProductStrategy):
 
     angles: tuple[float, ...]
     kind: str = field(default="measure_all", init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "angles", _angle_tuple(self.angles))
 
     def memory_dim(self, dim_b: int, n: int) -> int:
         return 1
@@ -182,8 +198,14 @@ class StoreSubset(_ProductStrategy):
     kind: str = field(default="store_subset", init=False)
 
     def __post_init__(self):
+        if not isinstance(self.keep, (list, tuple)) or not all(
+                isinstance(k, numbers.Integral) and not isinstance(k, bool)
+                for k in self.keep):
+            raise StrategyError(f"keep must be a list of round indices, got {self.keep!r}")
         if len(set(self.keep)) != len(self.keep):
             raise StrategyError(f"keep indices {list(self.keep)} repeat a round")
+        object.__setattr__(self, "keep", tuple(map(int, self.keep)))
+        object.__setattr__(self, "angles", _angle_tuple(self.angles))
 
     def memory_dim(self, dim_b: int, n: int) -> int:
         return dim_b ** len(self.keep)
@@ -272,16 +294,26 @@ def breidbart(n: int) -> MeasureAll:
 
 
 def strategy_from_obj(obj: dict) -> Strategy:
+    """The strategy a ``to_obj`` object describes; ``StrategyError`` for a
+    malformed one."""
     from .matcore import matrix_from_obj
+    if not isinstance(obj, dict):
+        raise StrategyError(f"a strategy must be an object, got {type(obj).__name__}")
+
+    def listed(key: str, default=None) -> tuple:
+        value = obj.get(key, default)
+        if not isinstance(value, (list, tuple)):
+            raise StrategyError(f"{obj.get('kind')} needs a list {key!r}, got {value!r}")
+        return tuple(value)
+
     kind = obj.get("kind")
     if kind == "measure_all":
-        return MeasureAll(angles=tuple(float(a) for a in obj["angles"]))
+        return MeasureAll(angles=listed("angles"))
     if kind == "store_subset":
-        return StoreSubset(keep=tuple(int(k) for k in obj["keep"]),
-                           angles=tuple(float(a) for a in obj.get("angles", ())))
+        return StoreSubset(keep=listed("keep"), angles=listed("angles", ()))
     if kind == "general_encoding":
         return GeneralEncoding(tuple(
-            tuple(matrix_from_obj(e) for e in branch) for branch in obj["kraus"]))
+            tuple(matrix_from_obj(e) for e in branch) for branch in listed("kraus")))
     raise DomainError(f"unknown strategy kind {kind!r}")
 
 
@@ -817,7 +849,8 @@ class GuessResult:
     game that is the solver's dual gap. For a product attack scored round
     by round (see ``exact_win_probability``) the value is the optimum in
     closed form, and ``certified_gap`` is only an allowance for its float64
-    rounding, at most 1e-12; ``converged`` is then always true.
+    rounding, at most 1e-12; ``converged`` is then always true. Every value
+    must be finite.
     """
 
     win_prob: float
@@ -829,6 +862,10 @@ class GuessResult:
     def __post_init__(self):
         n_thetas = len(self.per_theta)
         mean = sum(self.per_theta.values()) / n_thetas
+        # a nan or an infinity anywhere makes the sum nan or infinite
+        if not math.isfinite(self.win_prob + self.certified_gap + mean):
+            raise DomainError(f"non-finite result: win_prob {self.win_prob!r}, "
+                              f"gap {self.certified_gap!r}, per-theta mean {mean!r}")
         if abs(mean - self.win_prob) > 1e-12:
             raise DomainError("per-theta values do not average to win_prob")
 
@@ -885,21 +922,19 @@ class _GameContext:
         self.table = np.trace((krons @ device.sigma_ab).reshape(2, 2, da, db, da, db),
                               axis1=2, axis2=4)
         self._dense = None       # (thetas, outcomes, Din, Din), built on first use
-        if self.radius > 0:
-            # ball_mask[y, x] = 1 when popcount(x xor y) <= radius
-            idx = np.arange(1 << n)
-            pop = np.array([bin(i).count("1") for i in idx])
-            self.ball_mask = (pop[idx[:, None] ^ idx] <= self.radius).astype(float)
-        else:
-            self.ball_mask = None
+        self._ball = None        # (guesses, outcomes), built on first use
 
     def rewards(self, strategy: Strategy) -> np.ndarray:
-        """Stacked reward operators, shape (thetas*branches, guesses, mem, mem)."""
-        _check_caps(strategy, self.n)
+        """Stacked reward operators, shape (thetas*branches, guesses, mem, mem).
+        The caller checks the strategy's cap (``_check_caps``)."""
         if isinstance(strategy, GeneralEncoding):
             return self._instrument_rewards(
                 strategy.kraus_array(self.device.dim_b, self.n)[None])
-        w = _product_rewards(self.table, strategy.rounds(self.device.dim_b, self.n))
+        return self.round_rewards(strategy.rounds(self.device.dim_b, self.n))
+
+    def round_rewards(self, rounds: tuple[float | None, ...]) -> np.ndarray:
+        """``rewards`` of the product attack with these ``rounds``."""
+        w = _product_rewards(self.table, rounds)
         return self._masked(w.reshape(-1, *w.shape[2:]))
 
     def isometry_rewards(self, v: np.ndarray, d: int) -> np.ndarray:
@@ -931,16 +966,14 @@ class _GameContext:
     def _masked(self, w: np.ndarray) -> np.ndarray:
         """Hamming-ball rewards: guess y collects every outcome within the
         radius of it."""
-        if self.ball_mask is None:
+        if self.radius == 0:
             return w
-        return np.einsum("yx,mxad->myad", self.ball_mask, w)
-
-    def factorizes(self, strategy: Strategy) -> bool:
-        """Whether ``strategy``'s optimal value is a function of per-round
-        values: a product attack that measures every round, or any product
-        attack in a game with no error allowed."""
-        return isinstance(strategy, _ProductStrategy) and (
-            self.radius == 0 or None not in strategy.rounds(self.device.dim_b, self.n))
+        if self._ball is None:
+            # ball[y, x] = 1 when popcount(x xor y) <= radius
+            idx = np.arange(1 << self.n)
+            pop = np.array([bin(i).count("1") for i in idx])
+            self._ball = (pop[idx[:, None] ^ idx] <= self.radius).astype(float)
+        return np.einsum("yx,mxad->myad", self._ball, w)
 
     def decoders(self, f: np.ndarray) -> dict:
         """Decoders keyed by basis string from stacked POVMs, shape
@@ -965,42 +998,33 @@ class _GameContext:
                            converged=converged, decoders=decoders)
 
 
-def _measured_optima(table: Array, angles: list[float]) -> tuple[Array, Array]:
-    """Per-round optima of qubit rounds measured at ``angles``: the value per
-    basis, shape (rounds, 2), and the MAP guess per basis and branch, shape
-    (rounds, 2, 2).
-
-    Branch m of a round at angle a has the bra K_m of ``_round_kraus``, (c,
-    s) or (-s, c), so tr(K_m T K_m^+) for a Hermitian T = table[t, x] is c^2
-    T_00 + s^2 T_11 +- 2 c s Re T_01. Branch m guesses the x where that is
-    largest, and the round is worth the sum over m of those maxima. Every
-    step is elementwise over the rounds, so a round's values do not depend
-    on the others.
+def _measured_optimum(terms: list, angle: float) -> tuple[list[float], list[list[int]]]:
+    """A qubit round measured at ``angle``: its value per basis, and its MAP
+    guess per basis and branch. ``terms[t][x]`` holds T_00, T_11 and 2 Re
+    T_01 of T = table[t, x]; branch m has the bra K_m of ``_round_kraus``,
+    (c, s) or (-s, c), so tr(K_m T K_m^+) = c^2 T_00 + s^2 T_11 +- 2 c s Re
+    T_01, summed in that order. Branch m guesses the first x where that is
+    largest, as ``argmax`` does, and a basis is worth the sum of the maxima.
     """
-    cs = np.array([(math.cos(a), math.sin(a)) for a in angles])[:, :, None, None]
-    c, s = cs[:, 0], cs[:, 1]
-    d0, d1, cross = table[..., 0, 0].real, table[..., 1, 1].real, 2 * table[..., 0, 1].real
-    p = np.stack([c * c * d0 + s * s * d1 + c * s * cross,
-                  s * s * d0 + c * c * d1 - c * s * cross], axis=2)   # (rounds, t, m, x)
-    return p.max(axis=3).sum(axis=2), p.argmax(axis=3)
-
-
-def _kept_optimum(table: Array) -> tuple[Array, Array]:
-    """The optimum of a kept round: the value per basis, shape (2,), and the
-    Helstrom POVM of G_x = table[t, x] per basis, shape (2, 2, dim_b, dim_b),
-    worth (tr(G_0 + G_1) + ||G_0 - G_1||_1) / 2."""
-    f0 = _helstrom(table[:, 0], table[:, 1])
-    f = np.stack([f0, np.eye(table.shape[-1]) - f0], axis=1)
-    return np.einsum("txab,txba->t", f, table).real, f
+    c, s = math.cos(angle), math.sin(angle)
+    branches = ((c * c, s * s, c * s), (s * s, c * c, -(c * s)))
+    values, guesses = [], []
+    for (a0, b0, x0), (a1, b1, x1) in terms:
+        value, guess = 0.0, []
+        for u, w, z in branches:
+            p0, p1 = u * a0 + w * b0 + z * x0, u * a1 + w * b1 + z * x1
+            guess.append(int(p1 > p0))
+            value += p1 if p1 > p0 else p0
+        values.append(value)
+        guesses.append(guess)
+    return values, guesses
 
 
 def _within_radius(v: np.ndarray, radius: int) -> np.ndarray:
     """P[at most ``radius`` rounds fail] for independent rounds that succeed
     with probabilities ``v``, shape (..., rounds): the Poisson-binomial cdf,
     by the recursion over rounds on the failure count, truncated past the
-    radius. At radius 0 that is the product of ``v``."""
-    if radius == 0:
-        return v.prod(axis=-1)
+    radius."""
     dist = np.zeros(v.shape[:-1] + (min(radius, v.shape[-1]) + 1,))
     dist[..., 0] = 1.0
     for i in range(v.shape[-1]):
@@ -1018,10 +1042,11 @@ def _within_radius(v: np.ndarray, radius: int) -> np.ndarray:
 _PRODUCT_ALLOWANCE = 16 * _EPS
 
 
-def _product_results(ctx: _GameContext, strategies: list[_ProductStrategy],
+def _product_results(ctx: _GameContext, plans: list[tuple[float | None, ...]],
                      want_decoders: bool) -> list[GuessResult]:
-    """The optimal values of product attacks whose values factorize
-    (``_GameContext.factorizes``), from their per-round optima.
+    """The optimal values of product attacks whose values factorize (every
+    round measured, or no error allowed), from their per-round optima;
+    ``plans`` holds each attack's ``rounds``.
 
     The rounds are independent games, since the device is memoryless and
     the attack acts round by round. With every round measured the memory is
@@ -1033,38 +1058,47 @@ def _product_results(ctx: _GameContext, strategies: list[_ProductStrategy],
     included, since the guessing probability of product cq-states is
     multiplicative (König, Renner & Schaffner, IEEE TIT 55, 4337, 2009). The
     decoders are the Kronecker product of the per-round ones, in the dense
-    game's branch and guess order. Every step is elementwise over the
-    strategies, so each one's result does not depend on the others.
+    game's branch and guess order. Each distinct round is solved once; the
+    values are scalar products, round 0 first, or the recursion.
     """
-    for s in strategies:
-        _check_caps(s, ctx.n)
-    rounds = [a for s in strategies for a in s.rounds(ctx.device.dim_b, ctx.n)]
-    measured = [i for i, a in enumerate(rounds) if a is not None]
-    kept = [i for i, a in enumerate(rounds) if a is None]
-    v = np.empty((len(rounds), 2))
-    if measured:
-        v[measured], guess = _measured_optima(ctx.table, [rounds[i] for i in measured])
-    if kept:
-        v[kept], helstrom = _kept_optimum(ctx.table)
-    # (strategies, rounds, bases) -> (strategies, basis strings, rounds)
-    v = v.reshape(len(strategies), ctx.n, 2)[:, np.arange(ctx.n), ctx.bits]
-    low = _within_radius(v, ctx.radius)
-    factors = [None] * len(rounds)      # per round, its decoders per basis
-    if want_decoders:
-        for j, i in enumerate(measured):
-            factors[i] = (np.arange(2) == guess[j, ..., None])[..., None, None]
-        for i in kept:
-            factors[i] = helstrom[:, None]
+    terms = [[(t[0][0].real, t[1][1].real, 2 * t[0][1].real) for t in basis]
+             for basis in ctx.table.tolist()] if ctx.device.dim_b == 2 else None
+    optima = {}     # per distinct round: its values and its decoders per basis
+    for a in {a for rounds in plans for a in rounds}:
+        if a is None:       # Helstrom, worth (tr(G_0 + G_1) + ||G_0 - G_1||_1) / 2
+            f0 = _helstrom(ctx.table[:, 0], ctx.table[:, 1])
+            f = np.stack([f0, np.eye(ctx.device.dim_b) - f0], axis=1)
+            optima[a] = np.einsum("txab,txba->t", f, ctx.table).real.tolist(), f[:, None]
+        else:
+            values, guess = _measured_optimum(terms, a)
+            f = None
+            if want_decoders:   # MAP: 1 at the guess, a 1 x 1 element per outcome
+                f = (np.arange(2) == np.array(guess)[..., None])[..., None, None]
+            optima[a] = values, f
+    if ctx.radius == 0:
+        lows = []
+        for rounds in plans:
+            low = [1.0]
+            for a in rounds:
+                low = [p * q for p in low for q in optima[a][0]]
+            lows.append(low)
+    else:
+        # (attacks, rounds, bases) -> (attacks, basis strings, rounds)
+        v = np.array([[optima[a][0] for a in rounds] for rounds in plans])
+        v = v.reshape(len(plans), ctx.n, 2)[:, np.arange(ctx.n), ctx.bits]
+        lows = _within_radius(v, ctx.radius).tolist()
     allowance = _PRODUCT_ALLOWANCE * (ctx.n + 1) * ctx.device.dim_b
     results = []
-    for si, value in enumerate(low):
-        decoders = None
-        if want_decoders:
-            own = factors[si * ctx.n:(si + 1) * ctx.n]
-            decoders = {key: [list(branch) for branch in
-                              _kron_axes([f[t] for f, t in zip(own, theta)], 4)]
-                        for key, theta in zip(ctx.keys, ctx.thetas)}
-        results.append(ctx.result(value, value + allowance, True, decoders))
+    for rounds, low in zip(plans, lows):
+        # the gap as the dense path forms it, upper - lower, which rounding
+        # keeps at or above 0 here, so that its clip at 0 is the identity
+        win, gap = np.add.reduce(
+            (low, [(p + allowance) - p for p in low]), axis=1).tolist()
+        decoders = {key: [list(branch) for branch in _kron_axes(
+            [optima[a][1][t] for a, t in zip(rounds, theta)], 4)]
+            for key, theta in zip(ctx.keys, ctx.thetas)} if want_decoders else None
+        results.append(GuessResult(win / len(low), dict(zip(ctx.keys, low)),
+                                   gap / len(low), decoders=decoders))
     return results
 
 
@@ -1097,18 +1131,20 @@ def exact_win_probability(device: DeviceModel, strategy: Strategy, n: int,
 
 def _score_strategies(ctx: _GameContext, strategies: list[Strategy], tol: float = 1e-9,
                       want_decoders: bool = False) -> list[GuessResult]:
-    """Certified results of several strategies on one game, in their order.
-
-    A product attack whose value factorizes is scored round by round
-    (``_product_results``). The dense rewards of all other strategies with
-    one reward shape (guesses, mem, mem) are stacked and solved in one
-    certified call; each strategy's result, its ``converged`` included, is
-    read from its own slice.
+    """Certified results of several strategies on one game, in their order;
+    the caller checks their caps. A product attack whose value factorizes
+    is scored round by round (``_product_results``). The dense rewards of
+    all other strategies with one reward shape (guesses, mem, mem) are
+    stacked and solved in one certified call; each strategy's result, its
+    ``converged`` included, is read from its own slice.
     """
-    product = [i for i, s in enumerate(strategies) if ctx.factorizes(s)]
+    rounds = {i: s.rounds(ctx.device.dim_b, ctx.n) for i, s in enumerate(strategies)
+              if isinstance(s, _ProductStrategy)}
+    product = [i for i, r in rounds.items() if ctx.radius == 0 or None not in r]
     results = dict(zip(product, _product_results(
-        ctx, [strategies[i] for i in product], want_decoders)))
-    rewards = {i: ctx.rewards(s) for i, s in enumerate(strategies) if i not in results}
+        ctx, [rounds[i] for i in product], want_decoders)))
+    rewards = {i: ctx.round_rewards(rounds[i]) if i in rounds else ctx.rewards(s)
+               for i, s in enumerate(strategies) if i not in results}
     shapes: dict[tuple, list[int]] = {}
     for i, g in rewards.items():
         shapes.setdefault(g.shape[1:], []).append(i)

@@ -653,6 +653,106 @@ def test_strategy_objects_roundtrip():
         assert back == strat
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["win_prob", "per_theta", "certified_gap"])
+def test_guess_result_rejects_non_finite_values(field, bad):
+    values = {"win_prob": 0.5, "per_theta": {"0": 0.5, "1": 0.5}, "certified_gap": 1e-14}
+    if field == "per_theta":
+        values["per_theta"] = {"0": bad, "1": 0.5}
+    else:
+        values[field] = bad
+    with pytest.raises(DomainError):
+        adversary.GuessResult(**values)
+
+
+@pytest.mark.parametrize("bad", [[math.nan], [math.inf], [True], "0.3", 0.3])
+def test_product_strategies_reject_bad_angles(bad):
+    with pytest.raises(StrategyError):
+        MeasureAll(angles=bad)
+    with pytest.raises(StrategyError):
+        StoreSubset(keep=(0,), angles=bad)
+
+
+@pytest.mark.parametrize("keep", [(0.7,), (True,), ("0",), 0])
+def test_store_subset_rejects_non_integer_rounds(keep):
+    with pytest.raises(StrategyError):
+        StoreSubset(keep=keep)
+
+
+def _mixed_device():
+    """sigma_AB = I/4: every outcome of every round is equally likely, so
+    each MAP guess is an exact tie."""
+    ideal = ideal_bb84_device()
+    return DeviceModel(dim_a=2, dim_b=2, sigma_ab=np.eye(4, dtype=complex) / 4,
+                       alice_meas_0=ideal.alice_meas_0, alice_meas_1=ideal.alice_meas_1,
+                       bob_meas_0=ideal.bob_meas_0, bob_meas_1=ideal.bob_meas_1,
+                       test_t0=ideal.test_t0, test_t1=ideal.test_t1)
+
+
+def test_product_decoders_are_povms_that_achieve_the_value():
+    # every factorizing product attack: per basis string and branch the
+    # decoders sum to the identity and are PSD, and on the dense game they
+    # are worth win_prob
+    rs = RandomSuite(421)
+    devices = [ideal_bb84_device(), random_qubit_device(rs.child(0)),
+               random_qubit_device(rs.child(1)), _mixed_device()]
+    checked = 0
+    for device, n in itertools.product(devices, (1, 2, 3)):
+        angles = tuple(float(a) for a in rs.rng.random(n) * (math.pi / 2))
+        for gamma in (0.0, 0.5):
+            strats = [breidbart(n), MeasureAll(angles=angles)]
+            if math.floor(gamma * n) == 0:
+                strats += [StoreSubset(keep=(0,), angles=angles[1:]),
+                           StoreSubset(keep=tuple(range(n)))]
+            ctx = _GameContext(device, n, gamma)
+            for strat in strats:
+                res = exact_win_probability(device, strat, n, strat.memory_dim(2, n),
+                                            gamma, want_decoders=True, _ctx=ctx)
+                f = np.array([res.decoders[key] for key in ctx.keys])
+                f = f.reshape(-1, *f.shape[2:])          # as the rewards stack them
+                eye = np.eye(f.shape[-1])
+                assert np.max(np.abs(f.sum(axis=1) - eye)) <= 1e-12
+                assert np.linalg.eigvalsh(f).min() >= -1e-12
+                value = np.einsum("kyab,kyba->", f, ctx.rewards(strat)).real
+                assert abs(value / len(ctx.keys) - res.win_prob) <= 1e-12, (strat, gamma)
+                checked += 1
+    assert checked == 80      # kept rounds meet no Hamming ball at n = 1 only
+
+
+def test_measured_optimum_equals_stacked_numpy_form():
+    # the per-round values and MAP guesses, bit for bit, as the stacked numpy
+    # arrays over (rounds, bases, branches, outcomes) give them
+    rs = RandomSuite(431)
+    for trial in range(40):
+        table = _GameContext(random_qubit_device(rs.child(trial)), 1, 0.0).table
+        angles = rs.child(100 + trial).rng.random(5) * (math.pi / 2)
+        cs = np.array([(math.cos(a), math.sin(a)) for a in angles])[:, :, None, None]
+        c, s = cs[:, 0], cs[:, 1]
+        d0, d1 = table[..., 0, 0].real, table[..., 1, 1].real
+        cross = 2 * table[..., 0, 1].real
+        p = np.stack([c * c * d0 + s * s * d1 + c * s * cross,
+                      s * s * d0 + c * c * d1 - c * s * cross], axis=2)
+        terms = [[(t[0][0].real, t[1][1].real, 2 * t[0][1].real) for t in basis]
+                 for basis in table.tolist()]
+        for i, a in enumerate(angles):
+            values, guess = adversary._measured_optimum(terms, float(a))
+            assert values == p[i].max(axis=2).sum(axis=1).tolist()
+            assert guess == p[i].argmax(axis=2).tolist()
+
+
+def test_product_decoders_take_the_first_guess_on_a_tie():
+    # on the maximally mixed device both outcomes of every measured round are
+    # equally likely; like argmax, MAP then guesses 0 on every branch
+    device = _mixed_device()
+    for n in (1, 2, 3):
+        res = exact_win_probability(device, MeasureAll(angles=(0.3,)), n, 1, 0.0,
+                                    want_decoders=True)
+        assert res.win_prob == 0.5 ** n
+        for branches in res.decoders.values():
+            assert [[float(f[0, 0].real) for f in guesses] for guesses in branches] \
+                == [[1.0] + [0.0] * (2 ** n - 1)] * 2 ** n
+
+
 # at n = 2 the decoders are Kronecker products of per-round ones, MAP for
 # measured rounds and Helstrom for kept ones, and one error is allowed in the
 # last case

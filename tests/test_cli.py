@@ -215,6 +215,15 @@ def test_attack_from_strategy_file(capsys, tmp_path, device_file):
     # no branch at all, or a branch without Kraus elements
     ({"kind": "general_encoding", "kraus": []}, 1, 2),
     ({"kind": "general_encoding", "kraus": [[]]}, 1, 2),
+    # angles that are not finite numbers, missing or not a list
+    ({"kind": "measure_all", "angles": [math.nan]}, 1, 1),
+    ({"kind": "measure_all", "angles": [math.inf]}, 1, 1),
+    ({"kind": "measure_all"}, 1, 1),
+    ({"kind": "measure_all", "angles": "0.3"}, 1, 1),
+    ({"kind": "measure_all", "angles": [True]}, 1, 1),
+    ({"kind": "store_subset", "keep": [1], "angles": [math.nan]}, 2, 2),
+    # a round index that is not an integer
+    ({"kind": "store_subset", "keep": [0.7]}, 1, 2),
 ])
 def test_attack_rejects_malformed_strategy_file(capsys, tmp_path, device_file,
                                                 strategy, n, d):
@@ -438,6 +447,67 @@ def test_simulate_byte_identical_to_golden(capsys, tmp_path, device_file,
             fh.write(json.dumps(ideal_bb84_device().to_obj()))
     code, out, _ = run_cli(capsys, *argv[:4], "--device", device_file, *argv[4:])
     assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# sha256 of `attack` stdout, recorded from the numpy-stacked product path
+# that the scalar per-round one replaced. "clean" is the noise-free ideal
+# device, "random" a Haar device from random_qubit_device(RandomSuite(18));
+# a list strategy is a MeasureAll file with those distinct angles, and at
+# gamma 0.34 it allows one error at n = 3 and two at n = 6
+_ANGLES = [0.11, 0.52, 0.97, 1.31, 0.35, 0.78]
+_ATTACK_GOLDENS = [
+    ("clean", "breidbart", 1, 1, 0.0,
+     "3476b8aadd29a4a1681de42e288861aa32bc9a0cc1e52d76396fef833c153935"),
+    ("clean", "breidbart", 2, 1, 0.0,
+     "ce87e9f6722bf87d4ecd8cbbd5d0857de544c38252280a868b023c1c2a014625"),
+    ("clean", "breidbart", 3, 1, 0.0,
+     "c2f3c648b2b805a0c910ec0bb1964bbdd5b919ddf9111dfb68832eab287c35a4"),
+    ("clean", "breidbart", 4, 1, 0.0,
+     "184e2827a09509cc4d5a785151e2cdf0bcb87803d52783c5f6e3fb7e102ed8d8"),
+    ("clean", "breidbart", 5, 1, 0.0,
+     "39fa5b159ffa5a5be504bcbd3c38cda951531165f2b8840c59734530b996fdd5"),
+    ("clean", "breidbart", 6, 1, 0.0,
+     "2349f513a88cac28111d27df5e0d6ae4ade0e6ed3c2eb1b26037f245b973ca1c"),
+    ("random", _ANGLES[:3], 3, 1, 0.0,
+     "bf94680da22ca0aa39a1c7d33428b2cc53f19b799efcb2eb2f406fcbd84fa86e"),
+    ("random", _ANGLES[:3], 3, 1, 0.34,
+     "d05ab0db4f0b994b9d366d9a751c0512c95c7126efaf2551a79dfe940dc40ac4"),
+    ("random", _ANGLES, 6, 1, 0.0,
+     "80397c5ba91329620dc07f3dd1808f3711d0c9ea448746a529365ae57e732060"),
+    ("random", _ANGLES, 6, 1, 0.34,
+     "e2ab2c5a7c0728a0b6f9c2e3db4ab317c624127fb9eebb8c7da8c0de42d60b3f"),
+    ("random", "store-subset", 1, 2, 0.0,
+     "615ad453c7fbc6f32a0c2661b06aeef5ab244ede869e2eb29950dd5739fc8437"),
+    ("random", "store-subset", 3, 2, 0.0,
+     "19d181c7a9fcfa16a6612b9617e400ceb2393852da7ef3e3aabffcec5b77e580"),
+    ("random", "store-subset", 6, 2, 0.0,
+     "553c99c67839849ed2f3e3d9e17144348f7c9b7ded079b4573f528110ddfb0b2"),
+]
+
+
+def _attack_stdout(capsys, tmp_path, device, strategy, n, d, gamma):
+    from di2pc.adversary import random_qubit_device
+    from di2pc.matcore import RandomSuite
+    model = ideal_bb84_device() if device == "clean" \
+        else random_qubit_device(RandomSuite(18))
+    device_file = tmp_path / "device.json"
+    device_file.write_text(json.dumps(model.to_obj()))
+    if isinstance(strategy, list):
+        strat = tmp_path / "strat.json"
+        strat.write_text(json.dumps({"kind": "measure_all", "angles": strategy}))
+        strategy = f"file:{strat}"
+    code, out, _ = run_cli(capsys, "attack", "--device", str(device_file),
+                           "--strategy", strategy, "--n", str(n), "--d", str(d),
+                           "--gamma", str(gamma))
+    assert code == 0
+    return out
+
+
+@pytest.mark.parametrize("device, strategy, n, d, gamma, digest", _ATTACK_GOLDENS)
+def test_attack_byte_identical_to_golden(capsys, tmp_path, device, strategy, n, d,
+                                         gamma, digest):
+    out = _attack_stdout(capsys, tmp_path, device, strategy, n, d, gamma)
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
