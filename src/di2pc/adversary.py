@@ -23,10 +23,12 @@ returned POVM in float64.
 The module also hosts the see-saw encoding search (a heuristic lower bound
 on the game value) and the three fuzzed inequality verifiers backing the
 security statement: the key-lemma bound itself, the norm-of-sum inequality,
-and the per-block overlap bounds, each folded into its report by one loop
-(``_run_trials``). The key-lemma fuzz scores its strategy family in one
-call (``_score_strategies``): the product attacks round by round, the rest
-in one certified solver call per reward shape. The search's
+and the per-block overlap bounds, each folded into its report chunk by
+chunk by one loop (``_run_trials``); the norm and overlap verifiers take the
+roots and norms of a chunk's trials of one shape in one stacked call each.
+The key-lemma fuzz scores its strategy family in one call
+(``_score_strategies``): the product attacks round by round, the rest in
+one certified solver call per reward shape. The search's
 restarts climb together, and one solver call scores several steps ahead of
 every live restart, their rewards built straight from the stacked
 isometries. There every qubit problem, with any number of guesses, goes
@@ -57,11 +59,10 @@ from .matcore import (
     as_matrix,
     check_density_operator,
     child_seed,
+    _EQ_TOL,
+    _PSD_CLAMP,
     dagger,
-    induced_norm,
-    operator_norm,
     partial_trace,
-    psd_sqrt,
 )
 from .protocols import DeviceModel, ideal_bb84_device
 
@@ -1473,24 +1474,85 @@ class VerificationReport:
         }
 
 
-def _run_trials(name: str, trials: int, worker, check, details) -> VerificationReport:
-    """Run trial workers in index order and fold their records into a report.
+# Trials per chunk of the verifiers: a chunk's records are dropped once
+# folded, so memory does not grow with the number of trials, and the norm and
+# overlap verifiers stack the chunk's trials of one shape into one call.
+_CHUNK = 256
 
-    ``worker(t)`` returns trial t's record, drawn from its own random stream;
+
+def _run_trials(name: str, trials: int, work, check, details,
+                fold=None) -> VerificationReport:
+    """Run the trials chunk by chunk and fold their records into a report.
+
+    ``work(ts)`` returns the records of the trials in the range ``ts``, in
+    index order, each drawn from its trial's own random stream;
     ``check(record)`` yields one (ratio, slack, violation or None) row per
-    instance checked; ``details(records)`` gives the report's details. With
-    no trial the worst slack would stay infinite and ``passed`` would hold
-    vacuously, so at least one is needed.
+    instance checked. Only the violations and running aggregates outlive a
+    chunk: ``fold(acc, record)`` folds each record into the running value
+    ``acc`` (None before the first), and ``details(acc)`` gives the report's
+    details. With no trial the worst slack would stay infinite and
+    ``passed`` would hold vacuously, so at least one is needed.
     """
     _require_positive(trials=trials)
-    records = [worker(t) for t in range(trials)]
-    rows = [row for rec in records for row in check(rec)]
-    violations = [v for _, _, v in rows if v is not None]
+    violations = []
+    max_ratio, worst_slack, acc = 0.0, math.inf, None
+    for start in range(0, trials, _CHUNK):
+        for rec in work(range(start, min(start + _CHUNK, trials))):
+            for ratio, slack, violation in check(rec):
+                max_ratio = max(max_ratio, ratio)
+                worst_slack = min(worst_slack, slack)
+                if violation is not None:
+                    violations.append(violation)
+            if fold is not None:
+                acc = fold(acc, rec)
     return VerificationReport(
-        name=name, trials=trials, passed=not violations,
-        max_ratio=max([0.0] + [r for r, _, _ in rows]),
-        worst_slack=min([math.inf] + [s for _, s, _ in rows]),
-        violations=violations, details=details(records))
+        name=name, trials=trials, passed=not violations, max_ratio=max_ratio,
+        worst_slack=worst_slack, violations=violations, details=details(acc))
+
+
+def _dagger(m: np.ndarray) -> np.ndarray:
+    """``matcore.dagger`` over a stack: a conjugated copy, transposed as a view."""
+    return m.conj().swapaxes(-1, -2)
+
+
+def _check_finite(m: np.ndarray) -> None:
+    if not np.isfinite(m).all():
+        raise DomainError("matrix contains non-finite entries")
+
+
+def _stacked_sqrt(m: np.ndarray) -> np.ndarray:
+    """``psd_sqrt`` of each matrix of a stack, bit for bit and with its checks."""
+    _check_finite(m)
+    if np.max(np.abs(m - _dagger(m))) > _EQ_TOL:
+        raise DomainError("matrix is not Hermitian within tolerance")
+    w, v = np.linalg.eigh(_herm(m))
+    if w[..., 0].min() < -_PSD_CLAMP:
+        raise DomainError(f"matrix is not PSD: min eigenvalue {w[..., 0].min():.3e}")
+    return (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ _dagger(v)
+
+
+def _stacked_norm(m: np.ndarray) -> np.ndarray:
+    """``operator_norm`` of each matrix of a stack, bit for bit: the square
+    root of the largest eigenvalue of M^dagger M, negative ones read as 0."""
+    _check_finite(m)
+    gram = _dagger(m) @ m
+    w = np.linalg.eigvalsh(_herm(gram))[..., -1]
+    return np.sqrt(np.where(w > 0.0, w, 0.0))
+
+
+def _stacked_kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.kron`` of each pair of matrices of two stacks, bit for bit."""
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    rows, cols = a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]
+    return out.reshape(out.shape[:-4] + (rows, cols))
+
+
+def _shape_groups(keys: list) -> dict:
+    """Positions in a chunk by shape key, each group in trial order."""
+    groups: dict = {}
+    for pos, key in enumerate(keys):
+        groups.setdefault(key, []).append(pos)
+    return groups
 
 
 # The see-saw the key-lemma fuzz runs on every device whose bound is below 1.
@@ -1543,10 +1605,15 @@ def verify_key_lemma(trials: int, n: int, d: int, gamma: float = 0.0,
                 "bound": bound, "win_prob": best_win, "strategy": rec["strategy"],
                 "device": rec["device"].to_obj()} if violated else None)
 
-    return _run_trials("key-lemma", trials, work, check, lambda records: {
-        "n": n, "d": d, "gamma": gamma, "seed": seed,
-        "worst_certified_gap": max(r["certified_gap"] for r in records),
-        "converged": all(r["converged"] for r in records)})
+    def fold(acc, rec: dict) -> tuple[float, bool]:
+        gap, converged = rec["certified_gap"], bool(rec["converged"])
+        return (gap, converged) if acc is None else \
+            (max(acc[0], gap), acc[1] and converged)
+
+    return _run_trials(
+        "key-lemma", trials, lambda ts: [work(t) for t in ts], check,
+        lambda acc: {"n": n, "d": d, "gamma": gamma, "seed": seed,
+                     "worst_certified_gap": acc[0], "converged": acc[1]}, fold)
 
 
 def verify_norm_lemma(trials: int, max_dim: int = 16, max_terms: int = 8,
@@ -1562,24 +1629,37 @@ def verify_norm_lemma(trials: int, max_dim: int = 16, max_terms: int = 8,
     if max_dim > 16 or max_terms > 8:
         raise DimensionCapError("norm-lemma fuzz is capped at dim <= 16, N <= 8")
 
-    def work(trial: int) -> dict:
-        suite = RandomSuite(child_seed(seed, trial))
-        rng = suite.rng
-        dim = int(rng.integers(1, max_dim + 1))
-        n_terms = int(rng.integers(1, max_terms + 1))
-        mats = [suite.psd(dim, scale=float(rng.random() * 2 + 0.1))
-                for _ in range(n_terms)]
-        roots = [psd_sqrt(a) for a in mats]
-        lhs = operator_norm(sum(mats))
-        l_mat = np.array([[operator_norm(ri @ rj) for rj in roots] for ri in roots])
-        rhs = float(np.max(l_mat.sum(axis=0)))
-        k_block = np.block([[ri @ rj for rj in roots] for ri in roots])
-        k_norm = operator_norm(k_block)
-        l_norm = operator_norm(l_mat)
-        hoelder = math.sqrt(induced_norm(l_mat, 1) * induced_norm(l_mat, math.inf))
-        return {"trial": trial, "dim": dim, "terms": n_terms, "lhs": lhs,
-                "rhs": rhs, "k_norm": k_norm, "l_norm": l_norm,
-                "hoelder": hoelder}
+    def work(ts: range) -> list[dict]:
+        drawn = []
+        for trial in ts:
+            suite = RandomSuite(child_seed(seed, trial))
+            rng = suite.rng
+            dim = int(rng.integers(1, max_dim + 1))
+            n_terms = int(rng.integers(1, max_terms + 1))
+            drawn.append(np.array([suite.psd(dim, scale=float(rng.random() * 2 + 0.1))
+                                   for _ in range(n_terms)]))
+        records = [None] * len(drawn)
+        for (n_terms, dim), pos in _shape_groups([a.shape[:2] for a in drawn]).items():
+            mats = np.array([drawn[p] for p in pos])            # (T, N, dim, dim)
+            roots = _stacked_sqrt(mats)
+            prods = roots[:, :, None] @ roots[:, None, :]      # sqrt(A_i) sqrt(A_j)
+            lhs = _stacked_norm(sum(mats[:, i] for i in range(n_terms)))
+            l_mat = _stacked_norm(prods)
+            rhs = l_mat.sum(axis=1).max(axis=-1)
+            k_block = prods.transpose(0, 1, 3, 2, 4).reshape(
+                len(pos), n_terms * dim, n_terms * dim)
+            k_norm = _stacked_norm(k_block)
+            # matcore's norms read L as a complex matrix
+            l_abs = np.abs(l_mat.astype(complex))
+            l_norm = _stacked_norm(l_mat.astype(complex))
+            hoelder = np.sqrt(l_abs.sum(axis=1).max(axis=-1)
+                              * l_abs.sum(axis=2).max(axis=-1))
+            for row, p in enumerate(pos):
+                records[p] = {"trial": ts[p], "dim": dim, "terms": n_terms,
+                              "lhs": float(lhs[row]), "rhs": float(rhs[row]),
+                              "k_norm": float(k_norm[row]), "l_norm": float(l_norm[row]),
+                              "hoelder": float(hoelder[row])}
+        return records
 
     def check(rec: dict):
         slack = min(rec["rhs"] - rec["lhs"], rec["l_norm"] - rec["k_norm"],
@@ -1606,6 +1686,22 @@ def _block_measurement(beta: float) -> dict[tuple[int, int], Array]:
     return p
 
 
+def _overlap_pairs(thetas: list, betas: np.ndarray, d_use: int,
+                   lhs: np.ndarray) -> list[dict]:
+    """Both bound forms against ``lhs[theta', theta]`` for every ordered pair."""
+    peak = [max(math.cos(b), math.sin(b)) for b in betas]
+    eps = [abs(math.cos(2 * b)) for b in betas]
+    pairs = []
+    for (i, tp), (j, t) in itertools.product(enumerate(thetas), repeat=2):
+        w = [a ^ b for a, b in zip(tp, t)]
+        prod_max = math.prod(peak[k] ** w[k] for k in range(len(betas)))
+        prod_eps = math.prod(((1 + eps[k]) / 2) ** (w[k] / 2) for k in range(len(betas)))
+        pairs.append({"theta_prime": list(tp), "theta": list(t), "lhs": float(lhs[i, j]),
+                      "rhs_angles": min(1.0, math.sqrt(d_use) * prod_max),
+                      "rhs_eps": min(1.0, math.sqrt(d_use) * prod_eps)})
+    return pairs
+
+
 def verify_overlap_lemma(trials: int, n: int, d: int,
                          seed: int = 0) -> VerificationReport:
     """Fuzz the per-block overlap bounds against random angles and POVMs.
@@ -1619,43 +1715,43 @@ def verify_overlap_lemma(trials: int, n: int, d: int,
     _require_positive(n=n, d=d)
     if n > 2 or d > 3:
         raise DimensionCapError("overlap fuzz is capped at n <= 2, d <= 3")
-    thetas_cache = {m: list(itertools.product((0, 1), repeat=m)) for m in (1, 2)}
-
-    def work(trial: int) -> dict:
-        suite = RandomSuite(child_seed(seed, trial))
-        rng = suite.rng
-        n_use = int(rng.integers(1, n + 1))
-        d_use = int(rng.integers(1, d + 1))
-        betas = rng.random(n_use) * (math.pi / 2)
-        blocks = [_block_measurement(b) for b in betas]
-        thetas = thetas_cache[n_use]
-        povms = {theta: suite.povm(d_use, 2 ** n_use) for theta in thetas}
-        pis = {}
-        for theta in thetas:
-            pi = np.zeros((2 ** n_use * d_use,) * 2, dtype=complex)
-            for xi, x in enumerate(itertools.product((0, 1), repeat=n_use)):
-                proj = np.array([[1.0]], dtype=complex)
-                for k in range(n_use):
-                    proj = np.kron(proj, blocks[k][(theta[k], x[k])])
-                pi += np.kron(proj, povms[theta][xi])
-            pis[theta] = psd_sqrt(pi)
-        pairs = []
-        for tp in thetas:
-            for t in thetas:
-                lhs = operator_norm(pis[tp] @ pis[t])
-                w = [a ^ b for a, b in zip(tp, t)]
-                prod_max = math.prod(
-                    max(math.cos(betas[k]), math.sin(betas[k])) ** w[k]
-                    for k in range(n_use))
-                eps = [abs(math.cos(2 * betas[k])) for k in range(n_use)]
-                prod_eps = math.prod(
-                    ((1 + eps[k]) / 2) ** (w[k] / 2) for k in range(n_use))
-                rhs1 = min(1.0, math.sqrt(d_use) * prod_max)
-                rhs2 = min(1.0, math.sqrt(d_use) * prod_eps)
-                pairs.append({"theta_prime": list(tp), "theta": list(t),
-                              "lhs": lhs, "rhs_angles": rhs1, "rhs_eps": rhs2})
-        return {"trial": trial, "n": n_use, "d": d_use,
-                "betas": [float(x) for x in betas], "pairs": pairs}
+    def work(ts: range) -> list[dict]:
+        drawn = []
+        for trial in ts:
+            suite = RandomSuite(child_seed(seed, trial))
+            rng = suite.rng
+            n_use = int(rng.integers(1, n + 1))
+            d_use = int(rng.integers(1, d + 1))
+            betas = rng.random(n_use) * (math.pi / 2)
+            # one POVM per basis string theta, one element per outcome x
+            povms = np.array([suite.povm(d_use, 2 ** n_use) for _ in range(2 ** n_use)])
+            drawn.append((betas, povms))
+        records = [None] * len(drawn)
+        shapes = [(betas.size, povms.shape[-1]) for betas, povms in drawn]
+        for (n_use, d_use), pos in _shape_groups(shapes).items():
+            thetas = list(itertools.product((0, 1), repeat=n_use))   # also the x
+            bits, size = np.array(thetas), len(thetas)
+            # blocks[t, k, theta_k, x_k] is block k's projector P^theta_k_x_k
+            blocks = np.array([[[[m[(tk, xk)] for xk in (0, 1)] for tk in (0, 1)]
+                                for m in map(_block_measurement, drawn[p][0])]
+                               for p in pos])
+            proj = np.ones((len(pos), size, size, 1, 1), dtype=complex)
+            for k in range(n_use):                    # proj[t, theta, x] = P^theta_x
+                picked = blocks[:, k][:, bits[:, k, None], bits[None, :, k]]
+                proj = _stacked_kron(proj, picked)
+            povms = np.array([drawn[p][1] for p in pos])
+            pi = np.zeros((len(pos), size) + (size * d_use,) * 2, dtype=complex)
+            for xi in range(size):
+                pi += _stacked_kron(proj[:, :, xi], povms[:, :, xi])
+            roots = _stacked_sqrt(pi)
+            # lhs[t, theta', theta] = ||sqrt(Pi^theta') sqrt(Pi^theta)||
+            lhs = _stacked_norm(roots[:, :, None] @ roots[:, None, :])
+            for row, p in enumerate(pos):
+                betas = drawn[p][0]
+                records[p] = {"trial": ts[p], "n": n_use, "d": d_use,
+                              "betas": [float(x) for x in betas],
+                              "pairs": _overlap_pairs(thetas, betas, d_use, lhs[row])}
+        return records
 
     def check(rec: dict):
         for pair in rec["pairs"]:

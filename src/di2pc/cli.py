@@ -2,7 +2,8 @@
 
 One binary, subcommand style, machine-readable output. Every subcommand is a
 thin adapter over the library; numbers printed here equal direct library
-calls exactly.
+calls exactly. Each subcommand imports the modules it calls when it runs, so
+a process loads and compiles only those, and ``--help`` loads no numpy.
 
 Exit codes: 0 success, 2 usage or input error, 3 verification failure
 (a violated inequality, or an attack value whose certificate did not
@@ -22,30 +23,12 @@ import json
 import math
 import os
 import sys
+from typing import TYPE_CHECKING
 
-from . import bounds as bounds_mod
-from .adversary import (
-    breidbart,
-    StoreSubset,
-    exact_win_probability,
-    strategy_from_obj,
-    verify_key_lemma,
-    verify_norm_lemma,
-    verify_overlap_lemma,
-)
-from .chsh import TSIRELSON, estimate_chsh, zeta_from_violation
 from .errors import CapExceededError, Di2pcError, DimensionCapError
-from .jordan import block_probabilities, decompose_pair, epsilon_plus_blocks
-from .matcore import child_seed
-from .protocols import (
-    _BLOCK,
-    DeviceModel,
-    PvConfig,
-    WseTranscript,
-    _bits,
-    run_pv,
-    run_wse,
-)
+
+if TYPE_CHECKING:
+    from .protocols import DeviceModel, WseTranscript
 
 _EXIT_OK = 0
 _EXIT_USAGE = 2
@@ -105,6 +88,8 @@ def _write_wse(tr: WseTranscript, fh) -> None:
     """Write the bytes of ``json.dumps(tr.to_obj(), sort_keys=True)`` and a
     newline without building either: bit strings and the index set go out
     block by block, in the keys' sorted order."""
+    from .protocols import _BLOCK, _bits
+
     def bits(a):
         for start in range(0, a.size, _BLOCK):
             fh.write(_bits(a[start:start + _BLOCK]))
@@ -125,6 +110,7 @@ def _write_wse(tr: WseTranscript, fh) -> None:
 
 
 def _load_device(path: str) -> DeviceModel:
+    from .protocols import DeviceModel
     try:
         with open(path) as fh:
             return DeviceModel.from_obj(json.load(fh))
@@ -141,6 +127,7 @@ def _zeta_arg(args) -> float:
         if not 0.0 <= args.zeta <= 1.0:
             raise _UsageError(f"--zeta must lie in [0, 1], got {args.zeta}")
         return args.zeta
+    from .chsh import TSIRELSON, zeta_from_violation
     if args.S > TSIRELSON + 1e-9:
         raise _UsageError(f"--S exceeds the quantum maximum {TSIRELSON:.6f}")
     return zeta_from_violation(args.S)
@@ -148,8 +135,9 @@ def _zeta_arg(args) -> float:
 
 def _cmd_bound(args) -> int:
     zeta = _zeta_arg(args)
-    report = bounds_mod.bound_report(n=args.n, d=args.d, zeta=zeta,
-                                     gamma=args.gamma, kind=args.kind)
+    from .bounds import bound_report
+    report = bound_report(n=args.n, d=args.d, zeta=zeta, gamma=args.gamma,
+                          kind=args.kind)
     d = report.to_dict()
     _emit(d, args, csv_rows=[[d[k] for k in sorted(d)]], csv_header=sorted(d))
     return _EXIT_OK
@@ -158,10 +146,12 @@ def _cmd_bound(args) -> int:
 def _cmd_region(args) -> int:
     if args.s_steps < 2 or args.gamma_steps < 2:
         raise _UsageError("--s-steps and --gamma-steps must be at least 2")
+    from .bounds import security_region
+    from .chsh import TSIRELSON
     s_grid = [2.0 + (TSIRELSON - 2.0) * i / (args.s_steps - 1)
               for i in range(args.s_steps)]
     g_grid = [0.5 * j / (args.gamma_steps - 1) for j in range(args.gamma_steps)]
-    region = bounds_mod.security_region(s_grid, g_grid)
+    region = security_region(s_grid, g_grid)
     rows = [[r["S"], r["gamma"], r["zeta"], r["secure"], r["gamma_star"]]
             for r in region.rows()]
     payload = {"rows": [dict(zip(("S", "gamma", "zeta", "secure", "gamma_star"), r))
@@ -173,8 +163,9 @@ def _cmd_region(args) -> int:
 
 def _cmd_min_n(args) -> int:
     zeta = _zeta_arg(args)
-    result = bounds_mod.min_rounds(args.d, zeta, args.gamma, args.eps)
-    if result == bounds_mod.INSECURE:
+    from .bounds import INSECURE, min_rounds
+    result = min_rounds(args.d, zeta, args.gamma, args.eps)
+    if result == INSECURE:
         _emit({"insecure": True}, args)
     else:
         _emit({"n": result}, args)
@@ -184,15 +175,17 @@ def _cmd_min_n(args) -> int:
 def _cmd_curve(args) -> int:
     if args.s_steps < 2:
         raise _UsageError("--s-steps must be at least 2")
+    from .bounds import INSECURE, min_rounds
+    from .chsh import TSIRELSON, zeta_from_violation
     rows = []
     for i in range(args.s_steps):
         s = 2.0 + (TSIRELSON - 2.0) * i / (args.s_steps - 1)
         zeta = zeta_from_violation(min(s, TSIRELSON))
         try:
-            result = bounds_mod.min_rounds(args.d, zeta, args.gamma, args.eps)
+            result = min_rounds(args.d, zeta, args.gamma, args.eps)
         except CapExceededError:
             result = ""
-        secure = result != bounds_mod.INSECURE and result != ""
+        secure = result != INSECURE and result != ""
         rows.append([s, zeta, secure, result if secure else ""])
     payload = {"rows": [dict(zip(("S", "zeta", "secure", "n"), r)) for r in rows]}
     _emit(payload, args, csv_rows=rows, csv_header=["S", "zeta", "secure", "n"])
@@ -201,6 +194,7 @@ def _cmd_curve(args) -> int:
 
 def _cmd_chsh(args) -> int:
     device = _load_device(args.device)
+    from .chsh import estimate_chsh
     est = estimate_chsh(device, args.rounds, args.delta, seed=args.seed)
     _emit({"s_hat": est.s_hat, "half_width": est.half_width,
            "rounds_per_setting": est.rounds_per_setting,
@@ -211,6 +205,7 @@ def _cmd_chsh(args) -> int:
 
 def _cmd_jordan(args) -> int:
     device = _load_device(args.device)
+    from .jordan import block_probabilities, decompose_pair, epsilon_plus_blocks
     dec = decompose_pair(device.alice_meas_0, device.alice_meas_1)
     probs = block_probabilities(dec, device.sigma_a)
     eps = epsilon_plus_blocks(dec, device.sigma_a)
@@ -225,6 +220,7 @@ def _cmd_simulate(args) -> int:
         raise DimensionCapError(
             f"simulate is capped at n <= {_SIMULATE_CAP_ROUNDS}, got {args.n}")
     device = _load_device(args.device)
+    from .protocols import PvConfig, run_pv, run_wse
     test_rounds = args.test_rounds or None
     if args.what == "wse":
         if args.runs < 1:
@@ -233,6 +229,7 @@ def _cmd_simulate(args) -> int:
             if test_rounds:
                 raise _UsageError("--test-rounds applies to a single run, "
                                   "not to --runs above 1")
+            from .matcore import child_seed
             matches = 0
             sizes = 0
             for r in range(args.runs):
@@ -256,6 +253,8 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_attack(args) -> int:
     device = _load_device(args.device)
+    from .adversary import (StoreSubset, breidbart, exact_win_probability,
+                            strategy_from_obj)
     if args.strategy == "breidbart":
         strategy = breidbart(args.n)
     elif args.strategy == "store-subset":
@@ -292,6 +291,7 @@ def _cmd_verify(args) -> int:
                   if k not in _VERIFY_READS[which] and getattr(args, k) is not None]
         if unread:
             raise _UsageError(f"{which} does not read {', '.join(unread)}")
+    from .adversary import verify_key_lemma, verify_norm_lemma, verify_overlap_lemma
     if which in ("key-lemma", "all"):
         n = args.n if args.n is not None else 1
         d = args.d if args.d is not None else 1

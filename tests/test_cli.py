@@ -392,14 +392,14 @@ def test_env_seed_override(capsys, device_file, monkeypatch):
 
 def test_verify_failure_exit_code(capsys, monkeypatch):
     # force a failing report through the adapter to check the exit path
-    from di2pc import cli as cli_mod
+    from di2pc import adversary
     from di2pc.adversary import VerificationReport
 
     def fake(*a, **k):
         return VerificationReport(name="norm-lemma", trials=1, passed=False,
                                   max_ratio=2.0, worst_slack=-1.0,
                                   violations=[{"trial": 0}])
-    monkeypatch.setattr(cli_mod, "verify_norm_lemma", fake)
+    monkeypatch.setattr(adversary, "verify_norm_lemma", fake)
     code, out, _ = run_cli(capsys, "verify", "norm-lemma", "--trials", "1")
     assert code == 3
     assert json.loads(out)["passed"] is False
@@ -511,6 +511,79 @@ def test_attack_byte_identical_to_golden(capsys, tmp_path, device, strategy, n, 
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of stdout for the other command shapes, recorded before each
+# subcommand imported its own modules and before the norm and overlap
+# verifiers stacked their trials. "noisy" is the device_file fixture,
+# "random" the Haar device random_qubit_device(RandomSuite(18)); the second
+# `bound` takes the log-space path (n above 1000)
+_SHAPE_GOLDENS = [
+    (None, ["bound", "--n", "300", "--d", "1024", "--S", "2.7", "--gamma", "0.01"],
+     "8dc758999a2d105d8b2b113e1301f876b9a5f2e94992b98e486a172ead8c575b"),
+    (None, ["bound", "--n", "50000", "--d", "1048576", "--S", "2.75",
+            "--gamma", "0.02"],
+     "6738040bfe2000cacccf0a44a53648bb649477b80f1016c3782bdb4ccac7497c"),
+    (None, ["bound", "--n", "800", "--d", "4", "--zeta", "0.3", "--kind", "pv",
+            "--format", "csv"],
+     "236f3d4bd12e202e2c6c820cadcc52655b593f78051bd4e3c3ea77c071f90f12"),
+    (None, ["region", "--s-steps", "20", "--gamma-steps", "10"],
+     "dce952fdb93cbd19ea359c3d0cdd9fb689ef42a17d396f5bc00f7c0edd8bc42c"),
+    (None, ["min-n", "--d", "1024", "--S", "2.7", "--gamma", "0.01", "--eps", "1e-6"],
+     "33173aee7440df79866a0af567bd7fd03f3db05fd63b568e982251baf9a0068b"),
+    (None, ["curve", "--d", "1024", "--gamma", "0", "--eps", "1e-6", "--s-steps", "12"],
+     "ff25f15f4e2cd98c306f64f56243381d4acbff4369a96cb15b23c51476d2b99e"),
+    ("noisy", ["--seed", "5", "chsh", "--rounds", "100000", "--delta", "0.01"],
+     "e68de622ce79d107a115f2eddbe237e612651e4fb7bd23b214cb9172f2a3b766"),
+    ("random", ["--seed", "6", "chsh", "--rounds", "20000", "--delta", "0.05"],
+     "e2a55dc1e5f602ab74ce063d5f6251d8c8379e8d6425a38ff612ba26f93b1bc5"),
+    ("noisy", ["jordan"],
+     "750040a87d1fd53873e584a2b5ff3f9486f2b5ec22b565e2758b630f13f14c4e"),
+    ("random", ["jordan"],
+     "d0ac5d9ec605874e3d045f6ef4c2c2ed9aa52745d7cc8f664c2f24481db462c0"),
+    (None, ["--seed", "0", "verify", "norm-lemma", "--trials", "40"],
+     "0a794f1e021a3418fcd84700c19f2d348888675138352f14d37f651381f96eb9"),
+    (None, ["--seed", "1", "verify", "norm-lemma", "--trials", "40"],
+     "73c0c39dc5e638e538d1b0a7d167b2e5be1d908209d1299ea3b0f5d2d29da795"),
+    (None, ["--seed", "2", "verify", "norm-lemma", "--trials", "40"],
+     "66debdff235c7df35923e9ef081724f33f3234524e86581dd73a60a5c12f58e4"),
+    (None, ["--seed", "3", "verify", "norm-lemma", "--trials", "40"],
+     "2c17873e0b6c890a14ac702890228de7f65313b0a31495132f12c717e1b6a9a4"),
+    (None, ["--seed", "4", "verify", "norm-lemma", "--trials", "40"],
+     "5399be26cb909826c3fa9ed6e0ac02e07f7488f43aaee5bff7d0cdda70e57eaf"),
+    (None, ["--seed", "0", "verify", "overlap-lemma", "--trials", "40"],
+     "b6f9134b6b54ae3b0548aef6d75c6b421906dd1ba5bfa991cef4b04f0a3ea459"),
+    (None, ["--seed", "1", "verify", "overlap-lemma", "--trials", "40"],
+     "7c3c34a68d838ce76081de3778a293319fe9f1eafb6029be94af07fad15c40a4"),
+    (None, ["--seed", "2", "verify", "overlap-lemma", "--trials", "40"],
+     "21289f1c10f98b4514cddabbdce24563f80ed435b77ef0f46f9b01fd8a9bbdfe"),
+    (None, ["--seed", "3", "verify", "overlap-lemma", "--trials", "40"],
+     "674f29254b5520dad16b9e6082a008034e33321c632be8dbae9a05acb1de9757"),
+    (None, ["--seed", "4", "verify", "overlap-lemma", "--trials", "40"],
+     "3edb0a8113ce00b54e6cee76a62aeea2dfc812bbad6672fd2fb0efad2a03f027"),
+    (None, ["--seed", "3", "verify", "key-lemma", "--trials", "6", "--n", "2", "--d", "2",
+            "--gamma", "0.5"],
+     "14c7fd5b195078525207c31878a78ec98411b529ab4e6ecbbcfd239b425db158"),
+    (None, ["--seed", "1", "verify", "all", "--trials", "4"],
+     "c12818b5c6975d88fa98b8001757075910f032f5b5f62a3a9a3514db693aa1ac"),
+]
+
+
+@pytest.mark.parametrize("device, argv, digest", _SHAPE_GOLDENS)
+def test_command_byte_identical_to_golden(capsys, tmp_path, device_file, device, argv,
+                                          digest):
+    if device is not None:
+        if device == "random":
+            from di2pc.adversary import random_qubit_device
+            from di2pc.matcore import RandomSuite
+            device_file = str(tmp_path / "random.json")
+            with open(device_file, "w") as fh:
+                fh.write(json.dumps(random_qubit_device(RandomSuite(18)).to_obj()))
+        at = argv.index(next(a for a in argv if a in ("chsh", "jordan"))) + 1
+        argv = argv[:at] + ["--device", device_file] + argv[at:]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_region_json_matches_library(capsys):
     from di2pc.bounds import security_region
     from di2pc.chsh import TSIRELSON as TS
@@ -558,13 +631,13 @@ def test_verify_rejects_zero_trials(capsys, lemma):
 
 
 def test_attack_unconverged_exit_code(capsys, device_file, monkeypatch):
-    from di2pc import cli as cli_mod
+    from di2pc import adversary
     from di2pc.adversary import GuessResult
 
     def fake(*a, **k):
         return GuessResult(win_prob=0.5, per_theta={"0": 0.5, "1": 0.5},
                            certified_gap=0.25, converged=False)
-    monkeypatch.setattr(cli_mod, "exact_win_probability", fake)
+    monkeypatch.setattr(adversary, "exact_win_probability", fake)
     code, out, _ = run_cli(capsys, "attack", "--device", device_file,
                            "--strategy", "breidbart", "--n", "1", "--d", "1")
     assert code == 3

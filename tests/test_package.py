@@ -1,6 +1,7 @@
 """The package surface: lazy names and submodules, and ``python -m di2pc``."""
 
 import importlib
+import json
 import os
 import pathlib
 import subprocess
@@ -65,3 +66,51 @@ def test_python_m_runs_the_command(capsys):
     proc = subprocess.run([sys.executable, "-m", "di2pc", *argv], capture_output=True,
                           env={**os.environ, "PYTHONPATH": SRC}, check=True)
     assert proc.stdout == expect.encode()
+
+
+# What each subcommand loads in a fresh interpreter: only the modules it
+# runs. Every command loads di2pc.cli and di2pc.errors besides these.
+_BOUNDS = {"bounds", "chsh", "matcore"}
+_DEVICE = {"chsh", "jordan", "matcore", "protocols"}
+_ALL = _BOUNDS | _DEVICE | {"adversary"}
+_LOADS = [
+    (["--help"], set()),
+    (["bound", "--help"], set()),
+    (["bound", "--n", "10", "--S", "2.7"], set()),         # usage error: no --d
+    (["bound", "--n", "10", "--d", "2", "--S", "2.7"], _BOUNDS),
+    (["region", "--s-steps", "3", "--gamma-steps", "3"], _BOUNDS),
+    (["min-n", "--d", "2", "--zeta", "0.1", "--eps", "1e-3"], _BOUNDS),
+    (["curve", "--d", "2", "--eps", "1e-3", "--s-steps", "2"], _BOUNDS),
+    (["chsh", "--device", "DEVICE", "--rounds", "100"], _DEVICE),
+    (["jordan", "--device", "DEVICE"], _DEVICE),
+    (["simulate", "wse", "--device", "DEVICE", "--n", "10"], _DEVICE),
+    (["simulate", "pv", "--device", "DEVICE", "--n", "10"], _DEVICE),
+    (["attack", "--device", "DEVICE", "--strategy", "breidbart", "--n", "1", "--d", "1"],
+     _ALL),
+    (["verify", "norm-lemma", "--trials", "1"], _ALL),
+]
+_REPORT_LOADS = """
+import json, sys
+from di2pc.cli import main
+try:
+    main(sys.argv[1:])
+except SystemExit:
+    pass
+print(json.dumps([sorted(m[6:] for m in sys.modules if m.startswith("di2pc.")),
+                  "numpy" in sys.modules]), file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("argv, modules", _LOADS,
+                         ids=[" ".join(a) for a, _ in _LOADS])
+def test_subcommand_loads_only_the_modules_it_runs(tmp_path, argv, modules):
+    from di2pc.protocols import ideal_bb84_device
+    device = tmp_path / "device.json"
+    device.write_text(json.dumps(ideal_bb84_device().to_obj()))
+    argv = [str(device) if a == "DEVICE" else a for a in argv]
+    proc = subprocess.run([sys.executable, "-c", _REPORT_LOADS, *argv],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": SRC})
+    loaded, numpy_loaded = json.loads(proc.stderr.splitlines()[-1])
+    assert set(loaded) == {"cli", "errors"} | modules
+    assert numpy_loaded == bool(modules)
