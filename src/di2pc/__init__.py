@@ -20,7 +20,7 @@ _EXPORTS = {
     "errors": """ArityError CapExceededError Di2pcError DimensionCapError DomainError
         NonphysicalViolationError ShapeError StrategyError""",
     "matcore": """RandomSuite child_seed eig_hermitian induced_norm matrix_abs
-        matrix_from_json matrix_to_json operator_norm partial_trace psd_sqrt tensor_product""",
+        operator_norm partial_trace psd_sqrt tensor_product""",
     "jordan": """BinaryMeasurement JordanBlock JordanDecomposition block_probabilities
         decompose_pair epsilon_plus_blocks epsilon_plus_direct naimark_dilate""",
     "chsh": """TSIRELSON ChshEstimate ChshSetup chsh_operator chsh_value estimate_chsh

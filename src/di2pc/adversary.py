@@ -60,9 +60,14 @@ from .matcore import (
     check_density_operator,
     child_seed,
     _EQ_TOL,
-    _PSD_CLAMP,
+    _herm,
+    _isometry,
+    _kron,
     dagger,
+    induced_norm,
+    operator_norm,
     partial_trace,
+    psd_sqrt,
 )
 from .protocols import DeviceModel, ideal_bb84_device
 
@@ -94,9 +99,6 @@ _ENCODING_CAP_ROUNDS = 3
 
 _EPS = float(np.finfo(float).eps)
 _FLOAT_MAX = float(np.finfo(float).max)
-
-# How far an encoding's sum of E^+ E may stray from the identity, entrywise.
-_TP_TOL = 1e-9
 
 
 def _require_positive(**values: int) -> None:
@@ -265,8 +267,8 @@ class GeneralEncoding:
                         "element must map into the same memory")
                 e[m, k] = op
         total = np.einsum("mkai,mkaj->ij", e.conj(), e)
-        if np.max(np.abs(total - np.eye(dim_in))) > _TP_TOL:
-            raise StrategyError(f"encoding is not trace preserving within {_TP_TOL:g}")
+        if np.max(np.abs(total - np.eye(dim_in))) > _EQ_TOL:
+            raise StrategyError(f"encoding is not trace preserving within {_EQ_TOL:g}")
         return e
 
     def to_obj(self) -> dict:
@@ -339,10 +341,6 @@ class DiscriminationResult:
     converged: bool
 
 
-def _herm(a: np.ndarray) -> np.ndarray:
-    return (a + np.conj(np.swapaxes(a, -1, -2))) / 2
-
-
 def _dual_upper(g: np.ndarray, y: np.ndarray, outward: bool = True) -> np.ndarray:
     """Feasible dual values tr(Y) + max(0, mu) dim, where mu is the largest
     eigenvalue of any G_y - Y, so that Y + max(0, mu) I >= G_y for every y.
@@ -410,7 +408,7 @@ def _complete(f: np.ndarray) -> np.ndarray:
     exactly: F_y -> S F_y S with S = (sum_y F_y)^(-1/2), which keeps them PSD."""
     w, v = np.linalg.eigh(f.sum(axis=-3))
     root = np.sqrt(np.clip(w, 1e-300, None))[..., None, :]
-    fix = (v / root) @ np.conj(np.swapaxes(v, -1, -2))
+    fix = (v / root) @ dagger(v)
     return fix[..., None, :, :] @ f @ fix[..., None, :, :]
 
 
@@ -634,7 +632,7 @@ def _ipm_single(g: np.ndarray, gap_target: float) -> tuple[np.ndarray, np.ndarra
             grad = t * grad_eye - np.einsum("aij,yji->a", basis, inv).real
             bp = np.einsum("yij,ajk,ykl->yail", inv, basis, inv)
             hess = np.einsum("bij,yaji->ab", basis, bp).real
-            hess = (hess + hess.T) / 2 + 1e-13 * np.eye(m)
+            hess = _herm(hess) + 1e-13 * np.eye(m)
             try:
                 delta = -np.linalg.solve(hess, grad)
             except np.linalg.LinAlgError:
@@ -913,13 +911,11 @@ class _GameContext:
         self.gamma = gamma
         self.radius = math.floor(gamma * n)
         self.thetas, self.keys, self.bits = _basis_strings(n)
-        # tr_A[(P^t_x (x) I) sigma_AB] for all four projectors at once: the
-        # broadcast multiply np.kron does, one stacked product, and no
-        # re-validation of the device's fields
+        # tr_A[(P^t_x (x) I) sigma_AB] for all four projectors at once: one
+        # stacked product, and no re-validation of the device's fields
         da, db = device.dim_a, device.dim_b
         p = np.array([[m.p0, m.p1] for m in (device.alice_meas_0, device.alice_meas_1)])
-        krons = (p[:, :, :, None, :, None] * np.eye(db)[:, None, :]).reshape(
-            2, 2, da * db, da * db)
+        krons = _kron(p, np.eye(db))
         self.table = np.trace((krons @ device.sigma_ab).reshape(2, 2, da, db, da, db),
                               axis1=2, axis2=4)
         self._dense = None       # (thetas, outcomes, Din, Din), built on first use
@@ -1105,8 +1101,7 @@ def _product_results(ctx: _GameContext, plans: list[tuple[float | None, ...]],
 
 def exact_win_probability(device: DeviceModel, strategy: Strategy, n: int,
                           d: int, gamma: float = 0.0, tol: float = 1e-9,
-                          want_decoders: bool = False,
-                          _ctx: "_GameContext | None" = None) -> GuessResult:
+                          want_decoders: bool = False) -> GuessResult:
     """Exact winning probability of ``strategy`` with optimal decoding.
 
     Enumerates all 2^n basis strings. A product attack (``MeasureAll``,
@@ -1126,8 +1121,8 @@ def exact_win_probability(device: DeviceModel, strategy: Strategy, n: int,
     mem = strategy.memory_dim(device.dim_b, n)
     if mem > d:
         raise StrategyError(f"strategy needs memory dimension {mem} > allowed {d}")
-    ctx = _ctx if _ctx is not None else _GameContext(device, n, gamma)
-    return _score_strategies(ctx, [strategy], tol, want_decoders)[0]
+    return _score_strategies(_GameContext(device, n, gamma), [strategy], tol,
+                             want_decoders)[0]
 
 
 def _score_strategies(ctx: _GameContext, strategies: list[Strategy], tol: float = 1e-9,
@@ -1235,18 +1230,6 @@ def replay_win_probability(device: DeviceModel, strategy: Strategy, n: int,
 # see-saw search over encodings
 # ---------------------------------------------------------------------------
 
-def _isometry(a: np.ndarray) -> np.ndarray:
-    """Q factors of a matrix or a stack of them, column phases fixed so that
-    R has a positive diagonal."""
-    q, r = np.linalg.qr(a)
-    diag = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * (diag / np.abs(diag))[..., None, :]
-
-
-def _haar_isometry(suite: RandomSuite, rows: int, cols: int) -> Array:
-    return _isometry(suite.ginibre(rows, cols))
-
-
 def _structured_isometries(device: DeviceModel, n: int, d: int,
                            m_count: int) -> list[Array]:
     """Known-good starting points: store-what-fits and intercept measurements."""
@@ -1334,7 +1317,7 @@ def seesaw_search(device: DeviceModel, n: int, d: int, restarts: int = 4,
     structured = _structured_isometries(device, n, d, m_count)
     suites = [RandomSuite(child_seed(seed, r)) for r in range(restarts)]
     v = np.stack([structured[r] if r < len(structured)
-                  else _haar_isometry(suites[r], d * m_count, dim_in)
+                  else _isometry(suites[r].ginibre(d * m_count, dim_in))
                   for r in range(restarts)])
     val = _search_values(ctx, v, d)
     step = [0.35] * restarts
@@ -1403,12 +1386,16 @@ def random_qubit_device(suite: RandomSuite) -> DeviceModel:
         test_t0=ideal.test_t0, test_t1=ideal.test_t1)
 
 
-def random_rotated_ideal_device(suite: RandomSuite, max_noise: float = 0.3) -> DeviceModel:
+# The depolarizing weight of a rotated ideal device is uniform below this.
+_ROTATED_MAX_NOISE = 0.3
+
+
+def random_rotated_ideal_device(suite: RandomSuite) -> DeviceModel:
     """Locally rotated, partially depolarized EPR device; violates CHSH often."""
     ideal = _ideal_device()
     ua = suite.unitary(2)
-    noise = float(suite.rng.random() * max_noise)
-    rot = np.kron(ua, np.eye(2))
+    noise = float(suite.rng.random() * _ROTATED_MAX_NOISE)
+    rot = _kron(ua, np.eye(2))
     sigma = rot @ ideal.sigma_ab @ dagger(rot)
     sigma = (1.0 - noise) * sigma + noise * np.eye(4) / 4
     return DeviceModel(
@@ -1510,43 +1497,6 @@ def _run_trials(name: str, trials: int, work, check, details,
         worst_slack=worst_slack, violations=violations, details=details(acc))
 
 
-def _dagger(m: np.ndarray) -> np.ndarray:
-    """``matcore.dagger`` over a stack: a conjugated copy, transposed as a view."""
-    return m.conj().swapaxes(-1, -2)
-
-
-def _check_finite(m: np.ndarray) -> None:
-    if not np.isfinite(m).all():
-        raise DomainError("matrix contains non-finite entries")
-
-
-def _stacked_sqrt(m: np.ndarray) -> np.ndarray:
-    """``psd_sqrt`` of each matrix of a stack, bit for bit and with its checks."""
-    _check_finite(m)
-    if np.max(np.abs(m - _dagger(m))) > _EQ_TOL:
-        raise DomainError("matrix is not Hermitian within tolerance")
-    w, v = np.linalg.eigh(_herm(m))
-    if w[..., 0].min() < -_PSD_CLAMP:
-        raise DomainError(f"matrix is not PSD: min eigenvalue {w[..., 0].min():.3e}")
-    return (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ _dagger(v)
-
-
-def _stacked_norm(m: np.ndarray) -> np.ndarray:
-    """``operator_norm`` of each matrix of a stack, bit for bit: the square
-    root of the largest eigenvalue of M^dagger M, negative ones read as 0."""
-    _check_finite(m)
-    gram = _dagger(m) @ m
-    w = np.linalg.eigvalsh(_herm(gram))[..., -1]
-    return np.sqrt(np.where(w > 0.0, w, 0.0))
-
-
-def _stacked_kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``np.kron`` of each pair of matrices of two stacks, bit for bit."""
-    out = a[..., :, None, :, None] * b[..., None, :, None, :]
-    rows, cols = a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]
-    return out.reshape(out.shape[:-4] + (rows, cols))
-
-
 def _shape_groups(keys: list) -> dict:
     """Positions in a chunk by shape key, each group in trial order."""
     groups: dict = {}
@@ -1641,19 +1591,16 @@ def verify_norm_lemma(trials: int, max_dim: int = 16, max_terms: int = 8,
         records = [None] * len(drawn)
         for (n_terms, dim), pos in _shape_groups([a.shape[:2] for a in drawn]).items():
             mats = np.array([drawn[p] for p in pos])            # (T, N, dim, dim)
-            roots = _stacked_sqrt(mats)
+            roots = psd_sqrt(mats)
             prods = roots[:, :, None] @ roots[:, None, :]      # sqrt(A_i) sqrt(A_j)
-            lhs = _stacked_norm(sum(mats[:, i] for i in range(n_terms)))
-            l_mat = _stacked_norm(prods)
+            lhs = operator_norm(sum(mats[:, i] for i in range(n_terms)))
+            l_mat = operator_norm(prods)
             rhs = l_mat.sum(axis=1).max(axis=-1)
             k_block = prods.transpose(0, 1, 3, 2, 4).reshape(
                 len(pos), n_terms * dim, n_terms * dim)
-            k_norm = _stacked_norm(k_block)
-            # matcore's norms read L as a complex matrix
-            l_abs = np.abs(l_mat.astype(complex))
-            l_norm = _stacked_norm(l_mat.astype(complex))
-            hoelder = np.sqrt(l_abs.sum(axis=1).max(axis=-1)
-                              * l_abs.sum(axis=2).max(axis=-1))
+            k_norm = operator_norm(k_block)
+            l_norm = operator_norm(l_mat)
+            hoelder = np.sqrt(induced_norm(l_mat, 1) * induced_norm(l_mat, math.inf))
             for row, p in enumerate(pos):
                 records[p] = {"trial": ts[p], "dim": dim, "terms": n_terms,
                               "lhs": float(lhs[row]), "rhs": float(rhs[row]),
@@ -1738,14 +1685,14 @@ def verify_overlap_lemma(trials: int, n: int, d: int,
             proj = np.ones((len(pos), size, size, 1, 1), dtype=complex)
             for k in range(n_use):                    # proj[t, theta, x] = P^theta_x
                 picked = blocks[:, k][:, bits[:, k, None], bits[None, :, k]]
-                proj = _stacked_kron(proj, picked)
+                proj = _kron(proj, picked)
             povms = np.array([drawn[p][1] for p in pos])
             pi = np.zeros((len(pos), size) + (size * d_use,) * 2, dtype=complex)
             for xi in range(size):
-                pi += _stacked_kron(proj[:, :, xi], povms[:, :, xi])
-            roots = _stacked_sqrt(pi)
+                pi += _kron(proj[:, :, xi], povms[:, :, xi])
+            roots = psd_sqrt(pi)
             # lhs[t, theta', theta] = ||sqrt(Pi^theta') sqrt(Pi^theta)||
-            lhs = _stacked_norm(roots[:, :, None] @ roots[:, None, :])
+            lhs = operator_norm(roots[:, :, None] @ roots[:, None, :])
             for row, p in enumerate(pos):
                 betas = drawn[p][0]
                 records[p] = {"trial": ts[p], "n": n_use, "d": d_use,

@@ -24,8 +24,11 @@ from .errors import DimensionCapError, DomainError, NonphysicalViolationError, S
 from .matcore import (
     Array,
     RandomSuite,
+    _herm,
+    _kron,
     check_binary_observable,
     check_density_operator,
+    dagger,
     operator_norm,
     tensor_product,
 )
@@ -161,9 +164,9 @@ def half_width(rounds_per_setting: int, delta: float) -> float:
 
 def _eigenprojectors(obs: Array) -> list[Array]:
     """Projectors onto the +1 and -1 eigenspaces of a binary observable."""
-    w, v = np.linalg.eigh((obs + obs.conj().T) / 2)
+    w, v = np.linalg.eigh(_herm(obs))
     plus, minus = v[:, w >= 0], v[:, w < 0]
-    return [plus @ plus.conj().T, minus @ minus.conj().T]
+    return [plus @ dagger(plus), minus @ dagger(minus)]
 
 
 def _outcome_table(proj_a: np.ndarray, proj_b: np.ndarray, state: Array) -> np.ndarray:
@@ -171,13 +174,10 @@ def _outcome_table(proj_a: np.ndarray, proj_b: np.ndarray, state: Array) -> np.n
     indexed [setting_a, setting_b, x, y].
 
     ``proj_a`` and ``proj_b`` hold each side's projectors, indexed
-    [setting, outcome]. All 16 kron(P^s_x, Q^t_y) are formed at once, by the
-    same broadcast multiply np.kron does (einsum rounds some complex products
-    differently).
+    [setting, outcome]. All 16 kron(P^s_x, Q^t_y) are formed at once, in one
+    stacked Kronecker product.
     """
-    da, db = proj_a.shape[-1], proj_b.shape[-1]
-    krons = (proj_a.reshape(2, 1, 2, 1, da, 1, da, 1)
-             * proj_b.reshape(1, 2, 1, 2, 1, db, 1, db)).reshape(2, 2, 2, 2, da * db, da * db)
+    krons = _kron(proj_a[:, None, :, None], proj_b[None, :, None, :])
     table = np.maximum(np.trace(krons @ state, axis1=-2, axis2=-1).real, 0.0)
     sums = table.sum(axis=(2, 3))
     if np.max(np.abs(sums - 1.0)) > 1e-8:

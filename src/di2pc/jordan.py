@@ -30,12 +30,16 @@ import numpy as np
 from .errors import ArityError, DomainError, ShapeError
 from .matcore import (
     Array,
+    _EQ_TOL,
+    _herm,
     as_matrix,
     check_density_operator,
+    check_povm,
     check_projector,
     dagger,
     matrix_abs,
     psd_sqrt,
+    tensor_product,
 )
 
 __all__ = [
@@ -49,8 +53,6 @@ __all__ = [
     "naimark_dilate",
 ]
 
-# Max entry deviation of p0 + p1 (or e0 + e1) from the identity.
-_COMPLETENESS_TOL = 1e-9
 # Compressed-projector eigenvalues within this of 0 or 1 form 1-dim blocks.
 _ANGLE_CLASS = 1e-8
 # Max entry error of the blocks' reconstruction of the input projectors.
@@ -71,7 +73,7 @@ class BinaryMeasurement:
             raise ShapeError("measurement elements must be square and congruent")
         check_projector(p0)
         check_projector(p1)
-        if np.max(np.abs(p0 + p1 - np.eye(p0.shape[0]))) > _COMPLETENESS_TOL:
+        if np.max(np.abs(p0 + p1 - np.eye(p0.shape[0]))) > _EQ_TOL:
             raise DomainError("binary measurement elements must sum to the identity")
         object.__setattr__(self, "p0", p0)
         object.__setattr__(self, "p1", p1)
@@ -192,7 +194,7 @@ def decompose_pair(m0: BinaryMeasurement, m1: BinaryMeasurement) -> JordanDecomp
     blocks: list[JordanBlock] = []
 
     # Basis of ran(p) from its eigendecomposition.
-    w, v = np.linalg.eigh((p + dagger(p)) / 2)
+    w, v = np.linalg.eigh(_herm(p))
     if np.any((w > delta) & (w < 1 - delta)):
         raise DomainError("first input is not projective within tolerance")
     ran_p = v[:, w > 0.5]
@@ -202,7 +204,7 @@ def decompose_pair(m0: BinaryMeasurement, m1: BinaryMeasurement) -> JordanDecomp
     generic_two: list[Array] = []   # matching |1^0> columns
     if ran_p.shape[1] > 0:
         comp = dagger(ran_p) @ q @ ran_p
-        cw, cv = np.linalg.eigh((comp + dagger(comp)) / 2)
+        cw, cv = np.linalg.eigh(_herm(comp))
         for c, col in zip(cw, (ran_p @ cv).T):
             c = float(min(1.0, max(0.0, c)))
             vec = col / np.linalg.norm(col)
@@ -227,11 +229,11 @@ def decompose_pair(m0: BinaryMeasurement, m1: BinaryMeasurement) -> JordanDecomp
     used = _orthonormal_columns(
         [b.basis_vectors[:, j] for b in blocks for j in range(b.block_dim)], dim)
     rem_proj = np.eye(dim) - used @ dagger(used)
-    rw, rv = np.linalg.eigh((rem_proj + dagger(rem_proj)) / 2)
+    rw, rv = np.linalg.eigh(_herm(rem_proj))
     rem = rv[:, rw > 0.5]
     if rem.shape[1] > 0:
         comp = dagger(rem) @ q @ rem
-        cw, cv = np.linalg.eigh((comp + dagger(comp)) / 2)
+        cw, cv = np.linalg.eigh(_herm(comp))
         for c, col in zip(cw, (rem @ cv).T):
             vec = col / np.linalg.norm(col)
             # Mathematically c must be 0 or 1 here; classify by the nearest.
@@ -298,16 +300,11 @@ def naimark_dilate(povm: list[Array] | tuple[Array, Array]
     """
     if len(povm) != 2:
         raise ArityError(f"naimark_dilate needs exactly 2 POVM elements, got {len(povm)}")
-    e0 = as_matrix(povm[0])
-    e1 = as_matrix(povm[1])
-    if e0.shape != e1.shape or e0.shape[0] != e0.shape[1]:
-        raise ShapeError("POVM elements must be square and congruent")
+    e0, e1 = check_povm(povm)
     d = e0.shape[0]
-    if np.max(np.abs(e0 + e1 - np.eye(d))) > _COMPLETENESS_TOL:
-        raise DomainError("POVM elements must sum to the identity")
     ket0 = np.array([[1.0], [0.0]])
     ket1 = np.array([[0.0], [1.0]])
-    v = np.kron(psd_sqrt(e0), ket0) + np.kron(psd_sqrt(e1), ket1)
-    p0 = np.kron(np.eye(d), np.diag([1.0, 0.0])).astype(complex)
-    p1 = np.kron(np.eye(d), np.diag([0.0, 1.0])).astype(complex)
+    v = tensor_product(psd_sqrt(e0), ket0) + tensor_product(psd_sqrt(e1), ket1)
+    p0 = tensor_product(np.eye(d), np.diag([1.0, 0.0]))
+    p1 = tensor_product(np.eye(d), np.diag([0.0, 1.0]))
     return BinaryMeasurement(p0, p1), v

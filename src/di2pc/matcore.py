@@ -5,18 +5,24 @@ of the package is built on: tensor products with a dimension cap, partial
 traces, a Hermitian eigensolver as the single numerical kernel, matrix square
 root / absolute value, operator and induced norms, structural validators for
 density operators / binary observables / POVMs, a JSON wire encoding, and a
-seeded random ensemble suite for the fuzz tests.
+seeded random ensemble suite for the fuzz tests. It is the package's one
+linear-algebra kernel: no other module forms a conjugate transpose, a
+Hermitian part, a Kronecker product or a Haar isometry by hand.
 
 Conventions
 -----------
 - Matrices are ``numpy.ndarray`` with ``dtype=complex128``, row-major.
+- ``dagger``, ``eig_hermitian``, ``is_hermitian``, ``psd_sqrt``,
+  ``operator_norm`` and ``induced_norm`` take one matrix or a stack of them,
+  shape ``(..., rows, cols)``; on a stack they give per matrix the bytes of
+  the 2-D call, and their checks hold for every matrix of it. A norm is a
+  float for one matrix and an array of shape ``(...)`` for a stack.
 - The operator norm is computed from the eigenvalues of ``M^dagger M``.
 - Eigenvalues of nearly-PSD operators in ``[-_PSD_CLAMP, 0)`` are clamped to 0.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from typing import Iterable, Sequence
 
@@ -52,8 +58,6 @@ __all__ = [
     "check_binary_observable",
     "check_projector",
     "check_povm",
-    "matrix_to_json",
-    "matrix_from_json",
     "matrix_to_obj",
     "matrix_from_obj",
     "RandomSuite",
@@ -61,18 +65,55 @@ __all__ = [
 ]
 
 
-def as_matrix(m: object) -> Array:
-    """Coerce to a finite 2-D complex array; reject NaN/Inf entries."""
+def _as_stack(m: object) -> Array:
+    """Coerce to a finite complex matrix or stack of them; reject NaN/Inf."""
     a = np.asarray(m, dtype=complex)
-    if a.ndim != 2:
-        raise ShapeError(f"expected a 2-D matrix, got ndim={a.ndim}")
+    if a.ndim < 2:
+        raise ShapeError(f"expected a matrix or a stack of them, got ndim={a.ndim}")
     if not np.isfinite(a).all():
         raise DomainError("matrix contains non-finite entries")
     return a
 
 
+def as_matrix(m: object) -> Array:
+    """Coerce to a finite 2-D complex array; reject NaN/Inf entries."""
+    a = np.asarray(m, dtype=complex)
+    if a.ndim != 2:
+        raise ShapeError(f"expected a 2-D matrix, got ndim={a.ndim}")
+    return _as_stack(a)
+
+
+def _per_matrix(values: Array, ndim: int) -> float | Array:
+    """A float for one matrix (``ndim`` 2), else the array over the stack."""
+    return float(values) if ndim == 2 else values
+
+
 def dagger(m: Array) -> Array:
-    return np.asarray(m).conj().T
+    """Conjugate transpose of a matrix or of each matrix of a stack."""
+    return np.asarray(m).conj().swapaxes(-1, -2)
+
+
+def _herm(m: Array) -> Array:
+    """Hermitian part (M + M^dagger) / 2 of a matrix or a stack, unchecked."""
+    return (m + dagger(m)) / 2
+
+
+def _kron(a: Array, b: Array) -> Array:
+    """``np.kron`` of each pair of matrices of two broadcast stacks, the same
+    products in the same order, so bit for bit; unchecked, and in the input
+    dtypes."""
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    s = out.shape
+    return out.reshape(s[:-4] + (s[-4] * s[-3], s[-2] * s[-1]))
+
+
+def _isometry(a: Array) -> Array:
+    """Q factor of the QR decomposition of a matrix or of each matrix of a
+    stack, its column phases fixed so that R has a positive diagonal: Haar
+    distributed for a Ginibre input."""
+    q, r = np.linalg.qr(a)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[..., None, :]
 
 
 def tensor_product(a: Array, b: Array, max_dim: int = DIMENSION_CAP) -> Array:
@@ -85,7 +126,7 @@ def tensor_product(a: Array, b: Array, max_dim: int = DIMENSION_CAP) -> Array:
         raise DimensionCapError(
             f"tensor product would be {rows}x{cols}, above the cap {max_dim}"
         )
-    return np.kron(a, b)
+    return _kron(a, b)
 
 
 def partial_trace(rho: Array, dims: Sequence[int], keep: Iterable[int]) -> Array:
@@ -118,77 +159,74 @@ def partial_trace(rho: Array, dims: Sequence[int], keep: Iterable[int]) -> Array
 
 
 def eig_hermitian(m: Array) -> tuple[Array, Array]:
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a Hermitian matrix or of each matrix of a stack.
 
     Returns ``(w, v)`` with eigenvalues ascending and orthonormal eigenvector
-    columns, so ``m = v @ diag(w) @ v^dagger``. Raises ``DomainError`` if the
-    input is not Hermitian within ``_EQ_TOL`` (max entry deviation).
+    columns, so ``m = v @ diag(w) @ v^dagger``. Raises ``DomainError`` if any
+    input matrix is not Hermitian within ``_EQ_TOL`` (max entry deviation).
     """
-    m = as_matrix(m)
-    if m.shape[0] != m.shape[1]:
+    m = _as_stack(m)
+    if m.shape[-2] != m.shape[-1]:
         raise ShapeError("eig_hermitian needs a square matrix")
     if not is_hermitian(m):
         raise DomainError("matrix is not Hermitian within tolerance")
-    w, v = np.linalg.eigh((m + dagger(m)) / 2)
-    return w, v
+    return np.linalg.eigh(_herm(m))
 
 
 def is_hermitian(m: Array, tol: float = _EQ_TOL) -> bool:
+    """Whether a square matrix, or every matrix of a stack, is Hermitian
+    within ``tol`` (max entry deviation)."""
     m = np.asarray(m)
-    return m.shape[0] == m.shape[1] and np.max(np.abs(m - dagger(m))) <= tol
+    return m.shape[-2] == m.shape[-1] and np.max(np.abs(m - dagger(m))) <= tol
 
 
-def operator_norm(m: Array) -> float:
+def operator_norm(m: Array) -> float | Array:
     """Largest singular value, computed from the eigenvalues of M^dagger M."""
-    m = as_matrix(m)
-    if m.size == 0:
-        return 0.0
-    gram = dagger(m) @ m
-    w = np.linalg.eigvalsh((gram + dagger(gram)) / 2)
-    return float(math.sqrt(max(0.0, float(w[-1]))))
+    m = _as_stack(m)
+    if m.shape[-1] == 0:
+        return _per_matrix(np.zeros(m.shape[:-2]), m.ndim)
+    w = np.linalg.eigvalsh(_herm(dagger(m) @ m))[..., -1]
+    return _per_matrix(np.sqrt(np.where(w > 0.0, w, 0.0)), m.ndim)
 
 
 def trace_norm(m: Array) -> float:
     """Schatten 1-norm; for Hermitian input the sum of |eigenvalues|."""
     m = as_matrix(m)
     if is_hermitian(m):
-        w = np.linalg.eigvalsh((m + dagger(m)) / 2)
-        return float(np.sum(np.abs(w)))
+        return float(np.sum(np.abs(np.linalg.eigvalsh(_herm(m)))))
     return float(np.sum(np.linalg.svd(m, compute_uv=False)))
 
 
-def induced_norm(m: Array, p: float) -> float:
+def induced_norm(m: Array, p: float) -> float | Array:
     """Induced vector-p norm for p=1 (max column sum) or p=inf (max row sum)."""
-    m = as_matrix(m)
-    a = np.abs(m)
-    if p == 1:
-        return float(np.max(a.sum(axis=0))) if m.size else 0.0
-    if p == math.inf:
-        return float(np.max(a.sum(axis=1))) if m.size else 0.0
-    raise DomainError("induced_norm supports p=1 and p=inf only")
+    a = np.abs(_as_stack(m))
+    if p not in (1, math.inf):
+        raise DomainError("induced_norm supports p=1 and p=inf only")
+    if 0 in a.shape[-2:]:
+        return _per_matrix(np.zeros(a.shape[:-2]), a.ndim)
+    return _per_matrix(a.sum(axis=-2 if p == 1 else -1).max(axis=-1), a.ndim)
 
 
 def psd_sqrt(m: Array) -> Array:
-    """Principal square root of a PSD matrix.
+    """Principal square root of a PSD matrix or of each matrix of a stack.
 
     Eigenvalues in ``[-_PSD_CLAMP, 0)`` are treated as roundoff and clamped
-    to zero; anything more negative raises ``DomainError``.
+    to zero; anything more negative, in any matrix, raises ``DomainError``.
     """
     w, v = eig_hermitian(m)
-    if w[0] < -_PSD_CLAMP:
-        raise DomainError(f"matrix is not PSD: min eigenvalue {w[0]:.3e}")
-    w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)) @ dagger(v)
+    low = w[..., 0].min()
+    if low < -_PSD_CLAMP:
+        raise DomainError(f"matrix is not PSD: min eigenvalue {low:.3e}")
+    return (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ dagger(v)
 
 
 def matrix_abs(m: Array) -> Array:
     """|M| = sqrt(M^dagger M); for Hermitian input via eigenvalue absolute values."""
     m = as_matrix(m)
     if is_hermitian(m):
-        w, v = np.linalg.eigh((m + dagger(m)) / 2)
+        w, v = np.linalg.eigh(_herm(m))
         return (v * np.abs(w)) @ dagger(v)
-    gram = dagger(m) @ m
-    w, v = np.linalg.eigh((gram + dagger(gram)) / 2)
+    w, v = np.linalg.eigh(_herm(dagger(m) @ m))
     return (v * np.sqrt(np.clip(w, 0.0, None))) @ dagger(v)
 
 
@@ -203,7 +241,7 @@ def check_density_operator(rho: Array) -> Array:
         raise ShapeError("density operator must be square")
     if not is_hermitian(rho, _STATE_TOL):
         raise DomainError("density operator is not Hermitian within tolerance")
-    w = np.linalg.eigvalsh((rho + dagger(rho)) / 2)
+    w = np.linalg.eigvalsh(_herm(rho))
     if w[0] < -_STATE_TOL:
         raise DomainError(f"density operator has eigenvalue {w[0]:.3e} < 0")
     tr = float(np.trace(rho).real)
@@ -243,7 +281,7 @@ def check_povm(elements: Sequence[Array]) -> list[Array]:
             raise ShapeError("POVM elements must share one square dimension")
         if not is_hermitian(e):
             raise DomainError("POVM element is not Hermitian")
-        w = np.linalg.eigvalsh((e + dagger(e)) / 2)
+        w = np.linalg.eigvalsh(_herm(e))
         if w[0] < -_STATE_TOL:
             raise DomainError(f"POVM element has eigenvalue {w[0]:.3e} < 0")
     total = sum(mats)
@@ -275,14 +313,6 @@ def matrix_from_obj(obj: dict) -> Array:
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ShapeError(f"malformed matrix object: {exc}") from exc
     return as_matrix(flat.reshape(rows, cols))
-
-
-def matrix_to_json(m: Array) -> str:
-    return json.dumps(matrix_to_obj(m))
-
-
-def matrix_from_json(s: str) -> Array:
-    return matrix_from_obj(json.loads(s))
 
 
 # ---------------------------------------------------------------------------
@@ -324,9 +354,7 @@ class RandomSuite:
 
     def unitary(self, dim: int) -> Array:
         """Haar-random unitary via QR of a Ginibre matrix with phase fixing."""
-        q, r = np.linalg.qr(self.ginibre(dim, dim))
-        d = np.diagonal(r)
-        return q * (d / np.abs(d))
+        return _isometry(self.ginibre(dim, dim))
 
     def pure_state(self, dim: int) -> Array:
         v = self.ginibre(dim, 1)[:, 0]
@@ -357,7 +385,7 @@ class RandomSuite:
         gs = [self.ginibre(dim, dim) for _ in range(n_elements)]
         ws = [g @ dagger(g) for g in gs]
         total = sum(ws)
-        w, v = np.linalg.eigh((total + dagger(total)) / 2)
+        w, v = np.linalg.eigh(_herm(total))
         if w[0] <= 0:
             raise DomainError("degenerate draw while normalizing a random POVM")
         inv_sqrt = (v / np.sqrt(w)) @ dagger(v)

@@ -39,6 +39,7 @@ from .matcore import (
     matrix_from_obj,
     matrix_to_obj,
     partial_trace,
+    tensor_product,
 )
 
 __all__ = [
@@ -112,7 +113,7 @@ class DeviceModel:
         """State after the B wire: (id x Dep_q) applied to sigma_AB."""
         if self.noise_q == 0.0:
             return self.sigma_ab
-        mixed_b = np.kron(self.sigma_a, np.eye(self.dim_b) / self.dim_b)
+        mixed_b = tensor_product(self.sigma_a, np.eye(self.dim_b) / self.dim_b)
         return (1.0 - self.noise_q) * self.sigma_ab + self.noise_q * mixed_b
 
     def chsh_setup(self) -> ChshSetup:

@@ -16,9 +16,7 @@ from di2pc.adversary import (
     _dual_operator,
     _dual_upper,
     _GameContext,
-    _haar_isometry,
     _ipm_single,
-    _isometry,
     _polish,
     _qubit_optimum,
     _score_strategies,
@@ -42,7 +40,7 @@ from di2pc.adversary import (
 from di2pc.bounds import bound_perfect
 from di2pc.errors import DimensionCapError, DomainError, StrategyError
 from di2pc.jordan import BinaryMeasurement, epsilon_plus_direct
-from di2pc.matcore import RandomSuite, child_seed, partial_trace, trace_norm
+from di2pc.matcore import RandomSuite, _isometry, child_seed, partial_trace, trace_norm
 from di2pc.protocols import DeviceModel, ideal_bb84_device
 
 COS2_PI8 = math.cos(math.pi / 8) ** 2
@@ -354,7 +352,7 @@ _SEARCH_VALUES_BEFORE = {
 def test_search_value_no_weaker_than_fixed_point():
     for (gamma, dev_seed, iso_seed), before in _SEARCH_VALUES_BEFORE.items():
         ctx = _GameContext(random_qubit_device(RandomSuite(dev_seed)), 2, gamma)
-        v = _haar_isometry(RandomSuite(iso_seed), 8, 4)
+        v = _isometry(RandomSuite(iso_seed).ginibre(8, 4))
         value = _search_values(ctx, v[None], 2)[0]
         g = ctx.rewards(GeneralEncoding.from_isometry(v, 2))
         _, upper, _, _ = _discriminate_batch(g, tol=1e-12)
@@ -556,7 +554,7 @@ def test_isometry_rewards_equal_stacked_encoding_rewards():
         for trial in range(3):
             ctx = _GameContext(random_qubit_device(rs.child(10 * n + trial)), n, gamma)
             for count in range(1, 5):
-                v = np.stack([_haar_isometry(rs.child(100 * count + i), d * dim_in, dim_in)
+                v = np.stack([_isometry(rs.child(100 * count + i).ginibre(d * dim_in, dim_in))
                               for i in range(count)])
                 want = np.concatenate([ctx.rewards(GeneralEncoding.from_isometry(vi, d))
                                        for vi in v])
@@ -706,8 +704,7 @@ def test_product_decoders_are_povms_that_achieve_the_value():
                            StoreSubset(keep=tuple(range(n)))]
             ctx = _GameContext(device, n, gamma)
             for strat in strats:
-                res = exact_win_probability(device, strat, n, strat.memory_dim(2, n),
-                                            gamma, want_decoders=True, _ctx=ctx)
+                res = _score_strategies(ctx, [strat], want_decoders=True)[0]
                 f = np.array([res.decoders[key] for key in ctx.keys])
                 f = f.reshape(-1, *f.shape[2:])          # as the rewards stack them
                 eye = np.eye(f.shape[-1])
@@ -924,7 +921,7 @@ def _one_step_seesaw(device, n, d, restarts, seed, gamma, iters):
     structured = _structured_isometries(device, n, d, dim_in)
     suites = [RandomSuite(child_seed(seed, r)) for r in range(restarts)]
     v = np.stack([structured[r] if r < len(structured)
-                  else _haar_isometry(suites[r], d * dim_in, dim_in)
+                  else _isometry(suites[r].ginibre(d * dim_in, dim_in))
                   for r in range(restarts)])
     val = _search_values(ctx, v, d)
     step = np.full(restarts, 0.35)

@@ -9,6 +9,9 @@ import pytest
 from di2pc.errors import DimensionCapError, DomainError, ShapeError
 from di2pc.matcore import (
     RandomSuite,
+    _herm,
+    _isometry,
+    _kron,
     as_matrix,
     check_binary_observable,
     check_density_operator,
@@ -17,9 +20,10 @@ from di2pc.matcore import (
     dagger,
     eig_hermitian,
     induced_norm,
+    is_hermitian,
     matrix_abs,
-    matrix_from_json,
-    matrix_to_json,
+    matrix_from_obj,
+    matrix_to_obj,
     operator_norm,
     partial_trace,
     psd_sqrt,
@@ -231,17 +235,17 @@ def test_observable_check():
 def test_json_roundtrip():
     rs = RandomSuite(47)
     m = rs.ginibre(3, 5)
-    s = matrix_to_json(m)
+    s = json.dumps(matrix_to_obj(m))
     obj = json.loads(s)
     assert obj["rows"] == 3 and obj["cols"] == 5
     assert len(obj["data"]) == 15
-    back = matrix_from_json(s)
+    back = matrix_from_obj(json.loads(s))
     assert np.max(np.abs(back - m)) == 0.0
 
 
 def test_json_rejects_malformed():
     with pytest.raises(ShapeError):
-        matrix_from_json(json.dumps({"rows": 2, "cols": 2, "data": [[1, 0]]}))
+        matrix_from_obj(json.loads(json.dumps({"rows": 2, "cols": 2, "data": [[1, 0]]})))
 
 
 def test_random_density_operators_large_fuzz():
@@ -292,3 +296,108 @@ def test_as_matrix_rejects_non_finite_real_or_imaginary_part(bad):
     with pytest.raises(DomainError):
         as_matrix(m)
     assert np.array_equal(as_matrix(np.eye(2) + 1e308j), np.eye(2) + 1e308j)
+
+
+# ---------------------------------------------------------------------------
+# stacks: one call on (..., d, d) gives, matrix by matrix, the 2-D call's bytes
+# ---------------------------------------------------------------------------
+
+_PER_MATRIX = {
+    "dagger": dagger,
+    "herm": _herm,
+    "eig_hermitian.w": lambda m: eig_hermitian(m)[0],
+    "eig_hermitian.v": lambda m: eig_hermitian(m)[1],
+    "psd_sqrt": psd_sqrt,
+    "operator_norm": operator_norm,
+    "induced_norm.1": lambda m: induced_norm(m, 1),
+    "induced_norm.inf": lambda m: induced_norm(m, math.inf),
+    "isometry": _isometry,
+}
+# The primitives that take any matrix, not only a Hermitian or a PSD one.
+_GENERAL = ("dagger", "herm", "operator_norm", "induced_norm.1", "induced_norm.inf",
+            "isometry")
+
+
+def _psd_stack(seed: int, shape: tuple, dim: int) -> np.ndarray:
+    rs = RandomSuite(seed)
+    return np.array([rs.psd(dim) for _ in range(math.prod(shape))]).reshape(
+        shape + (dim, dim))
+
+
+@pytest.mark.parametrize("name", list(_PER_MATRIX))
+@pytest.mark.parametrize("dim", [1, 3, 8])
+@pytest.mark.parametrize("shape", [(5,), (2, 3)])
+def test_stack_call_equals_per_matrix_calls(name, dim, shape):
+    fn = _PER_MATRIX[name]
+    stacks = [_psd_stack(71 + dim, shape, dim)]
+    if name in _GENERAL:
+        stacks.append(RandomSuite(73 + dim).ginibre(math.prod(shape) * dim, dim)
+                      .reshape(shape + (dim, dim)))
+    for stack in stacks:
+        whole = np.asarray(fn(stack))
+        assert whole.shape[:len(shape)] == shape
+        for idx in np.ndindex(*shape):
+            single = fn(stack[idx])
+            assert np.asarray(single).dtype == whole.dtype
+            assert whole[idx].tobytes() == np.asarray(single).tobytes(), (name, idx)
+
+
+def test_stack_norms_are_arrays_and_matrix_norms_floats():
+    stack = _psd_stack(79, (4,), 3)
+    for fn in (operator_norm, lambda m: induced_norm(m, 1)):
+        assert type(fn(stack[0])) is float
+        assert isinstance(fn(stack), np.ndarray) and fn(stack).shape == (4,)
+
+
+def test_kron_of_stacks_equals_np_kron_per_pair():
+    rs = RandomSuite(83)
+    a = rs.ginibre(4 * 2, 3).reshape(4, 2, 3)
+    b = rs.ginibre(4 * 3, 2).reshape(4, 3, 2)
+    out = _kron(a, b)
+    assert out.shape == (4, 6, 6)
+    for i in range(4):
+        assert out[i].tobytes() == np.kron(a[i], b[i]).tobytes()
+    # broadcast leading axes, and a real factor kept real in the product
+    eye = np.eye(2)
+    assert _kron(a[:, None], eye).shape == (4, 1, 4, 6)
+    assert _kron(a[1], eye).tobytes() == np.kron(a[1], eye).tobytes()
+    assert tensor_product(a[2], b[3]).tobytes() == np.kron(a[2], b[3]).tobytes()
+
+
+def test_is_hermitian_on_a_stack_needs_every_matrix():
+    stack = _psd_stack(89, (3,), 4)
+    assert is_hermitian(stack)
+    stack[1, 0, 1] += 1e-6
+    assert not is_hermitian(stack)
+    assert is_hermitian(stack[0]) and not is_hermitian(stack[1])
+
+
+def _spoil(stack: np.ndarray, how: str) -> np.ndarray:
+    bad = stack.copy()
+    if how == "non-finite":
+        bad[-1, 0, 0] = complex(math.nan, 0.0)
+    elif how == "non-Hermitian":
+        bad[-1, 0, 1] += 1e-3
+    else:           # non-PSD
+        bad[-1] -= 2.0 * operator_norm(bad[-1]) * np.eye(bad.shape[-1])
+    return bad
+
+
+_CHECKED = {
+    "non-finite": ("eig_hermitian.w", "psd_sqrt", "operator_norm", "induced_norm.1"),
+    "non-Hermitian": ("eig_hermitian.w", "psd_sqrt"),
+    "non-PSD": ("psd_sqrt",),
+}
+
+
+@pytest.mark.parametrize("how,name", [(how, name) for how, names in _CHECKED.items()
+                                      for name in names])
+def test_stack_call_rejects_one_bad_matrix_as_the_2d_call(how, name):
+    fn = _PER_MATRIX[name]
+    bad = _spoil(_psd_stack(97, (4,), 3), how)
+    with pytest.raises(Exception) as single:
+        fn(bad[-1])
+    assert single.type is DomainError
+    with pytest.raises(single.type):
+        fn(bad)
+    fn(bad[:-1])                # the other matrices alone pass

@@ -155,8 +155,7 @@ def test_product_attacks_equal_dense_certified_path(point):
     for strategy in strategies:
         with mock.patch.object(adversary, "_discriminate_batch",
                                side_effect=AssertionError("solver reached")):
-            res = adversary.exact_win_probability(
-                device, strategy, n, strategy.memory_dim(2, n), gamma, _ctx=ctx)
+            res = adversary._score_strategies(ctx, [strategy])[0]
         lower, upper = _dense_bracket(ctx, strategy)
         got = np.array([res.per_theta[key] for key in ctx.keys])
         assert list(res.per_theta) == list(ctx.keys)
