@@ -1,7 +1,8 @@
 """Device-independent bounded-storage security toolkit.
 
 Library + CLI for CHSH-certified security analysis of weak string erasure
-and position verification against bounded/noisy quantum storage: Jordan
+and position verification against adversaries whose quantum memory has a
+bounded dimension d (no storage channel is modelled): Jordan
 block analysis of binary measurement pairs, closed-form cheating bounds,
 honest protocol simulation, and exact desk-scale adversary evaluation that
 checks the bounds against concrete attacks.

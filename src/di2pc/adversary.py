@@ -28,7 +28,9 @@ chunk by one loop (``_run_trials``); the norm and overlap verifiers take the
 roots and norms of a chunk's trials of one shape in one stacked call each.
 The key-lemma fuzz scores its strategy family in one call
 (``_score_strategies``): the product attacks round by round, the rest in
-one certified solver call per reward shape. The search's
+one certified solver call per reward shape. At n = d = 1 it adds the exact
+optimum, one guessing problem with post-measurement information per device
+(``_memoryless_optimum``), and elsewhere the see-saw. The search's
 restarts climb together, and one solver call scores several steps ahead of
 every live restart, their rewards built straight from the stacked
 isometries. There every qubit problem, with any number of guesses, goes
@@ -37,7 +39,8 @@ sets, pairs first, ``_qubit_optimum``), one call for the whole batch; only
 the problems whose closed-form gap check fails go on to the certified path
 above. The winner is scored once more the same way: its value is achieved
 by the returned POVM and its bound is the outward-rounded dual, so it
-carries its own certificate. Only the see-saw enters the closed form.
+carries its own certificate. Only the see-saw and the memoryless optimum
+enter the closed form.
 """
 
 from __future__ import annotations
@@ -777,9 +780,10 @@ def _discriminate_batch(g: np.ndarray, tol: float = 1e-9, qubit_first: bool = Fa
     batch: dominated outcomes dropped, closed forms for one and two kept
     outcomes, the fixed point and its fallback (one schedule, see
     ``_fixed_point``) for the rest. With ``qubit_first`` (the see-saw's
-    scoring) every qubit problem goes to the closed form ``_qubit_optimum``
-    first, on all its outcomes and all in one call, and only the problems
-    whose gap there exceeds ``tol`` go on to ``_pruned``. Soundness does not
+    scoring and the memoryless optimum) every qubit problem goes to the
+    closed form ``_qubit_optimum`` first, on all its outcomes and all in one
+    call, and only the problems whose gap there exceeds ``tol`` go on to
+    ``_pruned``. Soundness does not
     rest on either: a wrong drop or a wrong root can only widen the
     certified gap.
     """
@@ -894,6 +898,16 @@ def _basis_strings(n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[str, ...]
     return thetas, tuple("".join(map(str, theta)) for theta in thetas), bits
 
 
+@lru_cache(maxsize=None)
+def _spread_identity(dim: int) -> np.ndarray:
+    """The dim x dim identity shaped (dim, 1, dim), so that A[..., :, None,
+    :, None] times it is kron(A, I) before its reshape; shared between
+    contexts, so it cannot be written."""
+    eye = np.eye(dim)[:, None, :]
+    eye.flags.writeable = False
+    return eye
+
+
 class _GameContext:
     """Strategy-independent game data for one (device, n, gamma) triple.
 
@@ -912,10 +926,14 @@ class _GameContext:
         self.radius = math.floor(gamma * n)
         self.thetas, self.keys, self.bits = _basis_strings(n)
         # tr_A[(P^t_x (x) I) sigma_AB] for all four projectors at once: one
-        # stacked product, and no re-validation of the device's fields
+        # stacked product, and no re-validation of the device's fields. The
+        # Kronecker products are ``_kron``'s broadcast, the same products
+        # bit for bit, against a shared identity.
         da, db = device.dim_a, device.dim_b
-        p = np.array([[m.p0, m.p1] for m in (device.alice_meas_0, device.alice_meas_1)])
-        krons = _kron(p, np.eye(db))
+        m0, m1 = device.alice_meas_0, device.alice_meas_1
+        p = np.array(((m0.p0, m0.p1), (m1.p0, m1.p1)))
+        krons = (p[..., :, None, :, None] * _spread_identity(db)).reshape(
+            2, 2, da * db, da * db)
         self.table = np.trace((krons @ device.sigma_ab).reshape(2, 2, da, db, da, db),
                               axis1=2, axis2=4)
         self._dense = None       # (thetas, outcomes, Din, Din), built on first use
@@ -1505,18 +1523,42 @@ def _shape_groups(keys: list) -> dict:
     return groups
 
 
-# The see-saw the key-lemma fuzz runs on every device whose bound is below 1.
+# The see-saw the key-lemma fuzz runs where n or d exceeds 1, on every device
+# whose bound is below 1.
 _KEY_LEMMA_RESTARTS = 2
 _KEY_LEMMA_ITERS = 30
 
 
+def _memoryless_optimum(ctx: _GameContext) -> tuple[float, float, bool]:
+    """The optimal value of the one-round game with no quantum memory, as
+    (value, certified gap, converged).
+
+    Bob's best attack is one POVM whose outcome is a guess table f: Theta ->
+    X, read once theta is announced: guessing with post-measurement
+    information (Gopal & Wehner, PRA 82, 022326, 2010). Its value is the
+    optimum of one discrimination problem with a guess per table, W_f = 1/2
+    sum_theta table[theta, f(theta)], which ``_discriminate_batch`` certifies
+    (the closed form on a qubit, ``_pruned`` where its gap check fails). One
+    problem per call, so that a trial's value does not depend on its
+    neighbours (a batch sums each problem's value in an order set by its
+    size).
+    """
+    t = ctx.table
+    w = (t[0][:, None] + t[1][None, :]).reshape(-1, *t.shape[2:]) / 2
+    lower, upper, _, conv = _discriminate_batch(w[None], qubit_first=True)
+    return float(lower[0]), float(max(0.0, upper[0] - lower[0])), conv
+
+
 def verify_key_lemma(trials: int, n: int, d: int, gamma: float = 0.0,
                      seed: int = 0) -> VerificationReport:
-    """Pit strategy families and see-saw attacks against B'(n, d, eps_+, gamma).
+    """Pit strategy families and stronger attacks against B'(n, d, eps_+, gamma).
 
-    The certificate uses the device's exact effective anti-commutator, the
-    sharpest value the proof supports, so any CHSH-derived zeta >= eps_+
-    passes a fortiori. A violation report carries the offending device.
+    The stronger attack is the exact optimum at n = d = 1 (no quantum
+    memory, ``_memoryless_optimum``) and the see-saw search elsewhere; it
+    runs on every device whose bound is below 1. The certificate uses the
+    device's exact effective anti-commutator, the sharpest value the proof
+    supports, so any CHSH-derived zeta >= eps_+ passes a fortiori. A
+    violation report carries the offending device.
     """
     if n > 2 or d > 2:
         raise DimensionCapError("key-lemma fuzz is capped at n <= 2, d <= 2")
@@ -1530,22 +1572,22 @@ def verify_key_lemma(trials: int, n: int, d: int, gamma: float = 0.0,
         ctx = _GameContext(device, n, gamma)
         family = [s for s in strategy_family(n, d, device.dim_b, suite)
                   if s.memory_dim(device.dim_b, n) <= d]
-        best: GuessResult | None = None
-        best_kind = ""
-        for strat, res in zip(family, _score_strategies(ctx, family)):
-            if best is None or res.win_prob > best.win_prob:
-                best, best_kind = res, strat.kind
+        # (value, gap, converged, kind) per attack; the first best one wins
+        scored = [(res.win_prob, res.certified_gap, res.converged, strat.kind)
+                  for strat, res in zip(family, _score_strategies(ctx, family))]
         # A saturated bound (B' = 1) cannot be challenged by any probability;
-        # the see-saw search only adds information below it.
-        if bound < 1.0:
+        # a stronger attack only adds information below it.
+        if bound < 1.0 and n == d == 1:
+            scored.append((*_memoryless_optimum(ctx), "optimum"))
+        elif bound < 1.0:
             res, _enc = seesaw_search(device, n, d, restarts=_KEY_LEMMA_RESTARTS,
                                       seed=int(suite.rng.integers(2 ** 32)),
                                       gamma=gamma, iters=_KEY_LEMMA_ITERS, _ctx=ctx)
-            if res.win_prob > best.win_prob:
-                best, best_kind = res, "seesaw"
+            scored.append((res.win_prob, res.certified_gap, res.converged, "seesaw"))
+        win, gap, converged, kind = max(scored, key=lambda s: s[0])
         return {"trial": trial, "epsilon_plus": eps, "bound": bound,
-                "win_prob": best.win_prob, "strategy": best_kind, "device": device,
-                "certified_gap": best.certified_gap, "converged": best.converged}
+                "win_prob": win, "strategy": kind, "device": device,
+                "certified_gap": gap, "converged": converged}
 
     def check(rec: dict):
         bound, best_win = rec["bound"], rec["win_prob"]

@@ -737,6 +737,24 @@ def test_measured_optimum_equals_stacked_numpy_form():
             assert guess == p[i].argmax(axis=2).tolist()
 
 
+def test_game_table_equals_kron_formula_bit_for_bit():
+    # the per-round table tr_A[(P^t_x (x) I) sigma_AB], as the chained
+    # np.kron of each projector with the identity gives it
+    rs = RandomSuite(437)
+    devices = [random_qubit_device(rs.child(i)) for i in range(120)]
+    devices += [adversary.random_rotated_ideal_device(rs.child(200 + i))
+                for i in range(20)]
+    devices += [ideal_bb84_device(), _mixed_device(), _qutrit_device()]
+    for device in devices:
+        da, db = device.dim_a, device.dim_b
+        krons = np.array([[np.kron(p, np.eye(db)) for p in (m.p0, m.p1)]
+                          for m in (device.alice_meas_0, device.alice_meas_1)])
+        table = np.trace((krons @ device.sigma_ab).reshape(2, 2, da, db, da, db),
+                         axis1=2, axis2=4)
+        got = _GameContext(device, 1, 0.0).table
+        assert got.dtype == table.dtype and got.tobytes() == table.tobytes()
+
+
 def test_product_decoders_take_the_first_guess_on_a_tie():
     # on the maximally mixed device both outcomes of every measured round are
     # equally likely; like argmax, MAP then guesses 0 on every branch
@@ -1029,6 +1047,52 @@ def test_verify_key_lemma_deterministic_and_threaded():
     a = verify_key_lemma(6, 1, 2, seed=29)
     b = verify_key_lemma(6, 1, 2, seed=29)
     assert a.max_ratio == b.max_ratio
+
+
+def test_memoryless_optimum_on_ideal_device_is_monogamy_value():
+    # guessing with post-measurement information on the ideal device is the
+    # monogamy game, worth cos^2(pi/8) = B(1, 1, 0)
+    value, gap, converged = adversary._memoryless_optimum(
+        _GameContext(ideal_bb84_device(), 1, 0.0))
+    assert abs(value - COS2_PI8) <= 1e-12
+    assert 0.0 <= gap <= 1e-12 and converged
+
+
+def test_memoryless_optimum_bounds_every_attack_and_is_bounded_by_b_prime():
+    from di2pc.bounds import bound_imperfect
+    problems, values, uppers = [], [], []
+    for trial in range(120):
+        suite = RandomSuite(child_seed(461, trial))
+        device = random_qubit_device(suite)
+        ctx = _GameContext(device, 1, 0.0)
+        # one guess per table f: Theta -> X, W_f = (T[0, f(0)] + T[1, f(1)]) / 2
+        w = np.array([[(ctx.table[0, f0] + ctx.table[1, f1]) / 2
+                       for f0, f1 in itertools.product((0, 1), repeat=2)]])
+        value, gap, converged = adversary._memoryless_optimum(ctx)
+        upper = value + gap
+        assert converged
+        # a stop, not a tolerance: the optimum past B' would refute the bound
+        eps = epsilon_plus_direct(device.alice_meas_0, device.alice_meas_1,
+                                  device.sigma_a)
+        bound = bound_imperfect(1, 1, eps, 0.0)
+        assert value <= bound + adversary._WIN_SLACK, device.to_obj()
+        # every attack is one POVM on Bob's qubit, so none beats the optimum
+        family = strategy_family(1, 1, 2, suite)
+        for strat, res in zip(family, _score_strategies(ctx, family)):
+            assert res.win_prob <= upper + 1e-12, (trial, strat)
+        res, _ = seesaw_search(device, 1, 1, restarts=2, seed=trial, iters=30)
+        assert res.win_prob <= upper + 1e-12, trial
+        # the optimum is the closed form of its own problem, built apart
+        lower_q, _, _, _ = _discriminate_batch(w, qubit_first=True)
+        assert value == lower_q[0]
+        problems.append(w[0])
+        values.append(value)
+        uppers.append(upper)
+    # the general certified path, without the closed form, brackets the same
+    # optima: each pair of certified intervals overlaps
+    lower_g, upper_g, _, conv_g = _discriminate_batch(np.array(problems))
+    assert conv_g
+    assert np.all(lower_g <= np.array(uppers)) and np.all(np.array(values) <= upper_g)
 
 
 def test_verify_norm_lemma_single_term_equality():

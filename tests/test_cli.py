@@ -563,7 +563,7 @@ _SHAPE_GOLDENS = [
             "--gamma", "0.5"],
      "14c7fd5b195078525207c31878a78ec98411b529ab4e6ecbbcfd239b425db158"),
     (None, ["--seed", "1", "verify", "all", "--trials", "4"],
-     "c12818b5c6975d88fa98b8001757075910f032f5b5f62a3a9a3514db693aa1ac"),
+     "aef56f09578dd7723d64b09a1fc9399b1f408b5231252c3febf9beaf08b04b15"),
 ]
 
 
@@ -656,13 +656,14 @@ def test_verify_key_lemma_unconverged_exit_code(capsys, monkeypatch):
         return lower, upper + 1.0, f, False
     monkeypatch.setattr(adversary, "_discriminate_batch", unconverged)
     # with one error allowed, stored rounds are scored by the solver: product
-    # attacks at gamma = 0 or with every round measured never reach it
-    code, out, _ = run_cli(capsys, "verify", "key-lemma", "--trials", "2",
-                           "--n", "2", "--d", "2", "--gamma", "0.5")
-    payload = json.loads(out)
-    assert code == 3
-    assert payload["passed"] is True
-    assert payload["reports"][0]["details"]["converged"] is False
+    # attacks at gamma = 0 or with every round measured never reach it; at
+    # n = d = 1 only the exact memoryless optimum does
+    for flags in (("--n", "2", "--d", "2", "--gamma", "0.5"), ("--n", "1", "--d", "1")):
+        code, out, _ = run_cli(capsys, "verify", "key-lemma", "--trials", "2", *flags)
+        payload = json.loads(out)
+        assert code == 3
+        assert payload["passed"] is True
+        assert payload["reports"][0]["details"]["converged"] is False
 
 
 def test_simulate_rounds_capped_before_work(capsys, device_file):
