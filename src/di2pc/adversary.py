@@ -55,7 +55,7 @@ import numpy as np
 
 from .bounds import bound_imperfect
 from .errors import DimensionCapError, DomainError, ShapeError, StrategyError
-from .jordan import BinaryMeasurement, epsilon_plus_direct
+from .jordan import BinaryMeasurement, _epsilon_plus
 from .matcore import (
     Array,
     RandomSuite,
@@ -69,7 +69,6 @@ from .matcore import (
     dagger,
     induced_norm,
     operator_norm,
-    partial_trace,
     psd_sqrt,
 )
 from .protocols import DeviceModel, ideal_bb84_device
@@ -410,7 +409,7 @@ def _complete(f: np.ndarray) -> np.ndarray:
     """Repair POVMs, shape (..., outcomes, dim, dim), to sum to the identity
     exactly: F_y -> S F_y S with S = (sum_y F_y)^(-1/2), which keeps them PSD."""
     w, v = np.linalg.eigh(f.sum(axis=-3))
-    root = np.sqrt(np.clip(w, 1e-300, None))[..., None, :]
+    root = np.sqrt(np.maximum(w, 1e-300))[..., None, :]
     fix = (v / root) @ dagger(v)
     return fix[..., None, :, :] @ f @ fix[..., None, :, :]
 
@@ -426,10 +425,45 @@ _PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]],
                   dtype=complex)
 
 
+_I2 = np.eye(2)
+_I2.flags.writeable = False
+
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays, made read-only, for tables that a cache shares."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+def _length(x: np.ndarray) -> np.ndarray:
+    """Euclidean length along the last axis of a real array: the arithmetic
+    of ``np.linalg.norm(x, axis=-1)`` without its per-call dispatch."""
+    return np.sqrt(np.add.reduce(x * x, axis=-1))
+
+
 @lru_cache(maxsize=None)
-def _active_sets(k: int, s: int) -> np.ndarray:
-    """The subsets of k guesses with s members, shape (count, s)."""
-    return np.array(list(itertools.combinations(range(k), s)))
+def _pair_tables(k: int) -> tuple[np.ndarray, ...]:
+    """``_pair_roots``'s tables for k guesses, built once and read-only: the
+    pairs' members ys < zs, the pairs' rows among the candidates (after the k
+    singles), I_k (the singles' hull weights) and the active mask of the
+    singles, then the pairs."""
+    ys, zs = np.triu_indices(k, 1)
+    eye = np.eye(k)
+    return _read_only(ys, zs, k + np.arange(ys.size), eye,
+                      np.concatenate([eye, eye[ys] + eye[zs]]) > 0)
+
+
+@lru_cache(maxsize=None)
+def _set_tables(k: int, s: int) -> tuple[np.ndarray, ...]:
+    """``_set_roots``'s tables for the active sets of s of k guesses, built
+    once and read-only: the sets, shape (count, s), their one-hot rows
+    (count, s, k), the active mask of their roots (two per set) and I_{s-1},
+    which stands in for the Gram matrix of a degenerate set."""
+    sets = np.array(list(itertools.combinations(range(k), s)))
+    onehot = np.eye(k)[sets]
+    return _read_only(sets, onehot, np.repeat(onehot.sum(axis=1), 2, axis=0) > 0,
+                      np.eye(s - 1))
 
 
 def _polish(t: np.ndarray, roots: np.ndarray, diff: np.ndarray, be: np.ndarray,
@@ -445,7 +479,7 @@ def _polish(t: np.ndarray, roots: np.ndarray, diff: np.ndarray, be: np.ndarray,
     for _ in range(2):
         b = be[..., None, 0, :] + np.einsum("...rj,...jx->...rx", t, diff)
         vec = b[..., None, :] - be[..., None, :, :]
-        dist = np.linalg.norm(vec, axis=-1)
+        dist = _length(vec)
         jac = np.concatenate([(vec / dist[..., None]) @ span,
                               -np.ones(dist.shape + (1,))], axis=-1)
         det = np.linalg.det(jac)
@@ -464,19 +498,17 @@ def _pair_roots(alpha: np.ndarray, beta: np.ndarray
     beta_y); a pair y, z with D = |beta_z - beta_y| at a = (alpha_y + alpha_z
     + D) / 2 and b = beta_y + t (beta_z - beta_y), t = (alpha_z - alpha_y +
     D) / (2 D), where both equations hold with equality. Singles come first."""
-    k = alpha.shape[1]
-    ys, zs = np.triu_indices(k, 1)
+    nb, k = alpha.shape
+    ys, zs, at, eye, active = _pair_tables(k)
     diff = beta[:, zs] - beta[:, ys]
-    dist = np.linalg.norm(diff, axis=-1)
+    dist = _length(diff)
     t = (alpha[:, zs] - alpha[:, ys] + dist) / (2 * dist)
-    pair_c = np.zeros(t.shape + (k,))
-    pair_c[:, np.arange(ys.size), ys] = 1.0 - t
-    pair_c[:, np.arange(ys.size), zs] = t
-    eye = np.eye(k)
+    c = np.zeros((nb, k + ys.size, k))
+    c[:, :k] = eye
+    c[:, at, ys] = 1.0 - t
+    c[:, at, zs] = t
     a = np.concatenate([alpha, (alpha[:, ys] + alpha[:, zs] + dist) / 2], axis=1)
     b = np.concatenate([beta, beta[:, ys] + t[..., None] * diff], axis=1)
-    c = np.concatenate([np.broadcast_to(eye, alpha.shape + (k,)), pair_c], axis=1)
-    active = np.concatenate([eye, eye[ys] + eye[zs]]) > 0
     return a, b, c, active
 
 
@@ -488,7 +520,7 @@ def _set_roots(alpha: np.ndarray, beta: np.ndarray, s: int
     (t, a), and |b - beta_0| = a - alpha_0 leaves one quadratic in a, whose
     roots ``_polish`` refines."""
     nb, k = alpha.shape
-    sets = _active_sets(k, s)
+    sets, onehot, active, eye = _set_tables(k, s)
     al, be = alpha[:, sets], beta[:, sets]      # (nb, sets, s), (.., 3)
     diff = be[..., 1:, :] - be[..., :1, :]      # rows beta_j - beta_0
     e = al[..., 1:] - al[..., :1]
@@ -497,7 +529,7 @@ def _set_roots(alpha: np.ndarray, beta: np.ndarray, s: int
     # Bloch vectors are (nearly) affinely dependent
     ratio = np.linalg.det(gram) / np.prod(np.einsum("...ii->...i", gram), axis=-1)
     solvable = ratio > 1e-10
-    gram = np.where(solvable[..., None, None], gram, np.eye(s - 1))
+    gram = np.where(solvable[..., None, None], gram, eye)
     # t = p + a' q with a' = a - alpha_0
     pq = np.linalg.solve(2 * gram, np.stack([(diff ** 2).sum(-1) - e ** 2,
                                              2 * e], axis=-1))
@@ -513,11 +545,9 @@ def _set_roots(alpha: np.ndarray, beta: np.ndarray, s: int
     t = pq[..., None, :, 0] + roots[..., None] * pq[..., None, :, 1]
     t, roots = _polish(t, roots, diff, be, e)
     hull = np.concatenate([1.0 - t.sum(-1, keepdims=True), t], axis=-1)
-    onehot = np.eye(k)[sets]                     # (sets, s, k)
     a = (al[..., :1] + roots).reshape(nb, -1)
     b = np.einsum("...rs,...sx->...rx", hull, be).reshape(nb, -1, 3)
     c = np.einsum("...rs,...sk->...rk", hull, onehot).reshape(nb, -1, k)
-    active = np.repeat(onehot.sum(axis=1), 2, axis=0) > 0
     return a, b, c, active
 
 
@@ -543,27 +573,31 @@ def _qubit_optimum(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     gets the uniform POVM and its dual operator, which a gap check rejects.
     """
     nb, k = g.shape[:2]
-    alpha = (g[..., 0, 0].real + g[..., 1, 1].real) / 2
-    beta = np.stack([(g[..., 0, 1].real + g[..., 1, 0].real) / 2,
-                     (g[..., 1, 0].imag - g[..., 0, 1].imag) / 2,
-                     (g[..., 0, 0].real - g[..., 1, 1].real) / 2], axis=-1)
+    re, im = g.real, g.imag
+    alpha = (re[..., 0, 0] + re[..., 1, 1]) / 2
+    beta = np.empty((nb, k, 3))
+    np.add(re[..., 0, 1], re[..., 1, 0], out=beta[..., 0])
+    np.subtract(im[..., 1, 0], im[..., 0, 1], out=beta[..., 1])
+    np.subtract(re[..., 0, 0], re[..., 1, 1], out=beta[..., 2])
+    beta /= 2
     eps = 1e-12 * np.abs(alpha).max(axis=1)
     a, b, c = np.zeros(nb), np.zeros((nb, 3)), np.zeros((nb, k))
     found = np.zeros(nb, dtype=bool)
     # degenerate sets give inf or nan roots, which the checks below discard
     with np.errstate(all="ignore"):
         # singles and pairs first, then larger sets for what is still open
+        rows, al, be, margin = np.arange(nb), alpha, beta, eps[:, None, None]
         for s in range(2, max(2, min(k, 4)) + 1):
-            rows = np.flatnonzero(~found)
-            if not rows.size:
-                break
-            al, be, margin = alpha[rows], beta[rows], eps[rows, None, None]
+            if s > 2:
+                rows = np.flatnonzero(~found)
+                if not rows.size:
+                    break
+                al, be, margin = alpha[rows], beta[rows], eps[rows, None, None]
             ca, cb, cc, active = (_pair_roots(al, be) if s == 2
                                   else _set_roots(al, be, s))
-            slack = (ca[..., None] - al[:, None]
-                     - np.linalg.norm(cb[:, :, None] - be[:, None], axis=-1))
-            kept = (np.isfinite(ca) & (slack >= -margin).all(-1) & (cc >= 0.0).all(-1)
-                    & ((np.abs(slack) <= margin) | ~active).all(-1))
+            slack = ca[..., None] - al[:, None] - _length(cb[:, :, None] - be[:, None])
+            kept = (np.isfinite(ca) & (cc >= 0.0).all(-1)
+                    & ((slack >= -margin) & ((np.abs(slack) <= margin) | ~active)).all(-1))
             a_kept = np.where(kept, ca, np.inf)
             low = a_kept.min(axis=1)
             best = np.argmax(a_kept <= (low + margin[:, 0, 0])[:, None], axis=1)
@@ -575,15 +609,18 @@ def _qubit_optimum(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # r_y = a - alpha_y, raised to |v_y| where roundoff left it below, so
         # that every F_y is PSD; sum_y c_y v_y = 0 keeps the sum at I
         v = b[:, None] - beta
-        r = c * np.maximum(a[:, None] - alpha, np.linalg.norm(v, axis=-1))
-        f = r[..., None, None] * np.eye(2) - np.einsum("bk,bkx,xij->bkij", c, v, _PAULI)
+        r = c * np.maximum(a[:, None] - alpha, _length(v))
+        f = r[..., None, None] * _I2 - np.einsum("bk,bkx,xij->bkij", c, v, _PAULI)
         total = r.sum(axis=1)
         single = ~(total > 0)             # one active guess, which takes F = I
-        f[single] = c[single, :, None, None] * np.eye(2)
-        f[~single] /= total[~single, None, None, None]
-        y = a[:, None, None] * np.eye(2) + np.einsum("bx,xij->bij", b, _PAULI)
-    f[~found] = np.eye(2) / k
-    y[~found] = _dual_operator(g[~found], f[~found])
+        if single.any():
+            f[single] = c[single, :, None, None] * _I2
+            total[single] = 1.0
+        f /= total[:, None, None, None]
+        y = a[:, None, None] * _I2 + np.einsum("bx,xij->bij", b, _PAULI)
+    if not found.all():
+        f[~found] = _I2 / k
+        y[~found] = _dual_operator(g[~found], f[~found])
     return _complete(f), y
 
 
@@ -1381,6 +1418,31 @@ def _ideal_device() -> DeviceModel:
     return ideal_bb84_device()
 
 
+def _trusted(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` (``BinaryMeasurement`` or
+    ``DeviceModel``) holding ``fields`` as given, built without its
+    ``__post_init__`` checks. Only for the devices the random families below
+    build: their arrays are complex, of the right shapes, and a density
+    operator, projectors and observables by construction, and checking them
+    again would double the cost of a draw. The public constructors and
+    ``DeviceModel.from_obj`` keep every check."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
+def _trusted_device(sigma: Array, alice: list[tuple[Array, Array]]) -> DeviceModel:
+    """A drawn qubit device: state ``sigma`` and Alice's pairs (p0, p1), with
+    the ideal device's Bob side and testing observables."""
+    ideal = _ideal_device()
+    meas = [_trusted(BinaryMeasurement, p0=p0, p1=p1) for p0, p1 in alice]
+    return _trusted(DeviceModel, dim_a=2, dim_b=2, sigma_ab=sigma,
+                    alice_meas_0=meas[0], alice_meas_1=meas[1],
+                    bob_meas_0=ideal.bob_meas_0, bob_meas_1=ideal.bob_meas_1,
+                    test_t0=ideal.test_t0, test_t1=ideal.test_t1, noise_q=0.0)
+
+
 def random_qubit_device(suite: RandomSuite) -> DeviceModel:
     """Haar-random single-round qubit device.
 
@@ -1390,18 +1452,14 @@ def random_qubit_device(suite: RandomSuite) -> DeviceModel:
     BB84 defaults (they do not enter the guessing game).
     """
     psi = suite.pure_state(8).reshape(8, 1)
-    sigma = partial_trace(psi @ dagger(psi), [2, 2, 2], [0, 1])
-    projs = []
+    # tr_C |psi><psi| over the last qubit, as ``partial_trace`` sums it
+    sigma = np.trace((psi @ dagger(psi)).reshape(4, 2, 4, 2), axis1=1, axis2=3)
+    alice = []
     for _ in range(2):
         u = suite.unitary(2)
-        projs.append(u[:, :1] @ dagger(u[:, :1]))
-    ideal = _ideal_device()
-    return DeviceModel(
-        dim_a=2, dim_b=2, sigma_ab=sigma,
-        alice_meas_0=BinaryMeasurement.from_projector(projs[0]),
-        alice_meas_1=BinaryMeasurement.from_projector(projs[1]),
-        bob_meas_0=ideal.bob_meas_0, bob_meas_1=ideal.bob_meas_1,
-        test_t0=ideal.test_t0, test_t1=ideal.test_t1)
+        p0 = u[:, :1] @ dagger(u[:, :1])
+        alice.append((p0, np.eye(2) - p0))
+    return _trusted_device(sigma, alice)
 
 
 # The depolarizing weight of a rotated ideal device is uniform below this.
@@ -1416,14 +1474,9 @@ def random_rotated_ideal_device(suite: RandomSuite) -> DeviceModel:
     rot = _kron(ua, np.eye(2))
     sigma = rot @ ideal.sigma_ab @ dagger(rot)
     sigma = (1.0 - noise) * sigma + noise * np.eye(4) / 4
-    return DeviceModel(
-        dim_a=2, dim_b=2, sigma_ab=sigma,
-        alice_meas_0=BinaryMeasurement(ua @ ideal.alice_meas_0.p0 @ dagger(ua),
-                                       ua @ ideal.alice_meas_0.p1 @ dagger(ua)),
-        alice_meas_1=BinaryMeasurement(ua @ ideal.alice_meas_1.p0 @ dagger(ua),
-                                       ua @ ideal.alice_meas_1.p1 @ dagger(ua)),
-        bob_meas_0=ideal.bob_meas_0, bob_meas_1=ideal.bob_meas_1,
-        test_t0=ideal.test_t0, test_t1=ideal.test_t1)
+    return _trusted_device(sigma, [
+        (ua @ m.p0 @ dagger(ua), ua @ m.p1 @ dagger(ua))
+        for m in (ideal.alice_meas_0, ideal.alice_meas_1)])
 
 
 def strategy_family(n: int, d: int, dim_b: int, suite: RandomSuite) -> list[Strategy]:
@@ -1566,8 +1619,8 @@ def verify_key_lemma(trials: int, n: int, d: int, gamma: float = 0.0,
     def work(trial: int) -> dict:
         suite = RandomSuite(child_seed(seed, trial))
         device = random_qubit_device(suite)
-        eps = epsilon_plus_direct(device.alice_meas_0, device.alice_meas_1,
-                                  device.sigma_a)
+        eps = _epsilon_plus(device.alice_meas_0.observable,
+                            device.alice_meas_1.observable, device.sigma_a)
         bound = bound_imperfect(n, d, eps, gamma)
         ctx = _GameContext(device, n, gamma)
         family = [s for s in strategy_family(n, d, device.dim_b, suite)

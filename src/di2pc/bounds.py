@@ -12,8 +12,8 @@ zeta in [0, 1] and error tolerance gamma in [0, 1/2]:
 
 ``B`` and ``B_sum`` are algebraically equal (binomial theorem); evaluating
 both is the module's self-check. The same B' certifies the guessing game,
-WSE in the noisy-entanglement model, and position verification; reports only
-differ by a label.
+WSE against a memory of bounded dimension d (no storage channel is
+modelled), and position verification; reports only differ by a label.
 
 All logarithms are base 2. Both forms go through one guarded evaluator,
 ``_bound``. Where t >= n (which includes zeta = 1, whose threshold is
@@ -93,10 +93,11 @@ class BoundReport:
     """Evaluated bound for one parameter point.
 
     ``kind`` labels which adversarial quantity the number certifies
-    (guessing game, WSE in the noisy-entanglement model, or PV); the formula
-    is one and the same. ``minentropy_rate`` is computed from the log2 of
-    the imperfect bound, so it stays finite even when ``b_imperfect``
-    underflows to 0.0 in double precision.
+    (guessing game, WSE against a memory of bounded dimension d with no
+    storage channel modelled, or PV); the formula is one and the same.
+    ``minentropy_rate`` is computed from the log2 of the imperfect bound, so
+    it stays finite even when ``b_imperfect`` underflows to 0.0 in double
+    precision.
     """
 
     n: int

@@ -37,7 +37,6 @@ from .matcore import (
     check_povm,
     check_projector,
     dagger,
-    matrix_abs,
     psd_sqrt,
     tensor_product,
 )
@@ -266,6 +265,17 @@ def block_probabilities(dec: JordanDecomposition, sigma: Array) -> np.ndarray:
     return np.clip(probs, 0.0, None)
 
 
+def _epsilon_plus(a0: Array, a1: Array, sigma: Array) -> float:
+    """eps_+ = tr(|{A0, A1}| sigma) / 2 for Hermitian observables and a
+    density operator of their dimension, unchecked; |.| is taken of the
+    Hermitian part, as ``matrix_abs`` takes it of a Hermitian matrix."""
+    w, v = np.linalg.eigh(_herm(a0 @ a1 + a1 @ a0))
+    val = 0.5 * float(np.trace((v * np.abs(w)) @ dagger(v) @ sigma).real)
+    if not -1e-9 <= val <= 1.0 + 1e-9:
+        raise DomainError(f"effective anti-commutator {val!r} outside [0, 1]")
+    return min(1.0, max(0.0, val))
+
+
 def epsilon_plus_direct(m0: BinaryMeasurement, m1: BinaryMeasurement,
                         sigma: Array) -> float:
     """eps_+ = tr(|{A0, A1}| sigma) / 2 evaluated from the definition."""
@@ -274,13 +284,7 @@ def epsilon_plus_direct(m0: BinaryMeasurement, m1: BinaryMeasurement,
     sigma = check_density_operator(sigma)
     if sigma.shape[0] != m0.dim:
         raise ShapeError("state dimension does not match the measurements")
-    a0 = m0.observable
-    a1 = m1.observable
-    anti = a0 @ a1 + a1 @ a0
-    val = 0.5 * float(np.trace(matrix_abs(anti) @ sigma).real)
-    if not -1e-9 <= val <= 1.0 + 1e-9:
-        raise DomainError(f"effective anti-commutator {val!r} outside [0, 1]")
-    return min(1.0, max(0.0, val))
+    return _epsilon_plus(m0.observable, m1.observable, sigma)
 
 
 def epsilon_plus_blocks(dec: JordanDecomposition, sigma: Array) -> float:

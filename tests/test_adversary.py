@@ -1,14 +1,16 @@
 """Tests for strategies, discrimination, the exact game, and the verifiers."""
 
+import collections
 import functools
 import itertools
+import json
 import math
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from di2pc import adversary
+from di2pc import adversary, jordan, matcore, protocols
 from di2pc.adversary import (
     _PAULI,
     _complete,
@@ -1005,6 +1007,62 @@ def test_seesaw_never_beats_bound():
                                   device.sigma_a)
         res, _ = seesaw_search(device, 1, 2, restarts=2, seed=trial, iters=20)
         assert res.win_prob <= bound_perfect(1, 2, eps) + 1e-6
+
+
+# ---------------------------------------------------------------------------
+# random device families
+# ---------------------------------------------------------------------------
+
+_CHECKS = ("check_projector", "check_density_operator", "check_binary_observable",
+           "is_hermitian")
+_MEASUREMENTS = ("alice_meas_0", "alice_meas_1", "bob_meas_0", "bob_meas_1")
+
+
+def _count_checks(monkeypatch) -> collections.Counter:
+    """Count the calls of the structural checks, in every module that looks
+    one of them up."""
+    calls = collections.Counter()
+    for name in _CHECKS:
+        def counted(*args, _check=getattr(matcore, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _check(*args, **kwargs)
+        for module in (matcore, jordan, protocols, adversary):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def _same_array(a, b) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("family", [random_qubit_device,
+                                    adversary.random_rotated_ideal_device])
+def test_drawn_devices_skip_checks_they_pass(monkeypatch, family):
+    # a draw runs no check, and holds what the checking constructors return
+    # on the same arrays, bit for bit and in dtype; the ideal device whose
+    # Bob side the draws share is built, checked, once per process
+    adversary._ideal_device()
+    calls = _count_checks(monkeypatch)
+    for seed in range(200):
+        device = family(RandomSuite(child_seed(411, seed)))
+        assert not calls, (seed, dict(calls))
+        checked = DeviceModel(
+            dim_a=device.dim_a, dim_b=device.dim_b, sigma_ab=device.sigma_ab,
+            test_t0=device.test_t0, test_t1=device.test_t1, noise_q=device.noise_q,
+            **{name: BinaryMeasurement(getattr(device, name).p0, getattr(device, name).p1)
+               for name in _MEASUREMENTS})
+        assert all(calls[name] for name in _CHECKS), dict(calls)
+        calls.clear()
+        for name in ("sigma_ab", "test_t0", "test_t1"):
+            assert _same_array(getattr(device, name), getattr(checked, name)), name
+        for name in _MEASUREMENTS:
+            for part in ("p0", "p1"):
+                assert _same_array(getattr(getattr(device, name), part),
+                                   getattr(getattr(checked, name), part)), (name, part)
+        assert (device.dim_a, device.dim_b, device.noise_q) == (2, 2, 0.0)
+        DeviceModel.from_obj(json.loads(json.dumps(device.to_obj())))
+        calls.clear()
 
 
 # ---------------------------------------------------------------------------

@@ -564,6 +564,17 @@ _SHAPE_GOLDENS = [
      "14c7fd5b195078525207c31878a78ec98411b529ab4e6ecbbcfd239b425db158"),
     (None, ["--seed", "1", "verify", "all", "--trials", "4"],
      "aef56f09578dd7723d64b09a1fc9399b1f408b5231252c3febf9beaf08b04b15"),
+    (None, ["--seed", "7", "verify", "key-lemma", "--trials", "20", "--n", "1", "--d", "1"],
+     "3814e50b5a97e15d90e8b119c205d10b6307b931f4464273a20dac0dda6b76cb"),
+    (None, ["--seed", "7", "verify", "key-lemma", "--trials", "20", "--n", "1", "--d", "2"],
+     "a8108a7881743832b117daf85516e132dd2e7e3bd5c37ccccac0260581dc5151"),
+    (None, ["--seed", "7", "verify", "key-lemma", "--trials", "20", "--n", "2", "--d", "1"],
+     "36fc73fe5fc2a446dd0f0b484822ff8aceb8c5dd8041951e09dbde114cce71f8"),
+    (None, ["--seed", "7", "verify", "key-lemma", "--trials", "20", "--n", "2", "--d", "2"],
+     "2e894096bcf53c520252828739276725ecfd3186d0d0891adff3d82bc7cc7a9e"),
+    (None, ["--seed", "7", "verify", "key-lemma", "--trials", "20", "--n", "2", "--d", "1",
+            "--gamma", "0.5"],
+     "9ada1c74458464949bf1dc2a134be75244687c2fe4cab9e417f29a2f59e49b18"),
 ]
 
 
@@ -582,6 +593,31 @@ def test_command_byte_identical_to_golden(capsys, tmp_path, device_file, device,
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# Device files whose physics is wrong, one field each: sigma_AB of trace 2,
+# an Alice element that is not a projector, a testing observable that does
+# not square to the identity.
+_BAD_DEVICE_FIELDS = {
+    "sigma_ab": lambda obj: {**obj["sigma_ab"], "data": [
+        [2 * re, 2 * im] for re, im in obj["sigma_ab"]["data"]]},
+    "alice_p0_b0": lambda obj: {"rows": 2, "cols": 2,
+                                "data": [[0.6, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]},
+    "t0": lambda obj: {"rows": 2, "cols": 2,
+                       "data": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.5, 0.0]]},
+}
+
+
+@pytest.mark.parametrize("field", sorted(_BAD_DEVICE_FIELDS))
+def test_device_file_physics_is_checked(capsys, tmp_path, field):
+    obj = ideal_bb84_device().to_obj()
+    obj[field] = _BAD_DEVICE_FIELDS[field](obj)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run_cli(capsys, "jordan", "--device", str(path))
+    assert code == 2
+    assert out == ""
+    assert json.loads(err.strip())["error"] == "DomainError"
 
 
 def test_region_json_matches_library(capsys):
