@@ -1419,12 +1419,13 @@ def _ideal_device() -> DeviceModel:
 
 
 def _trusted(cls, **fields):
-    """An instance of the frozen dataclass ``cls`` (``BinaryMeasurement`` or
-    ``DeviceModel``) holding ``fields`` as given, built without its
-    ``__post_init__`` checks. Only for the devices the random families below
-    build: their arrays are complex, of the right shapes, and a density
-    operator, projectors and observables by construction, and checking them
-    again would double the cost of a draw. The public constructors and
+    """An instance of the frozen dataclass ``cls`` holding ``fields`` as
+    given (fields left out keep their class defaults), built without its
+    ``__post_init__`` checks. Only for what this module builds itself: the
+    devices the random families below draw, whose arrays are complex, of the
+    right shapes, and a density operator, projectors and observables by
+    construction (checking them again would double the cost of a draw), and
+    the members of ``strategy_family``. The public constructors and
     ``DeviceModel.from_obj`` keep every check."""
     obj = object.__new__(cls)
     for name, value in fields.items():
@@ -1480,20 +1481,29 @@ def random_rotated_ideal_device(suite: RandomSuite) -> DeviceModel:
 
 
 def strategy_family(n: int, d: int, dim_b: int, suite: RandomSuite) -> list[Strategy]:
-    """Concrete attacks pitted against the bound in the fuzz campaigns."""
-    family: list[Strategy] = [breidbart(n)]
+    """Concrete attacks pitted against the bound in the fuzz campaigns.
+
+    Built unchecked with ``_trusted``: their angles are float tuples and
+    their kept rounds distinct indices by construction, so each member
+    equals its checked construction."""
+    def measure_all(angles: tuple[float, ...]) -> MeasureAll:
+        return _trusted(MeasureAll, angles=angles)
+
+    def store(keep: tuple[int, ...], angles: tuple[float, ...] = ()) -> StoreSubset:
+        return _trusted(StoreSubset, keep=keep, angles=angles)
+
+    family: list[Strategy] = [measure_all((BREIDBART_ANGLE,) * n)]
     base_angles = [0.0, math.pi / 4, 3 * math.pi / 8]
     for a in base_angles:
-        family.append(MeasureAll(angles=(a,) * n))
+        family.append(measure_all((a,) * n))
     for _ in range(2):
-        family.append(MeasureAll(angles=tuple(
-            suite.rng.random(n) * (math.pi / 2))))
+        family.append(measure_all(tuple((suite.rng.random(n) * (math.pi / 2)).tolist())))
     if d >= dim_b:
         for k in range(n):
-            family.append(StoreSubset(keep=(k,)))
-            family.append(StoreSubset(keep=(k,), angles=(0.0,) * (n - 1)))
+            family.append(store((k,)))
+            family.append(store((k,), (0.0,) * (n - 1)))
     if d >= dim_b ** n and n >= 2:
-        family.append(StoreSubset(keep=tuple(range(n))))
+        family.append(store(tuple(range(n))))
     return family
 
 

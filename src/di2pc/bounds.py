@@ -16,13 +16,24 @@ WSE against a memory of bounded dimension d (no storage channel is
 modelled), and position verification; reports only differ by a label.
 
 All logarithms are base 2. Both forms go through one guarded evaluator,
-``_bound``. Where t >= n (which includes zeta = 1, whose threshold is
-infinite) every weight min(1, sqrt(d) q^k) is 1, and the guard returns B = 1
-and log2 B = 0 exactly without evaluating either form; the closed form would
-lose that value for large d, as it cancels two terms of size
-sqrt(d) base^n. Otherwise, up to n = 1000 both forms are evaluated linearly
-in extended precision (exact binomials); beyond that, log2-space evaluation
-keeps n up to 10^6 from overflowing or losing the exponent.
+prepared once per (d, zeta) and form by ``_curve``: the threshold t and
+every piece that does not depend on n (sqrt(d), base and the clipped
+coefficients sqrt(d) q^k - 1 for k <= t on the linear path; log2 of sqrt(d)
+and of base, and the log2 of the positive coefficients in log space) are
+computed once, and each evaluation at an n does only the n-dependent work,
+in the same order of operations as a one-point evaluation. ``min_rounds``
+validates its inputs, prepares one curve and computes h(gamma) once per
+query, and its probes only evaluate; every public B/B' function and
+``bound_report`` validate and prepare for their one point. Where t >= n
+(which includes zeta = 1, whose threshold is infinite) every weight
+min(1, sqrt(d) q^k) is 1, and the guard returns B = 1 and log2 B = 0
+exactly without evaluating either form; the closed form would lose that
+value for large d, as it cancels two terms of size sqrt(d) base^n.
+Otherwise, up to n = 1000 both forms are evaluated linearly in extended
+precision (exact binomials); beyond that, log2-space evaluation keeps n up
+to 10^6 from overflowing or losing the exponent. Where the linear closed
+form cancels to 0 or below (t < n with d past about 2^212), the evaluator
+raises ``DomainError`` naming the point.
 """
 
 from __future__ import annotations
@@ -187,59 +198,78 @@ def _log2_binom(n: int, k: np.ndarray) -> np.ndarray:
     return table[half]
 
 
-def _closed_linear(n: int, d: int, zeta: float, t: int) -> float:
-    """Closed form: sqrt(d) base^n - sum_{k<=t} C(n,k) 2^-n (sqrt(d) q^k - 1)."""
-    q = np.sqrt((1 + _LD(zeta)) / 2)
-    sqrt_d = np.sqrt(_LD(d))
-    main = sqrt_d * ((1 + q) / 2) ** _LD(n)
-    scale = _LD(2.0) ** (-n)
-    ks = np.arange(0, t + 1)
-    coeff = np.clip(sqrt_d * q ** ks - 1, 0, None)
-    corr = np.sum(_comb_longs(n)[: t + 1] * scale * coeff)
-    return float(main - corr)
+class _ClosedForm:
+    """The closed form at one (d, zeta) with threshold t, as a function of n:
+    sqrt(d) base^n - sum_{k<=t} C(n,k) 2^-n (sqrt(d) q^k - 1).
+
+    What does not depend on n is computed once, on the first call of each
+    path, so evaluating many n at one (d, zeta) repeats only the n-dependent
+    work."""
+
+    __slots__ = ("d", "zeta", "t", "_linear_pieces", "_log2_pieces")
+
+    def __init__(self, d: int, zeta: float, t: int):
+        self.d, self.zeta, self.t = d, zeta, t
+        self._linear_pieces = self._log2_pieces = None
+
+    def linear(self, n: int) -> float:
+        """In extended precision, with exact binomials."""
+        if self._linear_pieces is None:
+            q = np.sqrt((1 + _LD(self.zeta)) / 2)
+            sqrt_d = np.sqrt(_LD(self.d))
+            coeff = np.clip(sqrt_d * q ** np.arange(0, self.t + 1) - 1, 0, None)
+            self._linear_pieces = sqrt_d, (1 + q) / 2, coeff
+        sqrt_d, base, coeff = self._linear_pieces
+        main = sqrt_d * base ** _LD(n)
+        corr = np.add.reduce(_comb_longs(n)[: self.t + 1] * _LD(2.0) ** (-n) * coeff)
+        return float(main - corr)
+
+    def log2(self, n: int) -> float:
+        """log2 of the closed form, as log2(main) + log1p(-correction/main):
+        the correction terms (all positive) are summed relative to the main
+        term sqrt(d) * base^n, so nothing overflows or loses the exponent."""
+        if self._log2_pieces is None:
+            coeff = math.sqrt(self.d) * (_q(self.zeta) ** np.arange(0, self.t + 1)) - 1.0
+            # k = t can dip to 0 or below by roundoff, and every k does at
+            # d = 1; such terms add an exact 0 to the correction, left out
+            ks = np.flatnonzero(coeff > 0)
+            self._log2_pieces = (0.5 * math.log2(self.d), _log2_base(self.zeta),
+                                 ks, np.log2(coeff[ks]))
+        half_log2_d, log2_base, ks, log2_coeff = self._log2_pieces
+        log2_main = half_log2_d + n * log2_base
+        ratio = 0.0
+        if len(ks):
+            log2_terms = _log2_binom(n, ks) - n + log2_coeff
+            ratio = math.fsum(np.exp2(log2_terms - log2_main).tolist())
+        if ratio >= 1.0:
+            # Mathematically ratio < 1 always; roundoff can graze it from below.
+            ratio = math.nextafter(1.0, 0.0)
+        return log2_main + math.log1p(-ratio) * _LOG2E
 
 
-def _sum_linear(n: int, d: int, zeta: float, t: int) -> float:
-    """Binomial-sum form: 2^-n [ sum_head C(n,k) + sqrt(d) sum_tail C(n,k) q^k ]."""
-    q = np.sqrt((1 + _LD(zeta)) / 2)
-    scale = _LD(2.0) ** (-n)
-    combs = _comb_longs(n)
-    ks = np.arange(0, n + 1)
-    weights = np.where(ks <= t, _LD(1.0), np.sqrt(_LD(d)) * q ** ks)
-    return float(np.sum(combs * scale * weights))
+class _SumForm:
+    """The binomial-sum form at one (d, zeta) with threshold t, as a function
+    of n: 2^-n [ sum_{k<=t} C(n,k) + sqrt(d) sum_{k>t} C(n,k) q^k ]."""
 
+    __slots__ = ("d", "zeta", "t")
 
-def _closed_log2(n: int, d: int, zeta: float, t: int) -> float:
-    """log2 of the closed form, as log2(main) + log1p(-correction/main): the
-    correction terms (all nonnegative for k <= t) are summed relative to the
-    main term sqrt(d) * base^n, so nothing overflows or loses the exponent."""
-    log2_main = 0.5 * math.log2(d) + n * _log2_base(zeta)
-    ks = np.arange(0, t + 1)
-    coeff = math.sqrt(d) * (_q(zeta) ** ks) - 1.0
-    coeff = np.maximum(coeff, 0.0)  # k = t can dip below 0 by roundoff
-    with np.errstate(divide="ignore"):
-        log2_terms = _log2_binom(n, ks) - n + np.log2(np.where(coeff > 0, coeff, 1.0))
-    log2_terms = np.where(coeff > 0, log2_terms, -np.inf)
-    ratio = math.fsum(np.exp2(log2_terms - log2_main).tolist())
-    if ratio >= 1.0:
-        # Mathematically ratio < 1 always; roundoff can graze it from below.
-        ratio = math.nextafter(1.0, 0.0)
-    return log2_main + math.log1p(-ratio) * _LOG2E
+    def __init__(self, d: int, zeta: float, t: int):
+        self.d, self.zeta, self.t = d, zeta, t
 
+    def linear(self, n: int) -> float:
+        q = np.sqrt((1 + _LD(self.zeta)) / 2)
+        ks = np.arange(0, n + 1)
+        weights = np.where(ks <= self.t, _LD(1.0), np.sqrt(_LD(self.d)) * q ** ks)
+        return float(np.add.reduce(_comb_longs(n) * _LD(2.0) ** (-n) * weights))
 
-def _sum_log2(n: int, d: int, zeta: float, t: int) -> float:
-    """log2 of the binomial-sum form, summed relative to its largest term."""
-    ks = np.arange(0, n + 1)
-    log2_terms = _log2_binom(n, ks) - n
-    tail = ks > t
-    log2_terms = log2_terms + np.where(
-        tail, 0.5 * math.log2(d) + ks * math.log2(_q(zeta)), 0.0)
-    peak = float(np.max(log2_terms))
-    return peak + math.log2(math.fsum(np.exp2(log2_terms - peak).tolist()))
-
-
-_CLOSED = (_closed_linear, _closed_log2)
-_SUM = (_sum_linear, _sum_log2)
+    def log2(self, n: int) -> float:
+        """Summed relative to its largest term."""
+        ks = np.arange(0, n + 1)
+        log2_terms = _log2_binom(n, ks) - n
+        log2_terms = log2_terms + np.where(
+            ks > self.t, 0.5 * math.log2(self.d) + ks * math.log2(_q(self.zeta)), 0.0)
+        peak = float(np.max(log2_terms))
+        return peak + math.log2(math.fsum(np.exp2(log2_terms - peak).tolist()))
 
 
 class _Bound(NamedTuple):
@@ -249,9 +279,10 @@ class _Bound(NamedTuple):
     log2_b_prime: float   # raw log2 B'
 
 
-def _bound(n: int, d: int, zeta: float, gamma: float = 0.0, form=_CLOSED) -> _Bound:
-    """B and B' from one form of the bound: the one evaluator behind every
-    public B/B' function and ``bound_report``.
+def _curve(d: int, zeta: float, form=_ClosedForm):
+    """The one evaluator of B and B': prepared once per (d, zeta) and form,
+    it returns ``evaluate(n, h)`` for B at n rounds and B' with entropy
+    h = h(gamma). Inputs are taken as validated.
 
     Where t >= n (which includes zeta = 1) every weight min(1, sqrt(d) q^k) of
     the sum form is 1, so B is exactly 1; both forms would otherwise lose it
@@ -260,20 +291,37 @@ def _bound(n: int, d: int, zeta: float, gamma: float = 0.0, form=_CLOSED) -> _Bo
     in log2 space past it, where B' is clamped in the exponent (2^log2 B'
     overflows once log2 B' passes 1024).
     """
-    _validate(n, d, zeta, gamma)
     t = _threshold(d, zeta)
-    h_n = binary_entropy(gamma) * n
-    if t >= n:
-        return _Bound(1.0, 0.0, 1.0, h_n)
-    linear, log2 = form
-    if n <= _LINEAR_N:
-        b = linear(n, d, zeta, t)
-        log2_b = math.log2(b)
-        # The entropy factor is exactly 1.0 at gamma = 0, so B' = B bit for bit.
-        return _Bound(b, log2_b, min(1.0, 2.0 ** h_n * b), h_n + log2_b)
-    log2_b = log2(n, d, zeta, t)
-    return _Bound(float(2.0 ** log2_b), log2_b,
-                  float(2.0 ** min(0.0, h_n + log2_b)), h_n + log2_b)
+    path = form(d, zeta, t)
+
+    def evaluate(n: int, h: float) -> _Bound:
+        h_n = h * n
+        if t >= n:
+            return _Bound(1.0, 0.0, 1.0, h_n)
+        if n <= _LINEAR_N:
+            b = path.linear(n)
+            if not b > 0.0:
+                # only the closed form gets here: its two terms cancel past
+                # every digit (the sum form adds positive terms only)
+                raise DomainError(
+                    f"the bound at n = {n}, d = {d:.6g}, zeta = {zeta!r} reads "
+                    f"{b!r}: its closed form loses every digit to cancellation "
+                    "at this memory dimension")
+            log2_b = math.log2(b)
+            # The entropy factor is exactly 1.0 at gamma = 0, so B' = B bit for bit.
+            return _Bound(b, log2_b, min(1.0, 2.0 ** h_n * b), h_n + log2_b)
+        log2_b = path.log2(n)
+        return _Bound(float(2.0 ** log2_b), log2_b,
+                      float(2.0 ** min(0.0, h_n + log2_b)), h_n + log2_b)
+
+    return evaluate
+
+
+def _bound(n: int, d: int, zeta: float, gamma: float = 0.0, form=_ClosedForm) -> _Bound:
+    """B and B' at one point: what every public B/B' function and
+    ``bound_report`` return a part of."""
+    _validate(n, d, zeta, gamma)
+    return _curve(d, zeta, form)(n, binary_entropy(gamma))
 
 
 def bound_perfect_log2(n: int, d: int, zeta: float) -> float:
@@ -293,12 +341,12 @@ def bound_perfect(n: int, d: int, zeta: float) -> float:
 
 def bound_perfect_sumform_log2(n: int, d: int, zeta: float) -> float:
     """log2 of 2^-n [ sum_{k<=t} C(n,k) + sqrt(d) sum_{k>t} C(n,k) q^k ]."""
-    return _bound(n, d, zeta, form=_SUM).log2_b
+    return _bound(n, d, zeta, form=_SumForm).log2_b
 
 
 def bound_perfect_sumform(n: int, d: int, zeta: float) -> float:
     """Raw bound via the explicit binomial-sum form (binomial-theorem identity)."""
-    return _bound(n, d, zeta, form=_SUM).b
+    return _bound(n, d, zeta, form=_SumForm).b
 
 
 def bound_imperfect_log2(n: int, d: int, zeta: float, gamma: float) -> float:
@@ -401,9 +449,10 @@ def min_rounds(d: int, zeta: float, gamma: float, eps_target: float,
     if not decay_condition(zeta, gamma):
         return INSECURE
     log2_eps = math.log2(eps_target)
+    evaluate, h = _curve(d, zeta), binary_entropy(gamma)
 
     def ok(n: int) -> bool:
-        return bound_imperfect_log2(n, d, zeta, gamma) <= log2_eps
+        return evaluate(n, h).log2_b_prime <= log2_eps
 
     hi = 1
     while not ok(hi):

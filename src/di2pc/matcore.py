@@ -146,6 +146,13 @@ def partial_trace(rho: Array, dims: Sequence[int], keep: Iterable[int]) -> Array
     keep = sorted(set(int(k) for k in keep))
     if any(k < 0 or k >= len(dims) for k in keep):
         raise ShapeError(f"keep indices {keep} out of range for {len(dims)} factors")
+    return _partial_trace(rho, dims, keep)
+
+
+def _partial_trace(rho: Array, dims: list[int], keep: list[int]) -> Array:
+    """``partial_trace`` unchecked: ``rho`` is a square array of dimension
+    prod(dims), and ``keep`` lists distinct factor indices in ascending
+    order."""
     n = len(dims)
     t = rho.reshape(dims + dims)
     # Trace out factors from the highest index down so positions stay valid.

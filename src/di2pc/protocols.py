@@ -33,12 +33,12 @@ from .jordan import BinaryMeasurement
 from .matcore import (
     Array,
     RandomSuite,
+    _partial_trace,
     check_binary_observable,
     check_density_operator,
     child_seed,
     matrix_from_obj,
     matrix_to_obj,
-    partial_trace,
     tensor_product,
 )
 
@@ -101,13 +101,16 @@ class DeviceModel:
     def alice_measurement(self, basis: int) -> BinaryMeasurement:
         return self.alice_meas_0 if basis == 0 else self.alice_meas_1
 
+    # sigma_ab was checked (or, for a drawn device, built) as a density
+    # operator of dimension dim_a * dim_b, so its marginals skip the checks
+
     @property
     def sigma_a(self) -> Array:
-        return partial_trace(self.sigma_ab, [self.dim_a, self.dim_b], [0])
+        return _partial_trace(self.sigma_ab, [self.dim_a, self.dim_b], [0])
 
     @property
     def sigma_b(self) -> Array:
-        return partial_trace(self.sigma_ab, [self.dim_a, self.dim_b], [1])
+        return _partial_trace(self.sigma_ab, [self.dim_a, self.dim_b], [1])
 
     def noisy_sigma_ab(self) -> Array:
         """State after the B wire: (id x Dep_q) applied to sigma_AB."""

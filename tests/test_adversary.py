@@ -1065,6 +1065,45 @@ def test_drawn_devices_skip_checks_they_pass(monkeypatch, family):
         calls.clear()
 
 
+def test_device_marginals_equal_checked_partial_trace():
+    # sigma_a and sigma_b skip the checks, not a digit: bytes and dtype equal
+    # the checked partial_trace on drawn, ideal and qutrit-memory devices
+    devices = [ideal_bb84_device(), _qutrit_device()]
+    for seed in range(20):
+        suite = RandomSuite(child_seed(431, seed))
+        devices += [random_qubit_device(suite), adversary.random_rotated_ideal_device(suite)]
+    for device in devices:
+        dims = [device.dim_a, device.dim_b]
+        assert _same_array(device.sigma_a, partial_trace(device.sigma_ab, dims, [0]))
+        assert _same_array(device.sigma_b, partial_trace(device.sigma_ab, dims, [1]))
+
+
+@pytest.mark.parametrize("n, d", [(1, 1), (1, 2), (2, 1), (2, 2), (2, 4), (3, 8)])
+def test_strategy_family_equals_checked_construction(monkeypatch, n, d):
+    # the family builds its members unchecked; each equals, field for field
+    # and in type, what the checking constructor makes of the same fields
+    angle_checks = []
+    checked_angles = adversary._angle_tuple
+    monkeypatch.setattr(adversary, "_angle_tuple",
+                        lambda a: angle_checks.append(a) or checked_angles(a))
+    for trial in range(10):
+        family = strategy_family(n, d, 2, RandomSuite(child_seed(433, trial)))
+        assert not angle_checks
+        for s in family:
+            if isinstance(s, MeasureAll):
+                checked = MeasureAll(angles=s.angles)
+            else:
+                checked = StoreSubset(keep=s.keep, angles=s.angles)
+            assert s == checked and hash(s) == hash(checked)
+            assert s.to_obj() == checked.to_obj() and s.kind == checked.kind
+            assert all(type(a) is float for a in s.angles)
+            assert all(type(k) is int for k in getattr(s, "keep", ()))
+            for x, y in zip(s.kraus_branches(2, n), checked.kraus_branches(2, n),
+                            strict=True):
+                assert all(_same_array(a, b) for a, b in zip(x, y, strict=True))
+        angle_checks.clear()
+
+
 # ---------------------------------------------------------------------------
 # verifiers
 # ---------------------------------------------------------------------------

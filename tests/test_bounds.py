@@ -1,5 +1,7 @@
 """Tests for the closed-form security bounds."""
 
+import collections
+import hashlib
 import math
 import pathlib
 import subprocess
@@ -9,6 +11,7 @@ import numpy as np
 import pytest
 
 import di2pc
+from di2pc import bounds
 from di2pc.bounds import (
     INSECURE,
     binary_entropy,
@@ -388,3 +391,87 @@ def test_bound_matches_bruteforce_weight_enumeration():
                     expect, rel=1e-12)
                 assert bound_perfect_sumform(n, d, zeta) == pytest.approx(
                     expect, rel=1e-12)
+
+
+# -- bit-identity golden ----------------------------------------------------
+
+def _bound_digest() -> str:
+    """One sha256 over the float hexes of every B/B' function, the report's
+    fields and min_rounds answers on a seeded grid: n on both sides of the
+    linear / log-space split up to 10^6, d up to 2^120, zeta with both ends,
+    gamma 0 and positive."""
+    rng = np.random.default_rng(23)
+    h = hashlib.sha256()
+
+    def put(*values):
+        h.update(" ".join(v.hex() if isinstance(v, float) else repr(v)
+                          for v in values).encode() + b"\n")
+
+    ns = [1, 2, 3, 7, 64, 999, 1000, 1001, 1002, 4096, 10 ** 5, 10 ** 6]
+    ds = [1, 2, 3, 5, 2 ** 20, 2 ** 64, 2 ** 120]
+    ns += [int(n) for n in rng.integers(1, 3000, size=40)]
+    for i in range(600):
+        n = ns[int(rng.integers(len(ns)))]
+        if n >= 10 ** 5 and i % 4:
+            n = int(rng.integers(2000, 20000))
+        d = ds[int(rng.integers(len(ds)))] if i % 2 else 2 ** int(rng.integers(0, 121))
+        zeta = float(rng.choice([0.0, 1.0, rng.random(), rng.random() / 10]))
+        gamma = float(rng.choice([0.0, rng.random() / 2, rng.random() / 40]))
+        put(n, d, zeta, gamma,
+            bound_perfect_raw(n, d, zeta), bound_perfect_log2(n, d, zeta),
+            bound_perfect_sumform(n, d, zeta),
+            bound_imperfect(n, d, zeta, gamma),
+            bound_imperfect_log2(n, d, zeta, gamma))
+        rep = bound_report(n=n, d=d, zeta=zeta, gamma=gamma)
+        put(rep.threshold_t, rep.b_perfect, rep.b_imperfect,
+            rep.minentropy_rate, rep.secure)
+    for i in range(300):
+        d = 2 ** int(rng.integers(0, 13)) if i % 3 else int(rng.integers(1, 20))
+        zeta = float(rng.random() * 0.9)
+        gamma = 0.0 if i % 4 == 0 else float(rng.random() * 0.6 * gamma_star(zeta))
+        eps = float(2.0 ** -rng.integers(4, 33))
+        put(d, zeta, gamma, eps, min_rounds(d, zeta, gamma, eps))
+    return h.hexdigest()
+
+
+# The digest of the grid above, recorded before min_rounds prepared one curve
+# per query, on x86-64 with an 80-bit long double (the linear path computes
+# in np.longdouble).
+_BOUND_DIGEST = "a0251efe8e330727b7740fa162f12651e443aadc96957e35e443ca387cc98ebd"
+
+
+def test_bound_values_bit_identical_golden():
+    assert _bound_digest() == _BOUND_DIGEST
+
+
+def test_min_rounds_prepares_once_per_query(monkeypatch):
+    # validation, the threshold and h(gamma) run a fixed number of times per
+    # query, however many probes it makes; the probes only evaluate
+    calls = collections.Counter()
+    for name in ("_validate", "_threshold", "binary_entropy"):
+        def counted(*args, _fn=getattr(bounds, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(bounds, name, counted)
+    counts = []
+    for eps in (0.5, 2.0 ** -20, 2.0 ** -300):
+        calls.clear()
+        min_rounds(2 ** 10, 0.2, 0.01, eps)
+        counts.append(dict(calls))
+    assert counts[0] == counts[1] == counts[2]
+    assert counts[0]["_threshold"] == 1
+
+
+def test_closed_form_cancellation_raises_domain_error():
+    # past about d = 2^212 the linear closed form loses every digit at t < n
+    # (it reads -0.72 here); the point and the cause are named, and min_rounds
+    # stops rather than answer from neighbouring probes that read low
+    for call in (lambda: bound_report(n=250, d=2 ** 215, zeta=0.1),
+                 lambda: bound_imperfect(250, 2 ** 215, 0.1, 0.0),
+                 lambda: bound_perfect_log2(250, 2 ** 215, 0.1),
+                 lambda: min_rounds(2 ** 300, 0.3, 0.0, 1e-6)):
+        with pytest.raises(DomainError, match=r"at n = \d+, d = .*cancellation"):
+            call()
+    # the sum form keeps the value there, and t >= n still gives exactly 1
+    assert bound_perfect_sumform(250, 2 ** 215, 0.1) == 1.0
+    assert bound_perfect_raw(200, 2 ** 215, 0.1) == 1.0

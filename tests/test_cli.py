@@ -53,6 +53,19 @@ def test_bound_requires_exactly_one_of_s_zeta(capsys):
     assert code == 2
 
 
+def test_bound_where_the_closed_form_cancels_exits_2(capsys):
+    # past about d = 2^212 the closed form reads 0 or below at t < n; the
+    # command names the point in a DomainError instead of a traceback
+    for argv in (("bound", "--n", "250", "--d", str(2 ** 215), "--zeta", "0.1"),
+                 ("min-n", "--d", str(2 ** 300), "--zeta", "0.3", "--gamma", "0",
+                  "--eps", "1e-6")):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        error = json.loads(err.strip())
+        assert error["error"] == "DomainError"
+        assert "cancellation" in error["detail"]
+
+
 def test_min_n_outputs(capsys):
     code, out, _ = run_cli(capsys, "min-n", "--d", "2", "--zeta", "0",
                            "--gamma", "0", "--eps", str(2.0 ** -20))
