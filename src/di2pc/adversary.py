@@ -194,8 +194,10 @@ class StoreSubset(_ProductStrategy):
     """Keep the rounds in ``keep`` in quantum memory, measure out the rest.
 
     The kept factors must fit the memory (product of their dimensions <= d is
-    checked at evaluation time); discarded rounds are measured at ``angles``.
-    A round is kept at most once, so ``memory_dim`` counts what is stored.
+    checked at evaluation time); discarded rounds are measured at ``angles``:
+    none (the Breidbart angle pi/8), one (broadcast), or one per measured
+    round, in round order. A round is kept at most once, so ``memory_dim``
+    counts what is stored.
     """
 
     keep: tuple[int, ...]
@@ -222,8 +224,11 @@ class StoreSubset(_ProductStrategy):
         discarded = [k for k in range(n) if k not in keep]
         if discarded and dim_b != 2:
             raise StrategyError("measured-out rounds are parameterized for qubits only")
+        if len(self.angles) not in (0, 1, len(discarded)):
+            raise StrategyError(f"need 0, 1 or {len(discarded)} angles for the measured "
+                                f"rounds, got {len(self.angles)}")
         angles = self.angles if len(self.angles) == len(discarded) \
-            else tuple(self.angles or (BREIDBART_ANGLE,)) * len(discarded)
+            else (self.angles or (BREIDBART_ANGLE,)) * len(discarded)
         measured = iter(angles)
         return tuple(None if k in keep else next(measured) for k in range(n))
 
@@ -964,15 +969,14 @@ class _GameContext:
         self.thetas, self.keys, self.bits = _basis_strings(n)
         # tr_A[(P^t_x (x) I) sigma_AB] for all four projectors at once: one
         # stacked product, and no re-validation of the device's fields. The
-        # Kronecker products are ``_kron``'s broadcast, the same products
-        # bit for bit, against a shared identity.
+        # Kronecker products are ``_kron``'s broadcast against a shared
+        # identity, and the trace is ``np.trace``'s reduction: bit for bit.
         da, db = device.dim_a, device.dim_b
         m0, m1 = device.alice_meas_0, device.alice_meas_1
-        p = np.array(((m0.p0, m0.p1), (m1.p0, m1.p1)))
-        krons = (p[..., :, None, :, None] * _spread_identity(db)).reshape(
-            2, 2, da * db, da * db)
-        self.table = np.trace((krons @ device.sigma_ab).reshape(2, 2, da, db, da, db),
-                              axis1=2, axis2=4)
+        p = np.array((m0.p0, m0.p1, m1.p0, m1.p1)).reshape(2, 2, da, 1, da, 1)
+        krons = (p * _spread_identity(db)).reshape(2, 2, da * db, da * db)
+        self.table = np.add.reduce((krons @ device.sigma_ab).reshape(
+            2, 2, da, db, da, db).diagonal(0, 2, 4), -1)
         self._dense = None       # (thetas, outcomes, Din, Din), built on first use
         self._ball = None        # (guesses, outcomes), built on first use
 
@@ -1056,19 +1060,16 @@ def _measured_optimum(terms: list, angle: float) -> tuple[list[float], list[list
     T_01 of T = table[t, x]; branch m has the bra K_m of ``_round_kraus``,
     (c, s) or (-s, c), so tr(K_m T K_m^+) = c^2 T_00 + s^2 T_11 +- 2 c s Re
     T_01, summed in that order. Branch m guesses the first x where that is
-    largest, as ``argmax`` does, and a basis is worth the sum of the maxima.
+    largest, as ``argmax`` does, and a basis is worth 0 + max_0 + max_1.
     """
     c, s = math.cos(angle), math.sin(angle)
-    branches = ((c * c, s * s, c * s), (s * s, c * c, -(c * s)))
+    cc, ss, cs = c * c, s * s, c * s
     values, guesses = [], []
     for (a0, b0, x0), (a1, b1, x1) in terms:
-        value, guess = 0.0, []
-        for u, w, z in branches:
-            p0, p1 = u * a0 + w * b0 + z * x0, u * a1 + w * b1 + z * x1
-            guess.append(int(p1 > p0))
-            value += p1 if p1 > p0 else p0
-        values.append(value)
-        guesses.append(guess)
+        p0, p1 = cc * a0 + ss * b0 + cs * x0, cc * a1 + ss * b1 + cs * x1
+        q0, q1 = ss * a0 + cc * b0 - cs * x0, ss * a1 + cc * b1 - cs * x1
+        values.append(0.0 + (p1 if p1 > p0 else p0) + (q1 if q1 > q0 else q0))
+        guesses.append([int(p1 > p0), int(q1 > q0)])
     return values, guesses
 
 
@@ -1109,12 +1110,15 @@ def _product_results(ctx: _GameContext, plans: list[tuple[float | None, ...]],
     no error allowed it is the product of the per-round values, kept rounds
     included, since the guessing probability of product cq-states is
     multiplicative (König, Renner & Schaffner, IEEE TIT 55, 4337, 2009). The
-    decoders are the Kronecker product of the per-round ones, in the dense
-    game's branch and guess order. Each distinct round is solved once; the
-    values are scalar products, round 0 first, or the recursion.
+    decoders are the Kronecker product of the per-round ones, every basis
+    string at once, in the dense game's branch and guess order. Each
+    distinct round is solved once; the values are scalar products, round 0
+    first, or the recursion; one reduction takes all win and gap means.
     """
-    terms = [[(t[0][0].real, t[1][1].real, 2 * t[0][1].real) for t in basis]
-             for basis in ctx.table.tolist()] if ctx.device.dim_b == 2 else None
+    if not plans:
+        return []
+    terms = [[(t00, t11, 2 * t01) for (t00, t01), (_, t11) in basis]
+             for basis in ctx.table.real.tolist()] if ctx.device.dim_b == 2 else None
     optima = {}     # per distinct round: its values and its decoders per basis
     for a in {a for rounds in plans for a in rounds}:
         if a is None:       # Helstrom, worth (tr(G_0 + G_1) + ||G_0 - G_1||_1) / 2
@@ -1139,16 +1143,15 @@ def _product_results(ctx: _GameContext, plans: list[tuple[float | None, ...]],
         v = np.array([[optima[a][0] for a in rounds] for rounds in plans])
         v = v.reshape(len(plans), ctx.n, 2)[:, np.arange(ctx.n), ctx.bits]
         lows = _within_radius(v, ctx.radius).tolist()
+    # (attacks, 2, basis strings): values, and gaps as the dense path forms
+    # them, upper - lower, which rounding keeps >= 0 here, so they need no clip
     allowance = _PRODUCT_ALLOWANCE * (ctx.n + 1) * ctx.device.dim_b
+    sums = np.add.reduce([(low, [(p + allowance) - p for p in low]) for low in lows],
+                         axis=-1).tolist()
     results = []
-    for rounds, low in zip(plans, lows):
-        # the gap as the dense path forms it, upper - lower, which rounding
-        # keeps at or above 0 here, so that its clip at 0 is the identity
-        win, gap = np.add.reduce(
-            (low, [(p + allowance) - p for p in low]), axis=1).tolist()
-        decoders = {key: [list(branch) for branch in _kron_axes(
-            [optima[a][1][t] for a, t in zip(rounds, theta)], 4)]
-            for key, theta in zip(ctx.keys, ctx.thetas)} if want_decoders else None
+    for rounds, low, (win, gap) in zip(plans, lows, sums):
+        decoders = {key: [list(branch) for branch in f] for key, f in zip(
+            ctx.keys, _kron_axes([optima[a][1] for a in rounds], 5))} if want_decoders else None
         results.append(GuessResult(win / len(low), dict(zip(ctx.keys, low)),
                                    gap / len(low), decoders=decoders))
     return results
@@ -1189,13 +1192,15 @@ def _score_strategies(ctx: _GameContext, strategies: list[Strategy], tol: float 
     stacked and solved in one certified call; each strategy's result, its
     ``converged`` included, is read from its own slice.
     """
-    rounds = {i: s.rounds(ctx.device.dim_b, ctx.n) for i, s in enumerate(strategies)
-              if isinstance(s, _ProductStrategy)}
-    product = [i for i, r in rounds.items() if ctx.radius == 0 or None not in r]
-    results = dict(zip(product, _product_results(
-        ctx, [rounds[i] for i in product], want_decoders)))
-    rewards = {i: ctx.round_rewards(rounds[i]) if i in rounds else ctx.rewards(s)
-               for i, s in enumerate(strategies) if i not in results}
+    rounds = [s.rounds(ctx.device.dim_b, ctx.n) if isinstance(s, _ProductStrategy)
+              else None for s in strategies]
+    dense = [i for i, r in enumerate(rounds) if r is None or (ctx.radius > 0 and None in r)]
+    product = _product_results(ctx, [r for i, r in enumerate(rounds) if i not in dense],
+                               want_decoders)
+    if not dense:
+        return product
+    results = dict(zip([i for i in range(len(strategies)) if i not in dense], product))
+    rewards = {i: ctx.rewards(strategies[i]) for i in dense}
     shapes: dict[tuple, list[int]] = {}
     for i, g in rewards.items():
         shapes.setdefault(g.shape[1:], []).append(i)

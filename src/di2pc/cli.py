@@ -109,15 +109,23 @@ def _write_wse(tr: WseTranscript, fh) -> None:
     fh.write("}\n")
 
 
+def _read_json(path: str, what: str):
+    """The JSON value in the UTF-8 file at ``path``; a usage error naming
+    ``what`` if the file cannot be opened, read or decoded."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except FileNotFoundError as exc:
+        raise _UsageError(f"{what} not found: {path}") from exc
+    except OSError as exc:              # a directory, or no permission to read
+        raise _UsageError(f"{what} cannot be read: {exc}") from exc
+    except ValueError as exc:           # JSONDecodeError, UnicodeDecodeError
+        raise _UsageError(f"{what} is not valid JSON: {exc}") from exc
+
+
 def _load_device(path: str) -> DeviceModel:
     from .protocols import DeviceModel
-    try:
-        with open(path) as fh:
-            return DeviceModel.from_obj(json.load(fh))
-    except FileNotFoundError as exc:
-        raise _UsageError(f"device file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise _UsageError(f"device file is not valid JSON: {exc}") from exc
+    return DeviceModel.from_obj(_read_json(path, "device file"))
 
 
 def _zeta_arg(args) -> float:
@@ -263,12 +271,7 @@ def _cmd_attack(args) -> int:
             raise _UsageError("--d leaves no room to store a subset")
         strategy = StoreSubset(keep=keep)
     elif args.strategy.startswith("file:"):
-        path = args.strategy[5:]
-        try:
-            with open(path) as fh:
-                strategy = strategy_from_obj(json.load(fh))
-        except FileNotFoundError as exc:
-            raise _UsageError(f"strategy file not found: {path}") from exc
+        strategy = strategy_from_obj(_read_json(args.strategy[5:], "strategy file"))
     else:
         raise _UsageError(f"unknown strategy {args.strategy!r}")
     res = exact_win_probability(device, strategy, args.n, args.d, args.gamma,
@@ -469,11 +472,7 @@ def _config_value(action: argparse.Action, value):
 
 def _load_config(path: str) -> dict:
     """Flag defaults from a JSON object whose keys are flag names."""
-    try:
-        with open(path) as fh:
-            raw = json.load(fh)
-    except (OSError, ValueError) as exc:       # ValueError covers JSONDecodeError
-        raise _UsageError(f"bad --config: {exc}") from exc
+    raw = _read_json(path, "--config file")
     if not isinstance(raw, dict):
         raise _UsageError("bad --config: expected a JSON object")
     return {k.replace("-", "_"): v for k, v in raw.items()}

@@ -2,6 +2,7 @@
 
 import collections
 import functools
+import hashlib
 import itertools
 import json
 import math
@@ -570,7 +571,11 @@ def test_product_strategy_validation_errors():
              (qutrit, StoreSubset(keep=(0,)), 2, 3),
              (ideal, MeasureAll(angles=(0.1, 0.2)), 3, 1),
              (ideal, StoreSubset(keep=(2,)), 2, 2),
-             (ideal, StoreSubset(keep=(-1,)), 2, 2)]
+             (ideal, StoreSubset(keep=(-1,)), 2, 2),
+             # neither 0, 1 nor one angle per measured round: not cycled or cut
+             (ideal, StoreSubset(keep=(0,), angles=(0.1, 0.2)), 4, 2),
+             (ideal, StoreSubset(keep=(0,), angles=(0.1,) * 5), 3, 2),
+             (ideal, StoreSubset(keep=(0, 1), angles=(0.1, 0.2)), 2, 4)]
     for device, strat, n, d in cases:
         with pytest.raises(StrategyError):
             exact_win_probability(device, strat, n, d, 0.0)
@@ -755,6 +760,68 @@ def test_game_table_equals_kron_formula_bit_for_bit():
                          axis1=2, axis2=4)
         got = _GameContext(device, 1, 0.0).table
         assert got.dtype == table.dtype and got.tobytes() == table.tobytes()
+
+
+def _product_digest() -> str:
+    """One sha256 over the float hexes of every factorizing product result
+    (win_prob, per_theta keys and values, certified_gap, converged) and its
+    decoders' dtypes and bytes, from ``exact_win_probability`` and from one
+    ``_score_strategies`` call per game, on a seeded grid: Breidbart,
+    MeasureAll and StoreSubset with 0, 1 and one angle per measured round; n
+    = 1-6; gamma 0, 0.2, 0.34 and 0.5; random, rotated-ideal and ideal
+    devices, plus the mixed (all ties) and qutrit ones at n <= 3; decoders at
+    n <= 3."""
+    rs = RandomSuite(2409)
+    h = hashlib.sha256()
+
+    def put(res):
+        values = [res.win_prob, res.certified_gap, res.converged]
+        values += [v for item in res.per_theta.items() for v in item]
+        h.update(" ".join(v.hex() if isinstance(v, float) else repr(v)
+                          for v in values).encode() + b"\n")
+        for key, branches in (res.decoders or {}).items():
+            h.update(key.encode())
+            for f in itertools.chain.from_iterable(branches):
+                h.update(f.dtype.str.encode() + f.tobytes())
+
+    for n, gamma in itertools.product(range(1, 7), (0.0, 0.2, 0.34, 0.5)):
+        suite = rs.child(10 * n + int(gamma * 10))
+        devices = [random_qubit_device(suite.child(0)),
+                   adversary.random_rotated_ideal_device(suite.child(1)),
+                   ideal_bb84_device()]
+        if n <= 3:
+            devices += [_mixed_device(), _qutrit_device()]
+        want = n <= 3
+        for device in devices:
+            angles = tuple(float(a) for a in suite.rng.random(n) * (math.pi / 2))
+            keep = tuple(sorted(suite.rng.choice(n, int(suite.rng.integers(n + 1)),
+                                                 replace=False).tolist()))
+            measured = n - len(keep)
+            strats = [StoreSubset(keep=tuple(range(n)))]
+            if device.dim_b == 2:
+                strats += [breidbart(n), MeasureAll(angles=angles),
+                           MeasureAll(angles=angles[:1]), StoreSubset(keep=keep),
+                           StoreSubset(keep=keep, angles=angles[:min(measured, 1)]),
+                           StoreSubset(keep=keep, angles=angles[:measured])]
+            radius = math.floor(gamma * n)
+            strats = [s for s in strats
+                      if radius == 0 or None not in s.rounds(device.dim_b, n)]
+            for strat in strats:
+                put(exact_win_probability(device, strat, n, strat.memory_dim(
+                    device.dim_b, n), gamma, want_decoders=want))
+            for res in _score_strategies(_GameContext(device, n, gamma), strats,
+                                         want_decoders=want):
+                put(res)
+    return h.hexdigest()
+
+
+# The digest of the grid above, recorded before the product path was slimmed
+# to one pass over its plans.
+_PRODUCT_DIGEST = "f27fe69056f16c94a2df7b73931d82e7435feca6601dcc5a20f76c33680d50be"
+
+
+def test_product_results_bit_identical_golden():
+    assert _product_digest() == _PRODUCT_DIGEST
 
 
 def test_product_decoders_take_the_first_guess_on_a_tie():

@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from di2pc import bounds
+from di2pc import bounds, cli
 from di2pc.chsh import TSIRELSON, estimate_chsh
 from di2pc.cli import main
 from di2pc.jordan import decompose_pair, epsilon_plus_blocks
@@ -237,6 +237,9 @@ def test_attack_from_strategy_file(capsys, tmp_path, device_file):
     ({"kind": "store_subset", "keep": [1], "angles": [math.nan]}, 2, 2),
     # a round index that is not an integer
     ({"kind": "store_subset", "keep": [0.7]}, 1, 2),
+    # neither 0, 1 nor one angle per measured round (3, then 2 of them)
+    ({"kind": "store_subset", "keep": [0], "angles": [0.1, 0.2]}, 4, 2),
+    ({"kind": "store_subset", "keep": [0], "angles": [0.1] * 5}, 3, 2),
 ])
 def test_attack_rejects_malformed_strategy_file(capsys, tmp_path, device_file,
                                                 strategy, n, d):
@@ -247,6 +250,37 @@ def test_attack_rejects_malformed_strategy_file(capsys, tmp_path, device_file,
     assert code == 2
     assert out == ""
     assert json.loads(err.strip())["error"] == "StrategyError"
+
+
+_BAD_FILES = {
+    "invalid-json": lambda path: path.write_text('{"kind": '),
+    "directory": lambda path: path.mkdir(),
+    "non-utf8": lambda path: path.write_bytes(b'{"kind": "\xff"}'),
+    "unreadable": lambda path: path.write_text("{}"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_FILES))
+@pytest.mark.parametrize("flag", ["--device", "--strategy"])
+def test_unreadable_input_file_exits_2(capsys, tmp_path, monkeypatch, device_file,
+                                       flag, case):
+    # a file that cannot be opened, read or decoded is a usage error
+    bad = tmp_path / "bad.json"
+    _BAD_FILES[case](bad)
+    if case == "unreadable":
+        # the superuser reads any file, so the open call refuses it here
+        def refuse(path, *args, _open=open, **kwargs):
+            if str(path) == str(bad):
+                raise PermissionError(13, "Permission denied", str(path))
+            return _open(path, *args, **kwargs)
+        monkeypatch.setattr(cli, "open", refuse, raising=False)
+    device, strategy, what = (str(bad), "breidbart", "device file") \
+        if flag == "--device" else (device_file, f"file:{bad}", "strategy file")
+    code, out, err = run_cli(capsys, "attack", "--device", device,
+                             "--strategy", strategy, "--n", "1", "--d", "1")
+    assert (code, out) == (2, "")
+    payload = json.loads(err.strip())
+    assert payload["error"] == "usage" and payload["detail"].startswith(what)
 
 
 def test_verify_deterministic_output(capsys):
