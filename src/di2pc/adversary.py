@@ -822,12 +822,12 @@ def _discriminate_batch(g: np.ndarray, tol: float = 1e-9, qubit_first: bool = Fa
     batch: dominated outcomes dropped, closed forms for one and two kept
     outcomes, the fixed point and its fallback (one schedule, see
     ``_fixed_point``) for the rest. With ``qubit_first`` (the see-saw's
-    scoring and the memoryless optimum) every qubit problem goes to the
-    closed form ``_qubit_optimum`` first, on all its outcomes and all in one
-    call, and only the problems whose gap there exceeds ``tol`` go on to
-    ``_pruned``. Soundness does not
-    rest on either: a wrong drop or a wrong root can only widen the
-    certified gap.
+    scoring, and the memoryless optimum where its own singles and pairs do
+    not settle a problem) every qubit problem goes to the closed form
+    ``_qubit_optimum`` first, on all its outcomes and all in one call, and
+    only the problems whose gap there exceeds ``tol`` go on to ``_pruned``.
+    Soundness does not rest on either: a wrong drop or a wrong root can only
+    widen the certified gap.
     """
     b, k, d, _ = g.shape
     if d == 1:
@@ -1597,6 +1597,14 @@ _KEY_LEMMA_RESTARTS = 2
 _KEY_LEMMA_ITERS = 30
 
 
+# The outward rounding of ``_memoryless_optimum``'s certificate, per unit of
+# its magnitude; derived in its docstring.
+_BLOCH_ALLOWANCE = 16 * _EPS
+# The four single guesses, then the six pairs in ``_pair_tables``' order.
+_GUESS_SETS = tuple(itertools.chain(itertools.combinations(range(4), 1),
+                                    itertools.combinations(range(4), 2)))
+
+
 def _memoryless_optimum(ctx: _GameContext) -> tuple[float, float, bool]:
     """The optimal value of the one-round game with no quantum memory, as
     (value, certified gap, converged).
@@ -1604,13 +1612,67 @@ def _memoryless_optimum(ctx: _GameContext) -> tuple[float, float, bool]:
     Bob's best attack is one POVM whose outcome is a guess table f: Theta ->
     X, read once theta is announced: guessing with post-measurement
     information (Gopal & Wehner, PRA 82, 022326, 2010). Its value is the
-    optimum of one discrimination problem with a guess per table, W_f = 1/2
-    sum_theta table[theta, f(theta)], which ``_discriminate_batch`` certifies
-    (the closed form on a qubit, ``_pruned`` where its gap check fails). One
-    problem per call, so that a trial's value does not depend on its
-    neighbours (a batch sums each problem's value in an order set by its
-    size).
+    optimum of one qubit problem with a guess per table, W_f = (table[0, f0]
+    + table[1, f1]) / 2 = alpha_f I + beta_f . sigma, solved in float
+    arithmetic by ``_qubit_optimum``'s formulas and checks on the singles
+    and pairs of ``_pair_roots``. The kept root's POVM is I on a single y,
+    worth 2 alpha_y, or on a pair the Helstrom measurement (I -+ n . sigma) /
+    2, n = (beta_z - beta_y) / D, worth alpha_y + alpha_z + D (D >= |alpha_z
+    - alpha_y| as 0 <= t <= 1): 2a either way. (Summed term by term, its
+    division by sum_f c_f r_f = 2 t (1 - t) D magnifies rounding, and put
+    values up to 5e-15 above the optimum.) Y = a I + b . sigma, exact as the
+    floats a, b define it, certifies 2a + 2 mu: mu = max(0, max_f (alpha_f -
+    a + |beta_f - b|)) is the largest eigenvalue of any W_f - Y.
+
+    Rounding: with u = eps / 2 and m = |a| + |b| + max_f (|alpha_f| +
+    |beta_f|), each computed eigenvalue is within 11 u m of the exact one of
+    the exact table average: 2 u m each for alpha_f and beta_f (two roundings
+    each, the halvings exact), u m each for alpha_f - a and b - beta_f, 3 u m
+    for a length of three terms, 2 u m for their sum. Doubled, plus 6 u m for
+    the final sum, that is below the 32 u m (``_BLOCH_ALLOWANCE`` m) added.
+
+    A problem no single or pair settles (three active guesses; never four,
+    as beta_00 + beta_11 = beta_01 + beta_10 makes the points coplanar), or
+    whose gap exceeds its tol, goes to ``_discriminate_batch``. One problem
+    per call, so that a trial's value does not depend on its neighbours.
     """
+    t0, t1 = ctx.table.tolist()
+    alpha, beta = [], []
+    for (p00, p01), (p10, p11) in t0:
+        for (q00, q01), (q10, q11) in t1:
+            w00, w11 = (p00.real + q00.real) / 2, (p11.real + q11.real) / 2
+            w01, w10 = (p01 + q01) / 2, (p10 + q10) / 2
+            alpha.append((w00 + w11) / 2)
+            beta.append(((w01.real + w10.real) / 2, (w10.imag - w01.imag) / 2,
+                         (w00 - w11) / 2))
+    margin = 1e-12 * max(map(abs, alpha))
+    kept = []
+    for active in _GUESS_SETS:
+        y, z = active[0], active[-1]
+        if y == z:
+            a, b = alpha[y], beta[y]
+        else:
+            diff = [q - p for p, q in zip(beta[y], beta[z])]
+            dist = math.sqrt(diff[0] * diff[0] + diff[1] * diff[1] + diff[2] * diff[2])
+            t = (alpha[z] - alpha[y] + dist) / (2 * dist) if dist > 0 else math.nan
+            if not 0.0 <= t <= 1.0:         # a hull weight, 1 - t or t, below 0
+                continue
+            a = (alpha[y] + alpha[z] + dist) / 2
+            b = [p + t * q for p, q in zip(beta[y], diff)]
+        slack = []
+        for al, (p, q, s) in zip(alpha, beta):
+            e, g, h = b[0] - p, b[1] - q, b[2] - s
+            slack.append(a - al - math.sqrt(e * e + g * g + h * h))
+        if min(slack) >= -margin and all(abs(slack[f]) <= margin for f in active):
+            kept.append((a, b, slack))
+    if kept:
+        low = min(k[0] for k in kept) + margin
+        a, b, slack = next(k for k in kept if k[0] <= low)
+        m = abs(a) + math.sqrt(b[0] * b[0] + b[1] * b[1] + b[2] * b[2]) + max(
+            abs(al) + math.sqrt(p * p + q * q + s * s) for al, (p, q, s) in zip(alpha, beta))
+        upper = 2 * a + 2 * max(0.0, -min(slack)) + _BLOCH_ALLOWANCE * m
+        if upper - 2 * a <= 1e-9:           # ``_discriminate_batch``'s tol
+            return 2 * a, upper - 2 * a, True
     t = ctx.table
     w = (t[0][:, None] + t[1][None, :]).reshape(-1, *t.shape[2:]) / 2
     lower, upper, _, conv = _discriminate_batch(w[None], qubit_first=True)
@@ -1622,11 +1684,12 @@ def verify_key_lemma(trials: int, n: int, d: int, gamma: float = 0.0,
     """Pit strategy families and stronger attacks against B'(n, d, eps_+, gamma).
 
     The stronger attack is the exact optimum at n = d = 1 (no quantum
-    memory, ``_memoryless_optimum``) and the see-saw search elsewhere; it
-    runs on every device whose bound is below 1. The certificate uses the
-    device's exact effective anti-commutator, the sharpest value the proof
-    supports, so any CHSH-derived zeta >= eps_+ passes a fortiori. A
-    violation report carries the offending device.
+    memory, ``_memoryless_optimum``: one 2 x 2 problem with four guesses,
+    solved and certified in scalar Bloch arithmetic) and the see-saw search
+    elsewhere; it runs on every device whose bound is below 1. The
+    certificate uses the device's exact effective anti-commutator, the
+    sharpest value the proof supports, so any CHSH-derived zeta >= eps_+
+    passes a fortiori. A violation report carries the offending device.
     """
     if n > 2 or d > 2:
         raise DimensionCapError("key-lemma fuzz is capped at n <= 2, d <= 2")

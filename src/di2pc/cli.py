@@ -42,6 +42,16 @@ _EXIT_CAP = 4
 # first had peaked at 96 and 485 MB.
 _SIMULATE_CAP_ROUNDS = 10 ** 7
 
+# `region` holds its whole grid, --s-steps x --gamma-steps rows, in memory
+# and writes it as one JSON object: about 0.6 KB of RSS per row. On the same
+# machine a 1000 x 250 grid (this cap) peaked at 175 MB RSS in 1.9 s wall (34
+# MB of JSON), and a 1000 x 1000 one at 610 MB in 12.5 s.
+_REGION_CAP_ROWS = 250_000
+# `curve` runs one `min_rounds` per step. On the same machine 1,000 steps
+# (this cap) with d = 2^20 and eps = 2^-64 took 11.4 s wall and peaked at 111
+# MB RSS; 60 steps took 1.8 s.
+_CURVE_CAP_STEPS = 1000
+
 # Certificate gap `attack` asks of the discrimination solver.
 _ATTACK_TOL = 1e-8
 
@@ -154,6 +164,10 @@ def _cmd_bound(args) -> int:
 def _cmd_region(args) -> int:
     if args.s_steps < 2 or args.gamma_steps < 2:
         raise _UsageError("--s-steps and --gamma-steps must be at least 2")
+    if args.s_steps * args.gamma_steps > _REGION_CAP_ROWS:
+        raise DimensionCapError(
+            f"region is capped at {_REGION_CAP_ROWS} rows (--s-steps x --gamma-steps), "
+            f"got {args.s_steps} x {args.gamma_steps}")
     from .bounds import security_region
     from .chsh import TSIRELSON
     s_grid = [2.0 + (TSIRELSON - 2.0) * i / (args.s_steps - 1)
@@ -183,6 +197,9 @@ def _cmd_min_n(args) -> int:
 def _cmd_curve(args) -> int:
     if args.s_steps < 2:
         raise _UsageError("--s-steps must be at least 2")
+    if args.s_steps > _CURVE_CAP_STEPS:
+        raise DimensionCapError(
+            f"curve is capped at --s-steps <= {_CURVE_CAP_STEPS}, got {args.s_steps}")
     from .bounds import INSECURE, min_rounds
     from .chsh import TSIRELSON, zeta_from_violation
     rows = []

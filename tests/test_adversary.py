@@ -1,6 +1,7 @@
 """Tests for strategies, discrimination, the exact game, and the verifiers."""
 
 import collections
+import dataclasses
 import functools
 import hashlib
 import itertools
@@ -1222,6 +1223,13 @@ def test_memoryless_optimum_on_ideal_device_is_monogamy_value():
     assert 0.0 <= gap <= 1e-12 and converged
 
 
+def _memoryless_problem(device) -> np.ndarray:
+    """The n = d = 1 problem, W_f = (T[0, f0] + T[1, f1]) / 2, built apart."""
+    table = _GameContext(device, 1, 0.0).table
+    return np.array([(table[0, f0] + table[1, f1]) / 2
+                     for f0, f1 in itertools.product((0, 1), repeat=2)])
+
+
 def test_memoryless_optimum_bounds_every_attack_and_is_bounded_by_b_prime():
     from di2pc.bounds import bound_imperfect
     problems, values, uppers = [], [], []
@@ -1229,9 +1237,7 @@ def test_memoryless_optimum_bounds_every_attack_and_is_bounded_by_b_prime():
         suite = RandomSuite(child_seed(461, trial))
         device = random_qubit_device(suite)
         ctx = _GameContext(device, 1, 0.0)
-        # one guess per table f: Theta -> X, W_f = (T[0, f(0)] + T[1, f(1)]) / 2
-        w = np.array([[(ctx.table[0, f0] + ctx.table[1, f1]) / 2
-                       for f0, f1 in itertools.product((0, 1), repeat=2)]])
+        w = _memoryless_problem(device)[None]     # one guess per table f
         value, gap, converged = adversary._memoryless_optimum(ctx)
         upper = value + gap
         assert converged
@@ -1246,9 +1252,11 @@ def test_memoryless_optimum_bounds_every_attack_and_is_bounded_by_b_prime():
             assert res.win_prob <= upper + 1e-12, (trial, strat)
         res, _ = seesaw_search(device, 1, 1, restarts=2, seed=trial, iters=30)
         assert res.win_prob <= upper + 1e-12, trial
-        # the optimum is the closed form of its own problem, built apart
-        lower_q, _, _, _ = _discriminate_batch(w, qubit_first=True)
-        assert value == lower_q[0]
+        # the optimum is the closed form of its own problem, built apart, up
+        # to rounding: both lowers are float values of optimal POVMs
+        lower_q, upper_q, _, _ = _discriminate_batch(w, qubit_first=True)
+        assert abs(value - lower_q[0]) <= 1e-13 and value <= upper_q[0]
+        assert lower_q[0] <= upper
         problems.append(w[0])
         values.append(value)
         uppers.append(upper)
@@ -1257,6 +1265,45 @@ def test_memoryless_optimum_bounds_every_attack_and_is_bounded_by_b_prime():
     lower_g, upper_g, _, conv_g = _discriminate_batch(np.array(problems))
     assert conv_g
     assert np.all(lower_g <= np.array(uppers)) and np.all(np.array(values) <= upper_g)
+
+
+def test_memoryless_optimum_brackets_both_certified_paths(monkeypatch):
+    ideal = ideal_bb84_device()
+    tilted = np.diag([0.8, 0.2]).astype(complex)      # Alice's state, biased
+    bob = np.array([[0.6, 0.2 - 0.1j], [0.2 + 0.1j, 0.4]])
+
+    def product(rho_a, rho_b):
+        return dataclasses.replace(ideal, sigma_ab=np.kron(rho_a, rho_b))
+    # the ideal device (cos^2(pi/8), with ties); product states, whose
+    # conditional states all coincide with rho_B: every pair has D = 0 when
+    # rho_B = I/2, and every W_f is a multiple of rho_B, so that the largest
+    # dominates (one active guess) unless all are equal
+    devices = [ideal, product(tilted, np.eye(2) / 2), product(tilted, bob),
+               product(np.eye(2) / 2, np.eye(2) / 2)]
+    for family in (random_qubit_device, adversary.random_rotated_ideal_device):
+        devices += [family(RandomSuite(child_seed(2525, i))) for i in range(500)]
+    solve, fallbacks = adversary._discriminate_batch, []
+
+    def counted(*args, **kwargs):
+        fallbacks.append(1)
+        return solve(*args, **kwargs)
+    monkeypatch.setattr(adversary, "_discriminate_batch", counted)
+    values, gaps, convs = np.array([adversary._memoryless_optimum(_GameContext(dev, 1, 0.0))
+                                    for dev in devices]).T
+    monkeypatch.undo()
+    assert convs.all() and np.all((0.0 <= gaps) & (gaps <= 1e-13))
+    assert abs(values[0] - COS2_PI8) <= 1e-15
+    # Z guessed from the bias, X at random: (0.8 + 0.5) / 2; no bias: 1/2
+    assert np.allclose(values[1:4], [0.65, 0.65, 0.5], rtol=0.0, atol=1e-15)
+    # no single or pair settles 65 of the 500 Haar-random devices (three
+    # active guesses) and none of the rotated ideal ones
+    assert 0 < len(fallbacks) < len(devices) // 4
+    w = np.array([_memoryless_problem(dev) for dev in devices])
+    uppers = values + gaps
+    for lower, upper, _, _ in (_discriminate_batch(w, qubit_first=True),
+                               _discriminate_batch(w)):
+        # intervals, not values: the general path can sit up to 8e-10 low
+        assert np.all(values <= upper) and np.all(lower <= uppers)
 
 
 def test_verify_norm_lemma_single_term_equality():

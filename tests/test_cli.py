@@ -562,7 +562,10 @@ def test_attack_byte_identical_to_golden(capsys, tmp_path, device, strategy, n, 
 # subcommand imported its own modules and before the norm and overlap
 # verifiers stacked their trials. "noisy" is the device_file fixture,
 # "random" the Haar device random_qubit_device(RandomSuite(18)); the second
-# `bound` takes the log-space path (n above 1000)
+# `bound` takes the log-space path (n above 1000). The two digests with n = d
+# = 1 key-lemma reports were re-recorded when the memoryless optimum moved to
+# Bloch arithmetic: max_ratio and worst_slack moved in their last one or two
+# bits, far inside the certified gap printed with them.
 _SHAPE_GOLDENS = [
     (None, ["bound", "--n", "300", "--d", "1024", "--S", "2.7", "--gamma", "0.01"],
      "8dc758999a2d105d8b2b113e1301f876b9a5f2e94992b98e486a172ead8c575b"),
@@ -610,9 +613,9 @@ _SHAPE_GOLDENS = [
             "--gamma", "0.5"],
      "14c7fd5b195078525207c31878a78ec98411b529ab4e6ecbbcfd239b425db158"),
     (None, ["--seed", "1", "verify", "all", "--trials", "4"],
-     "aef56f09578dd7723d64b09a1fc9399b1f408b5231252c3febf9beaf08b04b15"),
+     "df98826cc5f4c7beb61abf73d650ed97df5bf370221b45f329b1281ca5060555"),
     (None, ["--seed", "7", "verify", "key-lemma", "--trials", "20", "--n", "1", "--d", "1"],
-     "3814e50b5a97e15d90e8b119c205d10b6307b931f4464273a20dac0dda6b76cb"),
+     "1360d93d86339e9140fb233507b54bbb24993ea453a237ddc7d76cf2c0dd7e78"),
     (None, ["--seed", "7", "verify", "key-lemma", "--trials", "20", "--n", "1", "--d", "2"],
      "a8108a7881743832b117daf85516e132dd2e7e3bd5c37ccccac0260581dc5151"),
     (None, ["--seed", "7", "verify", "key-lemma", "--trials", "20", "--n", "2", "--d", "1"],
@@ -738,6 +741,9 @@ def test_verify_key_lemma_unconverged_exit_code(capsys, monkeypatch):
         lower, upper, f, _ = solve(*a, **k)
         return lower, upper + 1.0, f, False
     monkeypatch.setattr(adversary, "_discriminate_batch", unconverged)
+    # and the memoryless optimum's Bloch certificate widened past any
+    # tolerance, so that it hands its problem to the solver
+    monkeypatch.setattr(adversary, "_BLOCH_ALLOWANCE", 1.0)
     # with one error allowed, stored rounds are scored by the solver: product
     # attacks at gamma = 0 or with every round measured never reach it; at
     # n = d = 1 only the exact memoryless optimum does
@@ -755,6 +761,45 @@ def test_simulate_rounds_capped_before_work(capsys, device_file):
     assert code == 4
     assert out == ""
     assert json.loads(err.strip())["error"] == "dimension-cap"
+
+
+def _grid_argv(command: str, steps: int) -> list[str]:
+    if command == "region":
+        return ["region", "--s-steps", "2", "--gamma-steps", str(steps)]
+    return ["curve", "--d", "2", "--gamma", "0", "--eps", "1e-6", "--s-steps", str(steps)]
+
+
+_REGION_HALF = cli._REGION_CAP_ROWS // 2     # 2 x this many rows is the cap
+
+
+@pytest.mark.parametrize("argv", [
+    _grid_argv("region", _REGION_HALF + 1),
+    ["region", "--s-steps", str(_REGION_HALF + 1), "--gamma-steps", "2"],
+    ["region", "--s-steps", "10" * 20, "--gamma-steps", "10" * 20],
+    _grid_argv("curve", cli._CURVE_CAP_STEPS + 1),
+])
+def test_grid_sizes_capped_before_work(capsys, monkeypatch, argv):
+    def refused(*args, **kwargs):
+        raise AssertionError("the grid was built")
+    monkeypatch.setattr(bounds, "security_region", refused)
+    monkeypatch.setattr(bounds, "min_rounds", refused)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 4
+    assert out == ""
+    assert json.loads(err.strip())["error"] == "dimension-cap"
+
+
+@pytest.mark.parametrize("command, steps", [("region", _REGION_HALF),
+                                            ("curve", cli._CURVE_CAP_STEPS)])
+def test_grid_sizes_at_the_cap_pass(capsys, monkeypatch, command, steps):
+    from types import SimpleNamespace
+    # stand-ins for the work, which takes seconds at the caps
+    monkeypatch.setattr(bounds, "security_region",
+                        lambda s_grid, g_grid: SimpleNamespace(rows=lambda: []))
+    monkeypatch.setattr(bounds, "min_rounds", lambda *args: bounds.INSECURE)
+    code, out, _ = run_cli(capsys, *_grid_argv(command, steps))
+    assert code == 0
+    assert len(json.loads(out)["rows"]) == (0 if command == "region" else steps)
 
 
 def test_device_dimensions_capped_before_matrices(capsys, tmp_path):
