@@ -28,9 +28,12 @@ chunk by one loop (``_run_trials``); the norm and overlap verifiers take the
 roots and norms of a chunk's trials of one shape in one stacked call each.
 The key-lemma fuzz scores its strategy family in one call
 (``_score_strategies``): the product attacks round by round, the rest in
-one certified solver call per reward shape. At n = d = 1 it adds the exact
-optimum, one guessing problem with post-measurement information per device
-(``_memoryless_optimum``), and elsewhere the see-saw. The search's
+one certified solver call per reward shape. Where the bound is below 1 it
+adds product attacks that play rounds with the n = 1 memoryless optimum, one
+guessing problem with post-measurement information per device
+(``_memoryless_optimum``): every round at d = 1, which at n = 1 is the
+exact optimum, and at n = d = 2 with no error allowed the other round of
+one stored, beside the see-saw, which runs only at d = 2. The search's
 restarts climb together, and one solver call scores several steps ahead of
 every live restart, their rewards built straight from the stacked
 isometries. There every qubit problem, with any number of guesses, goes
@@ -110,12 +113,17 @@ def _require_positive(**values: int) -> None:
             raise DomainError(f"{name} must be at least 1, got {value}")
 
 
-def _round_kraus(angle: float | None, dim_b: int) -> Array:
+def _round_kraus(angle: float | str | None, dim_b: int) -> Array:
     """One round's Kraus factors, shape (branches, mem, dim_b): the identity
     for a kept round (None), else the two bras of the qubit basis at
-    ``angle`` from the Z axis."""
+    ``angle`` from the Z axis. An optimum round has none: its instrument
+    depends on the device."""
     if angle is None:
         return np.eye(dim_b, dtype=complex)[None]
+    if isinstance(angle, str):
+        raise StrategyError("an 'optimum' round has no fixed instrument: it is scored "
+                            "only where the attack's value factorizes (every round "
+                            "measured, or no error allowed)")
     c, s = math.cos(angle), math.sin(angle)
     return np.array([[[c, s]], [[-s, c]]], dtype=complex)
 
@@ -139,20 +147,28 @@ def _kron_axes(factors: list[Array], ndim: int) -> Array:
 # attack strategies: each yields per-classical-outcome Kraus lists B^(x)n -> memory
 # ---------------------------------------------------------------------------
 
-def _angle_tuple(angles) -> tuple[float, ...]:
-    """``angles`` as a tuple of floats; ``StrategyError`` unless it is a list
-    of real numbers that are finite floats (nan fails the comparison, and a
-    bool is not one)."""
+# The angle entry of a round played with the n = 1 memoryless optimum.
+_OPTIMUM = "optimum"
+
+
+def _angle_tuple(angles) -> tuple[float | str, ...]:
+    """``angles`` as a tuple of floats and ``"optimum"`` entries;
+    ``StrategyError`` unless each entry is that token or a real number that
+    is a finite float (nan fails the comparison, and a bool is not one)."""
     if not isinstance(angles, (list, tuple)) or not all(
+            a == _OPTIMUM if isinstance(a, str) else
             isinstance(a, numbers.Real) and not isinstance(a, bool) and abs(a) <= _FLOAT_MAX
             for a in angles):
-        raise StrategyError(f"angles must be a list of finite numbers, got {angles!r}")
-    return tuple(map(float, angles))
+        raise StrategyError(f"angles must be a list of finite numbers or {_OPTIMUM!r}, "
+                            f"got {angles!r}")
+    return tuple(a if isinstance(a, str) else float(a) for a in angles)
 
 
 class _ProductStrategy:
     """An attack that treats every round on its own: ``rounds(dim_b, n)``
-    gives, per round, the measurement angle or ``None`` for a kept round."""
+    gives, per round, the measurement angle, ``"optimum"`` for a round
+    played with the memoryless optimum (``_memoryless_optimum``), or
+    ``None`` for a kept round."""
 
     def kraus_branches(self, dim_b: int, n: int) -> list[list[Array]]:
         e = _kron_axes([_round_kraus(a, dim_b) for a in self.rounds(dim_b, n)], 3)
@@ -163,12 +179,13 @@ class _ProductStrategy:
 class MeasureAll(_ProductStrategy):
     """Measure every round immediately in a fixed basis; keep only the record.
 
-    ``angles`` gives one qubit measurement angle per round (a single float is
-    broadcast); the Breidbart angle pi/8 is the classic instance. Quantum
-    memory used: none (dimension 1).
+    ``angles`` gives one qubit measurement angle per round (a single entry is
+    broadcast); the Breidbart angle pi/8 is the classic instance. An entry
+    ``"optimum"`` plays its round with the n = 1 memoryless optimum, whose
+    POVM depends on the device. Quantum memory used: none (dimension 1).
     """
 
-    angles: tuple[float, ...]
+    angles: tuple[float | str, ...]
     kind: str = field(default="measure_all", init=False)
 
     def __post_init__(self):
@@ -177,7 +194,7 @@ class MeasureAll(_ProductStrategy):
     def memory_dim(self, dim_b: int, n: int) -> int:
         return 1
 
-    def rounds(self, dim_b: int, n: int) -> tuple[float, ...]:
+    def rounds(self, dim_b: int, n: int) -> tuple[float | str, ...]:
         if dim_b != 2:
             raise StrategyError("measure_all is parameterized for qubit wires only")
         angles = self.angles if len(self.angles) == n else tuple(self.angles) * n
@@ -196,12 +213,13 @@ class StoreSubset(_ProductStrategy):
     The kept factors must fit the memory (product of their dimensions <= d is
     checked at evaluation time); discarded rounds are measured at ``angles``:
     none (the Breidbart angle pi/8), one (broadcast), or one per measured
-    round, in round order. A round is kept at most once, so ``memory_dim``
-    counts what is stored.
+    round, in round order, each a float or ``"optimum"`` as in
+    ``MeasureAll``. A round is kept at most once, so ``memory_dim`` counts
+    what is stored.
     """
 
     keep: tuple[int, ...]
-    angles: tuple[float, ...] = ()
+    angles: tuple[float | str, ...] = ()
     kind: str = field(default="store_subset", init=False)
 
     def __post_init__(self):
@@ -217,7 +235,7 @@ class StoreSubset(_ProductStrategy):
     def memory_dim(self, dim_b: int, n: int) -> int:
         return dim_b ** len(self.keep)
 
-    def rounds(self, dim_b: int, n: int) -> tuple[float | None, ...]:
+    def rounds(self, dim_b: int, n: int) -> tuple[float | str | None, ...]:
         keep = set(self.keep)
         if any(k < 0 or k >= n for k in keep):
             raise StrategyError(f"keep indices {sorted(keep)} out of range for n={n}")
@@ -894,8 +912,9 @@ class GuessResult:
     game that is the solver's dual gap. For a product attack scored round
     by round (see ``exact_win_probability``) the value is the optimum in
     closed form, and ``certified_gap`` is only an allowance for its float64
-    rounding, at most 1e-12; ``converged`` is then always true. Every value
-    must be finite.
+    rounding, at most 1e-12, plus the certified gap of each round played on
+    the memoryless optimum; ``converged`` is then true unless that round's
+    solve failed to converge. Every value must be finite.
     """
 
     win_prob: float
@@ -1073,6 +1092,109 @@ def _measured_optimum(terms: list, angle: float) -> tuple[list[float], list[list
     return values, guesses
 
 
+# The outward rounding of ``_memoryless_optimum``'s certificate, per unit of
+# its magnitude; derived in its docstring.
+_BLOCH_ALLOWANCE = 16 * _EPS
+# The four single guesses, then the six pairs in ``_pair_tables``' order.
+_GUESS_SETS = tuple(itertools.chain(itertools.combinations(range(4), 1),
+                                    itertools.combinations(range(4), 2)))
+# Outcome f = 2 f_0 + f_1 of a memoryless POVM is the guess table theta ->
+# f_theta: its guess per basis at [theta, f], and the decoders that read it,
+# shape (bases, outcomes, guesses, 1, 1), 1 at the guess.
+_BASES = np.array([[0], [1]])
+_TABLE_GUESSES = np.array([[0, 0, 1, 1], [0, 1, 0, 1]])
+_TABLE_DECODERS = (np.arange(2) == _TABLE_GUESSES[..., None])[..., None, None]
+_read_only(_BASES, _TABLE_GUESSES, _TABLE_DECODERS)
+
+
+def _memoryless_optimum(ctx: _GameContext) -> tuple[np.ndarray, list[float], float, bool]:
+    """The one-round game with no quantum memory, solved: (POVM, values per
+    basis, certified gap, converged). The optimum is the values' mean.
+
+    Bob's best attack is one POVM whose outcome is a guess table f: Theta ->
+    X, read once theta is announced: guessing with post-measurement
+    information (Gopal & Wehner, PRA 82, 022326, 2010). Its value is the
+    optimum of one qubit problem with a guess per table, W_f = (table[0, f0]
+    + table[1, f1]) / 2 = alpha_f I + beta_f . sigma, solved in float
+    arithmetic by ``_qubit_optimum``'s formulas and checks on the singles
+    and pairs of ``_pair_roots``. The kept root fixes the POVM (outcome f at
+    2 f0 + f1): I on a single y, worth 2 alpha_y, or on a pair the Helstrom
+    measurement F_y, F_z = (I -+ n . sigma) / 2, n = (beta_z - beta_y) / D,
+    worth alpha_y + alpha_z + D (D >= |alpha_z - alpha_y| as 0 <= t <= 1):
+    2a either way. (``_qubit_optimum``'s general form of that POVM divides
+    by sum_f c_f r_f = 2 t (1 - t) D, which magnifies rounding: it put
+    values up to 5e-15 above the optimum.) Per basis the POVM wins v(theta)
+    = sum_f tr(F_f table[theta, f_theta]), and the optimum is (v(0) + v(1))
+    / 2. Y = a I + b . sigma, exact as the floats a, b define it, certifies
+    2a + 2 mu: mu = max(0, max_f (alpha_f - a + |beta_f - b|)) is the
+    largest eigenvalue of any W_f - Y. The gap is that bound less the mean.
+
+    Rounding: with u = eps / 2 and m = |a| + |b| + max_f (|alpha_f| +
+    |beta_f|), each computed eigenvalue is within 11 u m of the exact one of
+    the exact table average: 2 u m each for alpha_f and beta_f (two roundings
+    each, the halvings exact), u m each for alpha_f - a and b - beta_f, 3 u m
+    for a length of three terms, 2 u m for their sum. Doubled, plus 6 u m for
+    the final sum, that is below the 32 u m (``_BLOCH_ALLOWANCE`` m) added.
+
+    A problem no single or pair settles (three active guesses; never four,
+    as beta_00 + beta_11 = beta_01 + beta_10 makes the points coplanar), or
+    whose gap exceeds its tol, goes to ``_discriminate_batch``, whose POVM
+    is then the round's. One problem per call, so that a trial's value does
+    not depend on its neighbours.
+    """
+    t0, t1 = ctx.table.tolist()
+    alpha, beta = [], []
+    for (p00, p01), (p10, p11) in t0:
+        for (q00, q01), (q10, q11) in t1:
+            w00, w11 = (p00.real + q00.real) / 2, (p11.real + q11.real) / 2
+            w01, w10 = (p01 + q01) / 2, (p10 + q10) / 2
+            alpha.append((w00 + w11) / 2)
+            beta.append(((w01.real + w10.real) / 2, (w10.imag - w01.imag) / 2,
+                         (w00 - w11) / 2))
+    margin = 1e-12 * max(map(abs, alpha))
+    kept = []
+    for active in _GUESS_SETS:
+        y, z = active[0], active[-1]
+        if y == z:
+            a, b, diff, dist = alpha[y], beta[y], None, None
+        else:
+            diff = [q - p for p, q in zip(beta[y], beta[z])]
+            dist = math.sqrt(diff[0] * diff[0] + diff[1] * diff[1] + diff[2] * diff[2])
+            t = (alpha[z] - alpha[y] + dist) / (2 * dist) if dist > 0 else math.nan
+            if not 0.0 <= t <= 1.0:         # a hull weight, 1 - t or t, below 0
+                continue
+            a = (alpha[y] + alpha[z] + dist) / 2
+            b = [p + t * q for p, q in zip(beta[y], diff)]
+        slack = []
+        for al, (p, q, s) in zip(alpha, beta):
+            e, g, h = b[0] - p, b[1] - q, b[2] - s
+            slack.append(a - al - math.sqrt(e * e + g * g + h * h))
+        if min(slack) >= -margin and all(abs(slack[f]) <= margin for f in active):
+            kept.append((a, b, slack, active, diff, dist))
+    povm = None
+    if kept:
+        low = min(k[0] for k in kept) + margin
+        a, b, slack, active, diff, dist = next(k for k in kept if k[0] <= low)
+        y, z = active[0], active[-1]
+        m = abs(a) + math.sqrt(b[0] * b[0] + b[1] * b[1] + b[2] * b[2]) + max(
+            abs(al) + math.sqrt(p * p + q * q + s * s) for al, (p, q, s) in zip(alpha, beta))
+        upper = 2 * a + 2 * max(0.0, -min(slack)) + _BLOCH_ALLOWANCE * m
+        if upper - 2 * a <= 1e-9:           # ``_discriminate_batch``'s tol
+            povm, converged = np.zeros((4, 2, 2), dtype=complex), True
+            if y == z:
+                povm[y] = _I2
+            else:
+                nx, ny, nz = (q / (2 * dist) for q in diff)     # n . sigma / 2
+                half = np.array([[nz, nx - 1j * ny], [nx + 1j * ny, -nz]])
+                povm[y], povm[z] = _I2 / 2 - half, _I2 / 2 + half
+    if povm is None:
+        t = ctx.table
+        w = (t[0][:, None] + t[1][None, :]).reshape(-1, *t.shape[2:]) / 2
+        _, up, f, converged = _discriminate_batch(w[None], qubit_first=True)
+        povm, upper = f[0], float(up[0])
+    values = np.einsum("fab,tfba->t", povm, ctx.table[_BASES, _TABLE_GUESSES]).real.tolist()
+    return povm, values, max(0.0, upper - (values[0] + values[1]) / 2), converged
+
 def _within_radius(v: np.ndarray, radius: int) -> np.ndarray:
     """P[at most ``radius`` rounds fail] for independent rounds that succeed
     with probabilities ``v``, shape (..., rounds): the Poisson-binomial cdf,
@@ -1095,7 +1217,7 @@ def _within_radius(v: np.ndarray, radius: int) -> np.ndarray:
 _PRODUCT_ALLOWANCE = 16 * _EPS
 
 
-def _product_results(ctx: _GameContext, plans: list[tuple[float | None, ...]],
+def _product_results(ctx: _GameContext, plans: list[tuple[float | str | None, ...]],
                      want_decoders: bool) -> list[GuessResult]:
     """The optimal values of product attacks whose values factorize (every
     round measured, or no error allowed), from their per-round optima;
@@ -1114,17 +1236,30 @@ def _product_results(ctx: _GameContext, plans: list[tuple[float | None, ...]],
     string at once, in the dense game's branch and guess order. Each
     distinct round is solved once; the values are scalar products, round 0
     first, or the recursion; one reduction takes all win and gap means.
+
+    An optimum round measures the POVM of ``_memoryless_optimum``, and its
+    outcome f guesses f_theta. That guess can fall short of MAP on the
+    outcome, but by at most the round's certified gap on average over the
+    bases, since MAP on that POVM stays below the certified bound. The
+    value per basis string rises by at most the sum of its rounds' shortfalls
+    (it is a probability that is nondecreasing, with slope at most 1, in
+    each round's value), so each optimum round adds its gap to the
+    attack's, and its convergence carries over.
     """
     if not plans:
         return []
     terms = [[(t00, t11, 2 * t01) for (t00, t01), (_, t11) in basis]
              for basis in ctx.table.real.tolist()] if ctx.device.dim_b == 2 else None
     optima = {}     # per distinct round: its values and its decoders per basis
+    solved = None   # the optimum round's certified gap and convergence
     for a in {a for rounds in plans for a in rounds}:
         if a is None:       # Helstrom, worth (tr(G_0 + G_1) + ||G_0 - G_1||_1) / 2
             f0 = _helstrom(ctx.table[:, 0], ctx.table[:, 1])
             f = np.stack([f0, np.eye(ctx.device.dim_b) - f0], axis=1)
             optima[a] = np.einsum("txab,txba->t", f, ctx.table).real.tolist(), f[:, None]
+        elif a == _OPTIMUM:
+            _, values, gap, converged = _memoryless_optimum(ctx)
+            optima[a], solved = (values, _TABLE_DECODERS), (gap, converged)
         else:
             values, guess = _measured_optimum(terms, a)
             f = None
@@ -1152,8 +1287,11 @@ def _product_results(ctx: _GameContext, plans: list[tuple[float | None, ...]],
     for rounds, low, (win, gap) in zip(plans, lows, sums):
         decoders = {key: [list(branch) for branch in f] for key, f in zip(
             ctx.keys, _kron_axes([optima[a][1] for a in rounds], 5))} if want_decoders else None
-        results.append(GuessResult(win / len(low), dict(zip(ctx.keys, low)),
-                                   gap / len(low), decoders=decoders))
+        gap, converged = gap / len(low), True
+        if solved is not None and _OPTIMUM in rounds:
+            gap, converged = gap + rounds.count(_OPTIMUM) * solved[0], solved[1]
+        results.append(GuessResult(win / len(low), dict(zip(ctx.keys, low)), gap,
+                                   converged, decoders))
     return results
 
 
@@ -1168,11 +1306,14 @@ def exact_win_probability(device: DeviceModel, strategy: Strategy, n: int,
     = 0: the device is memoryless, so per-round MAP and Helstrom values
     combine exactly (``_product_results`` gives the two arguments), and
     ``certified_gap`` is then a rounding allowance of at most 1e-12, not a
-    solver gap. Every other strategy (``StoreSubset`` with errors allowed,
-    ``GeneralEncoding``) goes to the dense game: for each basis string the
-    discrimination of the post-measurement ensemble (with Hamming-ball
-    rewards when gamma > 0) is solved branch by classical branch, with a
-    dual certificate. The strategy must fit the stated memory dimension d.
+    solver gap, plus the certified gap of any round on the memoryless
+    optimum. Such a round exists only there: anywhere else it raises
+    ``StrategyError``. Every other strategy (``StoreSubset`` with errors
+    allowed, ``GeneralEncoding``) goes to the dense game: for each basis
+    string the discrimination of the post-measurement ensemble (with
+    Hamming-ball rewards when gamma > 0) is solved branch by classical
+    branch, with a dual certificate. The strategy must fit the stated memory
+    dimension d.
     """
     _require_positive(d=d)
     _check_caps(strategy, n)
@@ -1591,108 +1732,35 @@ def _shape_groups(keys: list) -> dict:
     return groups
 
 
-# The see-saw the key-lemma fuzz runs where n or d exceeds 1, on every device
-# whose bound is below 1.
+# The see-saw the key-lemma fuzz runs at d = 2, on every device whose bound
+# is below 1.
 _KEY_LEMMA_RESTARTS = 2
 _KEY_LEMMA_ITERS = 30
-
-
-# The outward rounding of ``_memoryless_optimum``'s certificate, per unit of
-# its magnitude; derived in its docstring.
-_BLOCH_ALLOWANCE = 16 * _EPS
-# The four single guesses, then the six pairs in ``_pair_tables``' order.
-_GUESS_SETS = tuple(itertools.chain(itertools.combinations(range(4), 1),
-                                    itertools.combinations(range(4), 2)))
-
-
-def _memoryless_optimum(ctx: _GameContext) -> tuple[float, float, bool]:
-    """The optimal value of the one-round game with no quantum memory, as
-    (value, certified gap, converged).
-
-    Bob's best attack is one POVM whose outcome is a guess table f: Theta ->
-    X, read once theta is announced: guessing with post-measurement
-    information (Gopal & Wehner, PRA 82, 022326, 2010). Its value is the
-    optimum of one qubit problem with a guess per table, W_f = (table[0, f0]
-    + table[1, f1]) / 2 = alpha_f I + beta_f . sigma, solved in float
-    arithmetic by ``_qubit_optimum``'s formulas and checks on the singles
-    and pairs of ``_pair_roots``. The kept root's POVM is I on a single y,
-    worth 2 alpha_y, or on a pair the Helstrom measurement (I -+ n . sigma) /
-    2, n = (beta_z - beta_y) / D, worth alpha_y + alpha_z + D (D >= |alpha_z
-    - alpha_y| as 0 <= t <= 1): 2a either way. (Summed term by term, its
-    division by sum_f c_f r_f = 2 t (1 - t) D magnifies rounding, and put
-    values up to 5e-15 above the optimum.) Y = a I + b . sigma, exact as the
-    floats a, b define it, certifies 2a + 2 mu: mu = max(0, max_f (alpha_f -
-    a + |beta_f - b|)) is the largest eigenvalue of any W_f - Y.
-
-    Rounding: with u = eps / 2 and m = |a| + |b| + max_f (|alpha_f| +
-    |beta_f|), each computed eigenvalue is within 11 u m of the exact one of
-    the exact table average: 2 u m each for alpha_f and beta_f (two roundings
-    each, the halvings exact), u m each for alpha_f - a and b - beta_f, 3 u m
-    for a length of three terms, 2 u m for their sum. Doubled, plus 6 u m for
-    the final sum, that is below the 32 u m (``_BLOCH_ALLOWANCE`` m) added.
-
-    A problem no single or pair settles (three active guesses; never four,
-    as beta_00 + beta_11 = beta_01 + beta_10 makes the points coplanar), or
-    whose gap exceeds its tol, goes to ``_discriminate_batch``. One problem
-    per call, so that a trial's value does not depend on its neighbours.
-    """
-    t0, t1 = ctx.table.tolist()
-    alpha, beta = [], []
-    for (p00, p01), (p10, p11) in t0:
-        for (q00, q01), (q10, q11) in t1:
-            w00, w11 = (p00.real + q00.real) / 2, (p11.real + q11.real) / 2
-            w01, w10 = (p01 + q01) / 2, (p10 + q10) / 2
-            alpha.append((w00 + w11) / 2)
-            beta.append(((w01.real + w10.real) / 2, (w10.imag - w01.imag) / 2,
-                         (w00 - w11) / 2))
-    margin = 1e-12 * max(map(abs, alpha))
-    kept = []
-    for active in _GUESS_SETS:
-        y, z = active[0], active[-1]
-        if y == z:
-            a, b = alpha[y], beta[y]
-        else:
-            diff = [q - p for p, q in zip(beta[y], beta[z])]
-            dist = math.sqrt(diff[0] * diff[0] + diff[1] * diff[1] + diff[2] * diff[2])
-            t = (alpha[z] - alpha[y] + dist) / (2 * dist) if dist > 0 else math.nan
-            if not 0.0 <= t <= 1.0:         # a hull weight, 1 - t or t, below 0
-                continue
-            a = (alpha[y] + alpha[z] + dist) / 2
-            b = [p + t * q for p, q in zip(beta[y], diff)]
-        slack = []
-        for al, (p, q, s) in zip(alpha, beta):
-            e, g, h = b[0] - p, b[1] - q, b[2] - s
-            slack.append(a - al - math.sqrt(e * e + g * g + h * h))
-        if min(slack) >= -margin and all(abs(slack[f]) <= margin for f in active):
-            kept.append((a, b, slack))
-    if kept:
-        low = min(k[0] for k in kept) + margin
-        a, b, slack = next(k for k in kept if k[0] <= low)
-        m = abs(a) + math.sqrt(b[0] * b[0] + b[1] * b[1] + b[2] * b[2]) + max(
-            abs(al) + math.sqrt(p * p + q * q + s * s) for al, (p, q, s) in zip(alpha, beta))
-        upper = 2 * a + 2 * max(0.0, -min(slack)) + _BLOCH_ALLOWANCE * m
-        if upper - 2 * a <= 1e-9:           # ``_discriminate_batch``'s tol
-            return 2 * a, upper - 2 * a, True
-    t = ctx.table
-    w = (t[0][:, None] + t[1][None, :]).reshape(-1, *t.shape[2:]) / 2
-    lower, upper, _, conv = _discriminate_batch(w[None], qubit_first=True)
-    return float(lower[0]), float(max(0.0, upper[0] - lower[0])), conv
 
 
 def verify_key_lemma(trials: int, n: int, d: int, gamma: float = 0.0,
                      seed: int = 0) -> VerificationReport:
     """Pit strategy families and stronger attacks against B'(n, d, eps_+, gamma).
 
-    The stronger attack is the exact optimum at n = d = 1 (no quantum
-    memory, ``_memoryless_optimum``: one 2 x 2 problem with four guesses,
-    solved and certified in scalar Bloch arithmetic) and the see-saw search
-    elsewhere; it runs on every device whose bound is below 1. The
-    certificate uses the device's exact effective anti-commutator, the
-    sharpest value the proof supports, so any CHSH-derived zeta >= eps_+
-    passes a fortiori. A violation report carries the offending device.
+    The stronger attacks run on every device whose bound is below 1. At d =
+    1 that is the product attack with every round on the n = 1 memoryless
+    optimum (``_memoryless_optimum``: one 2 x 2 problem with four guesses,
+    solved and certified in scalar Bloch arithmetic), which at n = 1 is the
+    exact optimum. At d = 2 it is the see-saw search, and at n = 2 with no
+    error allowed also the two product attacks that store one round and
+    play the other on the optimum. The certificate uses the device's exact
+    effective anti-commutator, the sharpest value the proof supports, so
+    any CHSH-derived zeta >= eps_+ passes a fortiori. A violation report
+    carries the offending device and the winning attack's kind.
     """
     if n > 2 or d > 2:
         raise DimensionCapError("key-lemma fuzz is capped at n <= 2, d <= 2")
+    if d == 1:
+        products = [MeasureAll((_OPTIMUM,) * n)]
+    elif n == d == 2 and math.floor(gamma * n) == 0:
+        products = [StoreSubset((k,), (_OPTIMUM,)) for k in range(n)]
+    else:
+        products = []
 
     def work(trial: int) -> dict:
         suite = RandomSuite(child_seed(seed, trial))
@@ -1701,16 +1769,16 @@ def verify_key_lemma(trials: int, n: int, d: int, gamma: float = 0.0,
                             device.alice_meas_1.observable, device.sigma_a)
         bound = bound_imperfect(n, d, eps, gamma)
         ctx = _GameContext(device, n, gamma)
-        family = [s for s in strategy_family(n, d, device.dim_b, suite)
-                  if s.memory_dim(device.dim_b, n) <= d]
-        # (value, gap, converged, kind) per attack; the first best one wins
-        scored = [(res.win_prob, res.certified_gap, res.converged, strat.kind)
-                  for strat, res in zip(family, _score_strategies(ctx, family))]
         # A saturated bound (B' = 1) cannot be challenged by any probability;
         # a stronger attack only adds information below it.
-        if bound < 1.0 and n == d == 1:
-            scored.append((*_memoryless_optimum(ctx), "optimum"))
-        elif bound < 1.0:
+        attacks = [s for s in strategy_family(n, d, device.dim_b, suite)
+                   if s.memory_dim(device.dim_b, n) <= d]
+        if bound < 1.0:
+            attacks += products
+        # (value, gap, converged, kind) per attack; the first best one wins
+        scored = [(res.win_prob, res.certified_gap, res.converged, strat.kind)
+                  for strat, res in zip(attacks, _score_strategies(ctx, attacks))]
+        if bound < 1.0 and d > 1:
             res, _enc = seesaw_search(device, n, d, restarts=_KEY_LEMMA_RESTARTS,
                                       seed=int(suite.rng.integers(2 ** 32)),
                                       gamma=gamma, iters=_KEY_LEMMA_ITERS, _ctx=ctx)

@@ -1217,8 +1217,9 @@ def test_verify_key_lemma_deterministic_and_threaded():
 def test_memoryless_optimum_on_ideal_device_is_monogamy_value():
     # guessing with post-measurement information on the ideal device is the
     # monogamy game, worth cos^2(pi/8) = B(1, 1, 0)
-    value, gap, converged = adversary._memoryless_optimum(
+    _, values, gap, converged = adversary._memoryless_optimum(
         _GameContext(ideal_bb84_device(), 1, 0.0))
+    value = (values[0] + values[1]) / 2
     assert abs(value - COS2_PI8) <= 1e-12
     assert 0.0 <= gap <= 1e-12 and converged
 
@@ -1238,7 +1239,8 @@ def test_memoryless_optimum_bounds_every_attack_and_is_bounded_by_b_prime():
         device = random_qubit_device(suite)
         ctx = _GameContext(device, 1, 0.0)
         w = _memoryless_problem(device)[None]     # one guess per table f
-        value, gap, converged = adversary._memoryless_optimum(ctx)
+        _, (v0, v1), gap, converged = adversary._memoryless_optimum(ctx)
+        value = (v0 + v1) / 2
         upper = value + gap
         assert converged
         # a stop, not a tolerance: the optimum past B' would refute the bound
@@ -1288,8 +1290,8 @@ def test_memoryless_optimum_brackets_both_certified_paths(monkeypatch):
         fallbacks.append(1)
         return solve(*args, **kwargs)
     monkeypatch.setattr(adversary, "_discriminate_batch", counted)
-    values, gaps, convs = np.array([adversary._memoryless_optimum(_GameContext(dev, 1, 0.0))
-                                    for dev in devices]).T
+    values, gaps, convs = np.array([(sum(v) / 2, gap, conv) for _, v, gap, conv in (
+        adversary._memoryless_optimum(_GameContext(dev, 1, 0.0)) for dev in devices)]).T
     monkeypatch.undo()
     assert convs.all() and np.all((0.0 <= gaps) & (gaps <= 1e-13))
     assert abs(values[0] - COS2_PI8) <= 1e-15
@@ -1304,6 +1306,139 @@ def test_memoryless_optimum_brackets_both_certified_paths(monkeypatch):
                                _discriminate_batch(w)):
         # intervals, not values: the general path can sit up to 8e-10 low
         assert np.all(values <= upper) and np.all(lower <= uppers)
+
+
+def _optimum_encoding(device, rounds) -> GeneralEncoding:
+    """``rounds`` (angles and "optimum" entries) as an instrument into no
+    quantum memory: an optimum round's branches are the outcomes f of its
+    POVM, each with the rows of sqrt(F_f) as Kraus elements, and a measured
+    round's the two bras at its angle."""
+    povm = adversary._memoryless_optimum(_GameContext(device, 1, 0.0))[0]
+    factors = []
+    for a in rounds:
+        if a == "optimum":
+            factors.append(matcore.psd_sqrt(povm)[:, :, None, :])
+        else:
+            c, s = math.cos(a), math.sin(a)
+            factors.append(np.array([[[[c, s]]], [[[-s, c]]]], dtype=complex))
+    kraus = adversary._kron_axes(factors, 4)          # (branches, elements, 1, 2^n)
+    return GeneralEncoding(tuple(tuple(branch) for branch in kraus))
+
+
+def test_optimum_rounds_equal_the_dense_game_of_their_instrument():
+    # every round played with the memoryless optimum, or mixed with fixed
+    # angles, scored round by round, against the certified dense game of the
+    # same instrument (Kraus sqrt(F_f) per round, no quantum memory)
+    rs = RandomSuite(2601)
+    devices = [ideal_bb84_device()]
+    devices += [random_qubit_device(rs.child(i)) for i in range(80)]
+    devices += [adversary.random_rotated_ideal_device(rs.child(100 + i)) for i in range(25)]
+    worst = 0.0
+    for i, device in enumerate(devices):
+        _, (v0, v1), gap1, conv1 = adversary._memoryless_optimum(
+            _GameContext(device, 1, 0.0))
+        assert conv1 and gap1 <= 1e-12
+        angle = float(rs.child(200 + i).rng.random() * math.pi / 2)
+        n = 1 + i % 3
+        plans = [("optimum",) * n, tuple("optimum" if k % 2 == i % 2 else angle
+                                         for k in range(n))]
+        for rounds, gamma in itertools.product(plans, (0.0, 0.5)):
+            res = exact_win_probability(device, MeasureAll(rounds), n, 1, gamma)
+            want = exact_win_probability(device, _optimum_encoding(device, rounds), n, 1,
+                                         gamma)
+            assert res.converged and want.converged and res.certified_gap <= 1e-12
+            worst = max(worst, abs(res.win_prob - want.win_prob),
+                        *(abs(res.per_theta[k] - want.per_theta[k]) for k in res.per_theta))
+            if n == 1 and rounds == ("optimum",):
+                # the exact n = 1 optimum, within its gap
+                assert abs(res.win_prob - (v0 + v1) / 2) <= gap1
+                assert res.per_theta == {"0": v0, "1": v1}
+    assert worst <= 1e-9
+    # the monogamy value per round on the ideal device, and the rounds multiply
+    for n in (1, 2, 3):
+        res = exact_win_probability(ideal_bb84_device(), MeasureAll(("optimum",) * n), n, 1)
+        assert abs(res.win_prob - COS2_PI8 ** n) <= 1e-12
+
+
+def test_optimum_round_keeps_helstrom_rounds_and_its_decoders():
+    # at n = d = 2 one round stored (Helstrom) and one on the optimum: the
+    # product of the two n = 1 values, per basis string, and the decoders
+    # read each optimum outcome's table entry
+    for trial in range(20):
+        device = random_qubit_device(RandomSuite(child_seed(2603, trial)))
+        _, v, _, _ = adversary._memoryless_optimum(_GameContext(device, 1, 0.0))
+        h = exact_win_probability(device, StoreSubset(keep=(0,)), 1, 2).per_theta
+        for k in (0, 1):
+            res = exact_win_probability(device, StoreSubset((k,), ("optimum",)), 2, 2,
+                                        want_decoders=True)
+            for key, value in res.per_theta.items():
+                stored, played = int(key[k]), int(key[1 - k])
+                assert abs(value - h[str(stored)] * v[played]) <= 1e-15
+            # one decoder per (stored branch, POVM outcome f), f = 2 f0 + f1
+            decoders = res.decoders["01"]
+            assert len(decoders) == 4 and all(len(b) == 4 for b in decoders)
+    ideal = exact_win_probability(ideal_bb84_device(), StoreSubset((1,), ("optimum",)), 2, 2)
+    assert abs(ideal.win_prob - COS2_PI8) <= 1e-12
+
+
+@pytest.mark.parametrize("angles", [("Optimum",), ("",), (None,), (["optimum"],),
+                                    ("optimum ",), (b"optimum",)])
+def test_optimum_token_is_checked_like_any_angle(angles):
+    with pytest.raises(StrategyError):
+        MeasureAll(angles)
+    with pytest.raises(StrategyError):
+        StoreSubset(keep=(0,), angles=angles)
+    with pytest.raises(StrategyError):
+        strategy_from_obj({"kind": "measure_all", "angles": list(angles)})
+
+
+def test_optimum_round_refused_where_it_has_no_instrument():
+    ideal = ideal_bb84_device()
+    stored = StoreSubset((0,), ("optimum",))
+    assert strategy_from_obj(stored.to_obj()) == stored
+    # one error allowed with a stored round: the dense game, which needs an
+    # instrument, and an optimum round's depends on the device
+    with pytest.raises(StrategyError, match="factorizes"):
+        exact_win_probability(ideal, stored, 2, 2, 0.5)
+    with pytest.raises(StrategyError, match="factorizes"):
+        _score_strategies(_GameContext(ideal, 2, 0.5), [breidbart(2), stored])
+    for strat in (MeasureAll(("optimum",)), stored):
+        with pytest.raises(StrategyError):
+            strat.kraus_branches(2, 2)
+        with pytest.raises(StrategyError):
+            replay_win_probability(ideal, strat, 2, 0.0, {}, trials=10)
+    # a qutrit wire has no memoryless optimum here
+    qutrit = _qutrit_device()
+    for strat, n, d in ((MeasureAll(("optimum",)), 1, 1), (stored, 2, 3)):
+        with pytest.raises(StrategyError):
+            exact_win_probability(qutrit, strat, n, d)
+
+
+def test_key_lemma_products_replace_the_seesaw_at_d_1(monkeypatch):
+    calls = []
+
+    def refuse(*args, **kwargs):
+        calls.append(args[1:3])
+        raise AssertionError("see-saw reached")
+    monkeypatch.setattr(adversary, "seesaw_search", refuse)
+    for n in (1, 2):
+        rep = verify_key_lemma(6, n, 1, seed=5)
+        assert rep.passed and rep.details["converged"]
+    assert not calls
+    # at n = d = 2 with no error allowed it still runs where B' < 1
+    with pytest.raises(AssertionError, match="see-saw reached"):
+        verify_key_lemma(40, 2, 2, seed=1)
+    assert calls == [(2, 2)]
+    # a violation names the product attack's kind
+    monkeypatch.setattr(adversary, "bound_imperfect", lambda *args: 0.25)
+    for n in (1, 2):
+        rep = verify_key_lemma(3, n, 1, seed=5)
+        assert not rep.passed and len(rep.violations) == 3
+        assert {v["strategy"] for v in rep.violations} == {"measure_all"}
+        for v in rep.violations:
+            device = DeviceModel.from_obj(v["device"])
+            want = exact_win_probability(device, MeasureAll(("optimum",) * n), n, 1)
+            assert v["win_prob"] == want.win_prob
 
 
 def test_verify_norm_lemma_single_term_equality():

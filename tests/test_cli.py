@@ -240,6 +240,11 @@ def test_attack_from_strategy_file(capsys, tmp_path, device_file):
     # neither 0, 1 nor one angle per measured round (3, then 2 of them)
     ({"kind": "store_subset", "keep": [0], "angles": [0.1, 0.2]}, 4, 2),
     ({"kind": "store_subset", "keep": [0], "angles": [0.1] * 5}, 3, 2),
+    # "optimum" is the one angle entry that is not a number, spelled exactly
+    ({"kind": "measure_all", "angles": ["Optimum"]}, 1, 1),
+    ({"kind": "measure_all", "angles": [""]}, 1, 1),
+    ({"kind": "measure_all", "angles": [None]}, 1, 1),
+    ({"kind": "measure_all", "angles": [["optimum"]]}, 1, 1),
 ])
 def test_attack_rejects_malformed_strategy_file(capsys, tmp_path, device_file,
                                                 strategy, n, d):
@@ -249,6 +254,30 @@ def test_attack_rejects_malformed_strategy_file(capsys, tmp_path, device_file,
                              "--strategy", f"file:{strat}", "--n", str(n), "--d", str(d))
     assert code == 2
     assert out == ""
+    assert json.loads(err.strip())["error"] == "StrategyError"
+
+
+@pytest.mark.parametrize("device, strategy, n, d, gamma", [
+    # one error allowed with a stored round: the dense game needs an
+    # instrument, and an optimum round's depends on the device
+    ("random", {"kind": "store_subset", "keep": [0], "angles": ["optimum"]}, 2, 2, 0.5),
+    # a qutrit wire, measured or beside a stored round
+    ("qutrit", {"kind": "measure_all", "angles": ["optimum"]}, 1, 1, 0.0),
+    ("qutrit", {"kind": "store_subset", "keep": [0], "angles": ["optimum"]}, 2, 3, 0.0),
+])
+def test_attack_refuses_an_optimum_round_without_an_instrument(capsys, tmp_path, device,
+                                                                strategy, n, d, gamma):
+    from di2pc.adversary import random_qubit_device
+    from di2pc.matcore import RandomSuite
+    from test_adversary import _qutrit_device
+    model = _qutrit_device() if device == "qutrit" else random_qubit_device(RandomSuite(18))
+    device_file, strat = tmp_path / "device.json", tmp_path / "strat.json"
+    device_file.write_text(json.dumps(model.to_obj()))
+    strat.write_text(json.dumps(strategy))
+    code, out, err = run_cli(capsys, "attack", "--device", str(device_file), "--strategy",
+                             f"file:{strat}", "--n", str(n), "--d", str(d),
+                             "--gamma", str(gamma))
+    assert (code, out) == (2, "")
     assert json.loads(err.strip())["error"] == "StrategyError"
 
 
@@ -530,6 +559,17 @@ _ATTACK_GOLDENS = [
      "19d181c7a9fcfa16a6612b9617e400ceb2393852da7ef3e3aabffcec5b77e580"),
     ("random", "store-subset", 6, 2, 0.0,
      "553c99c67839849ed2f3e3d9e17144348f7c9b7ded079b4573f528110ddfb0b2"),
+    # rounds on the memoryless optimum, recorded after each value was checked
+    # against the dense game of the same instrument; at n = 2, gamma 0.34
+    # allows no error, so the second equals the first
+    ("random", ["optimum", 0.3], 2, 1, 0.0,
+     "be95dd4b43fb1882aa71fe4f1164008ea4a3d3e2ab78d9465d8e49b6b3b1f77f"),
+    ("random", ["optimum", 0.3], 2, 1, 0.34,
+     "be95dd4b43fb1882aa71fe4f1164008ea4a3d3e2ab78d9465d8e49b6b3b1f77f"),
+    ("random", ["optimum", 0.3, "optimum"], 3, 1, 0.34,
+     "da7493b860e082beda246bbc5346fbab4da81e3bd26d55ee3c75ef379bcafa96"),
+    ("random", {"kind": "store_subset", "keep": [0], "angles": ["optimum"]}, 2, 2, 0.0,
+     "03e4c9e67d14f138514b66db190dab2bde3190b6ac44c7377d2454d6c8b2cb89"),
 ]
 
 
@@ -540,9 +580,10 @@ def _attack_stdout(capsys, tmp_path, device, strategy, n, d, gamma):
         else random_qubit_device(RandomSuite(18))
     device_file = tmp_path / "device.json"
     device_file.write_text(json.dumps(model.to_obj()))
-    if isinstance(strategy, list):
+    if isinstance(strategy, (list, dict)):
         strat = tmp_path / "strat.json"
-        strat.write_text(json.dumps({"kind": "measure_all", "angles": strategy}))
+        strat.write_text(json.dumps(strategy if isinstance(strategy, dict)
+                                    else {"kind": "measure_all", "angles": strategy}))
         strategy = f"file:{strat}"
     code, out, _ = run_cli(capsys, "attack", "--device", str(device_file),
                            "--strategy", strategy, "--n", str(n), "--d", str(d),
@@ -565,7 +606,12 @@ def test_attack_byte_identical_to_golden(capsys, tmp_path, device, strategy, n, 
 # `bound` takes the log-space path (n above 1000). The two digests with n = d
 # = 1 key-lemma reports were re-recorded when the memoryless optimum moved to
 # Bloch arithmetic: max_ratio and worst_slack moved in their last one or two
-# bits, far inside the certified gap printed with them.
+# bits, far inside the certified gap printed with them. The `verify all` and
+# the seed-7 key-lemma digests at d = 1 and at (n, d) = (2, 2) were
+# re-recorded again when the key-lemma fuzz began to score product attacks
+# on the memoryless optimum: at (2, 1) max_ratio rose from 0.8618 to 0.9028
+# (a stronger attack), elsewhere max_ratio and worst_slack moved by at most
+# 1.1e-16 and worst_certified_gap now carries the optimum round's gap.
 _SHAPE_GOLDENS = [
     (None, ["bound", "--n", "300", "--d", "1024", "--S", "2.7", "--gamma", "0.01"],
      "8dc758999a2d105d8b2b113e1301f876b9a5f2e94992b98e486a172ead8c575b"),
@@ -613,15 +659,15 @@ _SHAPE_GOLDENS = [
             "--gamma", "0.5"],
      "14c7fd5b195078525207c31878a78ec98411b529ab4e6ecbbcfd239b425db158"),
     (None, ["--seed", "1", "verify", "all", "--trials", "4"],
-     "df98826cc5f4c7beb61abf73d650ed97df5bf370221b45f329b1281ca5060555"),
+     "42ad58dc9b27543eb30f46a91e9856238494dc34d4882944b0428944bb19b864"),
     (None, ["--seed", "7", "verify", "key-lemma", "--trials", "20", "--n", "1", "--d", "1"],
-     "1360d93d86339e9140fb233507b54bbb24993ea453a237ddc7d76cf2c0dd7e78"),
+     "aa3d6d6ca0ac0edf8f641de7580870f8b715853aa43d00259c6a08f94be68259"),
     (None, ["--seed", "7", "verify", "key-lemma", "--trials", "20", "--n", "1", "--d", "2"],
      "a8108a7881743832b117daf85516e132dd2e7e3bd5c37ccccac0260581dc5151"),
     (None, ["--seed", "7", "verify", "key-lemma", "--trials", "20", "--n", "2", "--d", "1"],
-     "36fc73fe5fc2a446dd0f0b484822ff8aceb8c5dd8041951e09dbde114cce71f8"),
+     "6bffab6af14e5c935d9dffac5de88f78ba807338af5ddccfac645e0d29b5918f"),
     (None, ["--seed", "7", "verify", "key-lemma", "--trials", "20", "--n", "2", "--d", "2"],
-     "2e894096bcf53c520252828739276725ecfd3186d0d0891adff3d82bc7cc7a9e"),
+     "2ee96fb223d7c9fd5beadebe6de83fdaab2bbf17d99fab1501a08c766f6997e9"),
     (None, ["--seed", "7", "verify", "key-lemma", "--trials", "20", "--n", "2", "--d", "1",
             "--gamma", "0.5"],
      "9ada1c74458464949bf1dc2a134be75244687c2fe4cab9e417f29a2f59e49b18"),

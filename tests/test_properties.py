@@ -164,6 +164,26 @@ def test_product_attacks_equal_dense_certified_path(point):
         assert lower.mean() - 1e-12 <= res.win_prob <= upper.mean() + 1e-12
 
 
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([random_qubit_device,
+                                                     random_rotated_ideal_device]),
+       st.lists(st.floats(-math.pi, math.pi), min_size=1, max_size=4))
+def test_optimum_round_sits_between_fixed_angles_and_a_kept_round(seed, family, angles):
+    # one round: no fixed angle beats the memoryless optimum, and nothing
+    # without memory beats the round kept (Helstrom), per basis as well
+    ctx = adversary._GameContext(family(RandomSuite(seed)), 1, 0.0)
+    measured = [adversary.MeasureAll((a,)) for a in angles]
+    *fixed, optimum, kept = adversary._score_strategies(
+        ctx, measured + [adversary.MeasureAll(("optimum",)),
+                         adversary.StoreSubset(keep=(0,))])
+    for res in fixed:
+        assert res.win_prob <= optimum.win_prob + optimum.certified_gap + res.certified_gap
+    for res in fixed + [optimum]:
+        assert res.win_prob <= kept.win_prob + kept.certified_gap + res.certified_gap
+        for key, value in res.per_theta.items():
+            assert value <= kept.per_theta[key] + kept.certified_gap + res.certified_gap
+
+
 _devices = st.builds(
     lambda seed, dims, noise: random_device(RandomSuite(seed), *dims, noise),
     st.integers(0, 2 ** 32 - 1), st.tuples(st.integers(1, 4), st.integers(1, 4)),
