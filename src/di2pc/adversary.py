@@ -1751,7 +1751,9 @@ def verify_key_lemma(trials: int, n: int, d: int, gamma: float = 0.0,
     play the other on the optimum. The certificate uses the device's exact
     effective anti-commutator, the sharpest value the proof supports, so
     any CHSH-derived zeta >= eps_+ passes a fortiori. A violation report
-    carries the offending device and the winning attack's kind.
+    carries the offending device, the winning attack's kind and, under
+    ``attack``, its ``to_obj()`` (the see-saw's best encoding), so that
+    ``strategy_from_obj`` replays it.
     """
     if n > 2 or d > 2:
         raise DimensionCapError("key-lemma fuzz is capped at n <= 2, d <= 2")
@@ -1775,17 +1777,18 @@ def verify_key_lemma(trials: int, n: int, d: int, gamma: float = 0.0,
                    if s.memory_dim(device.dim_b, n) <= d]
         if bound < 1.0:
             attacks += products
-        # (value, gap, converged, kind) per attack; the first best one wins
-        scored = [(res.win_prob, res.certified_gap, res.converged, strat.kind)
+        # (value, gap, converged, kind, strategy) per attack; the first best
+        # one wins
+        scored = [(res.win_prob, res.certified_gap, res.converged, strat.kind, strat)
                   for strat, res in zip(attacks, _score_strategies(ctx, attacks))]
         if bound < 1.0 and d > 1:
-            res, _enc = seesaw_search(device, n, d, restarts=_KEY_LEMMA_RESTARTS,
-                                      seed=int(suite.rng.integers(2 ** 32)),
-                                      gamma=gamma, iters=_KEY_LEMMA_ITERS, _ctx=ctx)
-            scored.append((res.win_prob, res.certified_gap, res.converged, "seesaw"))
-        win, gap, converged, kind = max(scored, key=lambda s: s[0])
+            res, enc = seesaw_search(device, n, d, restarts=_KEY_LEMMA_RESTARTS,
+                                     seed=int(suite.rng.integers(2 ** 32)),
+                                     gamma=gamma, iters=_KEY_LEMMA_ITERS, _ctx=ctx)
+            scored.append((res.win_prob, res.certified_gap, res.converged, "seesaw", enc))
+        win, gap, converged, kind, attack = max(scored, key=lambda s: s[0])
         return {"trial": trial, "epsilon_plus": eps, "bound": bound,
-                "win_prob": win, "strategy": kind, "device": device,
+                "win_prob": win, "strategy": kind, "attack": attack, "device": device,
                 "certified_gap": gap, "converged": converged}
 
     def check(rec: dict):
@@ -1794,6 +1797,7 @@ def verify_key_lemma(trials: int, n: int, d: int, gamma: float = 0.0,
         yield (best_win / bound if bound > 0 else math.inf, bound + _WIN_SLACK - best_win,
                {"trial": rec["trial"], "epsilon_plus": rec["epsilon_plus"],
                 "bound": bound, "win_prob": best_win, "strategy": rec["strategy"],
+                "attack": rec["attack"].to_obj(),
                 "device": rec["device"].to_obj()} if violated else None)
 
     def fold(acc, rec: dict) -> tuple[float, bool]:

@@ -31,7 +31,10 @@ exactly without evaluating either form; the closed form would lose that
 value for large d, as it cancels two terms of size sqrt(d) base^n.
 Otherwise, up to n = 1000 both forms are evaluated linearly in extended
 precision (exact binomials); beyond that, log2-space evaluation keeps n up
-to 10^6 from overflowing or losing the exponent. Where the linear closed
+to 10^6 from overflowing or losing the exponent. There the closed form
+returns log2 of its main term in O(1), skipping the O(t) correction sum,
+wherever a tail bound proves that the sum cannot change a bit of the
+result (``_ClosedForm.log2`` gives the proof). Where the linear closed
 form cancels to 0 or below (t < n with d past about 2^212), the evaluator
 raises ``DomainError`` naming the point.
 """
@@ -74,6 +77,7 @@ __all__ = [
 INSECURE = "insecure"
 
 _LOG2E = 1.0 / math.log(2.0)
+_LOG2_LOG2E = math.log2(_LOG2E)
 # Effectively infinite threshold used when log((1+zeta)/2) = 0; reports cap
 # it at n, and the bound's guard takes it as t >= n.
 _T_INF = 10 ** 18
@@ -227,16 +231,37 @@ class _ClosedForm:
     def log2(self, n: int) -> float:
         """log2 of the closed form, as log2(main) + log1p(-correction/main):
         the correction terms (all positive) are summed relative to the main
-        term sqrt(d) * base^n, so nothing overflows or loses the exponent."""
+        term sqrt(d) * base^n, so nothing overflows or loses the exponent.
+
+        Where a tail bound shows that the correction cannot move a bit, this
+        returns log2(main) without the O(t) sum. The positive coefficients
+        sit at k <= top; where 2 top <= n, C(n, k) <= 2^(n h(top/n)) and
+        0 < coeff_k < sqrt(d), so ratio = correction/main is at most
+        R = (top + 1) 2^(n (h(top/n) - 1) + log2 sqrt(d) - log2 main), and
+        the sum adds x = log1p(-ratio) log2(e), |x| <= R log2(e) / (1 - R).
+        ``_log2_tail`` is log2(R log2(e)) plus eps = n (top + 1) 2^-48
+        bits, which covers the float error of every exponent involved: the
+        cumulative sum behind log2 C(n, k) rounds at most top partial sums
+        below n and top terms below 64, and a term's exponent or R's adds
+        a few more roundings of magnitude below 3n. The skip fires where
+        that is below ulp(log2 main) / 16. exp2, fsum, log1p, the factor
+        log2(e) and 1 / (1 - R) add a relative 2^-48 at most, so the
+        computed |x| stays below ulp / 4, and log2 main + x rounds to log2
+        main (a quarter ulp, not a half, covers a power of two stepping
+        down). The skip thus returns what the sum returns, bit for bit; the
+        sum runs where 2 top > n, log2 main = 0 or the bound is too large."""
         if self._log2_pieces is None:
             coeff = math.sqrt(self.d) * (_q(self.zeta) ** np.arange(0, self.t + 1)) - 1.0
             # k = t can dip to 0 or below by roundoff, and every k does at
             # d = 1; such terms add an exact 0 to the correction, left out
             ks = np.flatnonzero(coeff > 0)
             self._log2_pieces = (0.5 * math.log2(self.d), _log2_base(self.zeta),
-                                 ks, np.log2(coeff[ks]))
-        half_log2_d, log2_base, ks, log2_coeff = self._log2_pieces
+                                 ks, np.log2(coeff[ks]), int(ks[-1]) if len(ks) else -1)
+        half_log2_d, log2_base, ks, log2_coeff, top = self._log2_pieces
         log2_main = half_log2_d + n * log2_base
+        if 0 <= 2 * top <= n and log2_main and \
+                self._log2_tail(n, top, log2_main) < math.log2(math.ulp(log2_main)) - 4:
+            return log2_main
         ratio = 0.0
         if len(ks):
             log2_terms = _log2_binom(n, ks) - n + log2_coeff
@@ -245,6 +270,13 @@ class _ClosedForm:
             # Mathematically ratio < 1 always; roundoff can graze it from below.
             ratio = math.nextafter(1.0, 0.0)
         return log2_main + math.log1p(-ratio) * _LOG2E
+
+    def _log2_tail(self, n: int, top: int, log2_main: float) -> float:
+        """log2 of ``log2``'s bound on how far the correction moves log2 B."""
+        p = top / n
+        h = -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p) if top else 0.0
+        return (math.log2(top + 1) + n * (h - 1.0) + self._log2_pieces[0] - log2_main
+                + _LOG2_LOG2E + n * (top + 1) * 2.0 ** -48)
 
 
 class _SumForm:

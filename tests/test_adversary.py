@@ -1441,6 +1441,38 @@ def test_key_lemma_products_replace_the_seesaw_at_d_1(monkeypatch):
             assert v["win_prob"] == want.win_prob
 
 
+def test_key_lemma_violation_records_replay(monkeypatch):
+    # a violation carries the winning attack's to_obj(): scored again on the
+    # recorded device it reads the recorded value exactly, whichever attack won
+    to_obj = collections.Counter()
+    for cls in (MeasureAll, StoreSubset, GeneralEncoding):
+        def counted(self, _fn=cls.to_obj):
+            to_obj[type(self).__name__] += 1
+            return _fn(self)
+        monkeypatch.setattr(cls, "to_obj", counted)
+    # to_obj runs for violations only
+    assert verify_key_lemma(3, 2, 1, seed=5).passed and not to_obj
+    monkeypatch.setattr(adversary, "bound_imperfect", lambda *args: 0.25)
+    for n in (1, 2):
+        rep = verify_key_lemma(3, n, 1, seed=5)
+        assert len(rep.violations) == 3
+        for v in rep.violations:
+            attack = strategy_from_obj(v["attack"])
+            assert attack.kind == v["strategy"]
+            device = DeviceModel.from_obj(v["device"])
+            assert exact_win_probability(device, attack, n, 1).win_prob == v["win_prob"]
+    assert sum(to_obj.values()) == 6
+    # at d = 2 the see-saw's encoding is recorded; the dense game replays it
+    # to roundoff (the search scores it on another path)
+    kinds = set()
+    for v in verify_key_lemma(4, 1, 2, seed=5).violations:
+        kinds.add((v["strategy"], v["attack"]["kind"]))
+        replay = exact_win_probability(DeviceModel.from_obj(v["device"]),
+                                       strategy_from_obj(v["attack"]), 1, 2)
+        assert replay.win_prob == pytest.approx(v["win_prob"], abs=1e-12)
+    assert ("seesaw", "general_encoding") in kinds
+
+
 def test_verify_norm_lemma_single_term_equality():
     rep = verify_norm_lemma(1, max_dim=4, max_terms=1, seed=1)
     assert rep.passed

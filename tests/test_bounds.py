@@ -1,9 +1,11 @@
 """Tests for the closed-form security bounds."""
 
 import collections
+import functools
 import hashlib
 import math
 import pathlib
+import random
 import subprocess
 import sys
 
@@ -475,3 +477,128 @@ def test_closed_form_cancellation_raises_domain_error():
     # the sum form keeps the value there, and t >= n still gives exactly 1
     assert bound_perfect_sumform(250, 2 ** 215, 0.1) == 1.0
     assert bound_perfect_raw(200, 2 ** 215, 0.1) == 1.0
+
+
+# -- the log-space tail-bound skip -------------------------------------------
+
+_LOG2_BINOM = bounds._log2_binom
+
+
+@functools.lru_cache(maxsize=64)
+def _parent_log2_pieces(d: int, zeta: float, t: int):
+    coeff = math.sqrt(d) * (bounds._q(zeta) ** np.arange(0, t + 1)) - 1.0
+    ks = np.flatnonzero(coeff > 0)
+    return 0.5 * math.log2(d), bounds._log2_base(zeta), ks, np.log2(coeff[ks])
+
+
+def parent_closed_log2(d: int, zeta: float, t: int, n: int) -> float:
+    """``_ClosedForm.log2`` as it stood before the tail-bound skip, the
+    oracle of the skip: the full O(t) correction sum, always."""
+    half_log2_d, log2_base, ks, log2_coeff = _parent_log2_pieces(d, zeta, t)
+    log2_main = half_log2_d + n * log2_base
+    ratio = 0.0
+    if len(ks):
+        log2_terms = _LOG2_BINOM(n, ks) - n + log2_coeff
+        ratio = math.fsum(np.exp2(log2_terms - log2_main).tolist())
+    if ratio >= 1.0:
+        ratio = math.nextafter(1.0, 0.0)
+    return log2_main + math.log1p(-ratio) * bounds._LOG2E
+
+
+def log_space_points(rng: random.Random, count: int):
+    """(d, zeta, t, ns): ``count`` log-space points (t < n, 1000 < n <= 10^6)
+    in groups of one (d, zeta), d from 1 to 2^1000 and log-uniform in bits
+    (so rarely a power of two). The oracle costs O(t) per call, so a group
+    gets forty n up to t = 1000, four up to 10^4, and past that
+    (milliseconds a call) one n in a quarter of the groups drawn."""
+    while count > 0:
+        d = int(2 ** (1000 ** rng.random())) - rng.randrange(2)
+        zeta = rng.choice([0.0, 1e-9, rng.random(), 0.99, 0.999])
+        t = bounds._threshold(d, zeta)
+        lo = max(1000, t)
+        if lo >= 10 ** 6 - 1 or (t > 10 ** 4 and rng.random() < 0.75):
+            continue
+        size = min(count, 40 if t <= 1000 else 4 if t <= 10 ** 4 else 1)
+        ns = sorted({int(lo * (10 ** 6 / lo) ** rng.random()) + 1 for _ in range(size)})
+        count -= len(ns)
+        yield d, zeta, t, ns
+
+
+def test_log_space_skip_bit_identical_to_full_sum(monkeypatch):
+    # the skip returns log2(main) where the correction cannot move a bit;
+    # everywhere it must read exactly what the full sum reads
+    calls = [0]
+
+    def counted(n, k):
+        calls[0] += 1
+        return _LOG2_BINOM(n, k)
+    monkeypatch.setattr(bounds, "_log2_binom", counted)
+    mismatches, points, skipped, summed, wide = [], 0, 0, 0, 0
+    for d, zeta, t, ns in log_space_points(random.Random(2801), 20_000):
+        curve = bounds._ClosedForm(d, zeta, t)
+        for n in ns:
+            points += 1
+            before = calls[0]
+            got = curve.log2(n)
+            if got.hex() != parent_closed_log2(d, zeta, t, n).hex():
+                mismatches.append((n, d, zeta))
+            top = curve._log2_pieces[-1]
+            if calls[0] > before:
+                summed += 1
+                wide += 2 * top > n
+            else:
+                skipped += top >= 0
+    # the skip fires on most points; the sum runs on some, with 2 top > n
+    # on some of those (the rest have no positive coefficient: d = 1)
+    assert not mismatches and points == 20_000
+    assert skipped > 0.8 * points
+    assert summed >= 100 and wide >= 20
+
+
+def test_log_space_skip_bound_holds_in_mpmath():
+    # on points where the skip fires, the exact correction |log2(1 - ratio)|
+    # lies below the bound the code used, and that below 1/16 ulp(log2 main)
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(2802)
+    checked = 0
+    with mpmath.workdps(50):
+        while checked < 100:
+            d = int(2 ** (rng.random() * 1000)) + rng.randrange(3)
+            zeta = rng.choice([0.0, 1e-9, rng.random(), 0.99, 0.999])
+            t = bounds._threshold(d, zeta)
+            if not 0 < t <= 2000:
+                continue
+            n = int(max(1000, t) * 2 ** (rng.random() * 6)) + 1
+            curve = bounds._ClosedForm(d, zeta, t)
+            log2_main = curve.log2(n)
+            top = curve._log2_pieces[-1]
+            tail = curve._log2_tail(n, top, log2_main)
+            if 2 * top > n or tail >= math.log2(math.ulp(log2_main)) - 4:
+                continue
+            q = mpmath.sqrt((1 + mpmath.mpf(zeta)) / 2)
+            sqrt_d = mpmath.sqrt(d)
+            binom, corr = mpmath.mpf(1), mpmath.mpf(0)
+            for k in range(t + 1):
+                corr += binom * max(0, sqrt_d * q ** k - 1)
+                binom = binom * (n - k) / (k + 1)
+            ratio = corr / (mpmath.mpf(2) ** n * sqrt_d * ((1 + q) / 2) ** n)
+            correction = -mpmath.log1p(-ratio) / mpmath.log(2)
+            assert correction <= mpmath.mpf(2) ** tail
+            assert correction < mpmath.mpf(math.ulp(log2_main)) / 16
+            checked += 1
+
+
+def test_log_space_probes_skip_the_correction_sum(monkeypatch):
+    # a query whose probes past n = 1000 all sit where the tail bound holds
+    # builds no log2 C(n, k) table; Direction 2's point (2 top > n) does
+    calls, probes = [], []
+    monkeypatch.setattr(bounds, "_log2_binom",
+                        lambda n, k: calls.append(n) or _LOG2_BINOM(n, k))
+    log2 = bounds._ClosedForm.log2
+    monkeypatch.setattr(bounds._ClosedForm, "log2",
+                        lambda self, n: probes.append(n) or log2(self, n))
+    assert min_rounds(2 ** 10, 0.3, 0.0, 2.0 ** -64) == 470
+    assert min_rounds(2 ** 10, 0.3, 0.0, 2.0 ** -200) == 1395
+    assert len(probes) == 13 and not calls
+    bound_perfect_log2(1500, 2 ** 764, 0)
+    assert calls == [1500]

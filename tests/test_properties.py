@@ -16,7 +16,7 @@ from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra import numpy as hnp  # noqa: E402
 
-from di2pc import adversary  # noqa: E402
+from di2pc import adversary, bounds  # noqa: E402
 from di2pc.bounds import INSECURE, bound_report, min_rounds  # noqa: E402
 from di2pc.chsh import TSIRELSON, estimate_chsh, zeta_from_violation  # noqa: E402
 from di2pc.cli import _ATTACK_TOL, main  # noqa: E402
@@ -37,6 +37,7 @@ from di2pc.protocols import (  # noqa: E402
     run_wse,
 )
 from test_adversary import _qubit_optimum_all_sets  # noqa: E402
+from test_bounds import parent_closed_log2  # noqa: E402
 from test_protocols import (  # noqa: E402
     oracle_pv_obj,
     oracle_wse_obj,
@@ -294,6 +295,23 @@ def test_cli_min_n_payload_equals_library(point):
         return
     assert (code, err) == (0, "")
     assert json.loads(out) == ({"insecure": True} if n == INSECURE else {"n": n})
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.floats(0.0, 1000.0), st.integers(0, 2),
+       st.one_of(st.sampled_from([0.0, 1e-9, 0.99, 0.999]),
+                 st.floats(0.0, 1.0, exclude_max=True)),
+       st.floats(0.0, 1.0))
+def test_log_space_skip_reads_the_full_sum(bits, off, zeta, u):
+    # the closed form's log-space path, skip or no skip, bit for bit against
+    # the full correction sum (test_bounds.parent_closed_log2)
+    d = max(1, int(2 ** bits) - off)
+    t = bounds._threshold(d, zeta)
+    lo = max(1000, t)
+    assume(lo < 10 ** 6 - 1)
+    n = int(lo * (10 ** 6 / lo) ** u) + 1
+    got = bounds._ClosedForm(d, zeta, t).log2(n)
+    assert got.hex() == parent_closed_log2(d, zeta, t, n).hex()
 
 
 # one argument of a valid point replaced by a value outside its range: d
