@@ -24,8 +24,7 @@ _EXPORTS = {
         operator_norm partial_trace psd_sqrt tensor_product""",
     "jordan": """BinaryMeasurement JordanBlock JordanDecomposition block_probabilities
         decompose_pair epsilon_plus_blocks epsilon_plus_direct naimark_dilate""",
-    "chsh": """TSIRELSON ChshEstimate ChshSetup chsh_operator chsh_value estimate_chsh
-        zeta_certificate zeta_from_violation""",
+    "chsh": """TSIRELSON ChshEstimate chsh_value estimate_chsh zeta_from_violation""",
     "bounds": """INSECURE BoundReport binary_entropy bound_imperfect bound_perfect
         bound_perfect_sumform bound_report decay_condition gamma_star hamming_ball
         min_rounds security_region threshold""",

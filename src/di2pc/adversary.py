@@ -13,9 +13,14 @@ For every other strategy, for every theta the post-measurement ensemble on
 Bob's memory is built branch by classical branch, and the optimal decoding
 is a quantum state discrimination problem with a dual certificate
 (eigenvalue lifting), so every reported value comes with a certified
-optimality gap. Guesses whose reward operator another guess dominates are
-dropped first; closed forms solve what is left where they exist (scalar
-memories, one guess, two-outcome Helstrom), and a fixed-point iteration
+optimality gap. The solver's path follows the problem's shape. A qubit
+memory with at most four guesses goes first to an exact closed form (the
+Bloch-vector dual solved over its active sets, pairs first,
+``_qubit_optimum``), one call for the whole batch; at most four guesses are
+ever active there. Every other problem, and any whose closed-form gap check
+fails, takes the general path: guesses whose reward operator another guess
+dominates are dropped first (a scalar memory keeps its best guess), closed
+forms solve one or two kept guesses (Helstrom), and a fixed-point iteration
 with an interior-point fallback solves the rest, on one schedule. The dual
 bound is rounded outward, so it stays at or above the value of the
 returned POVM in float64.
@@ -36,14 +41,10 @@ exact optimum, and at n = d = 2 with no error allowed the other round of
 one stored, beside the see-saw, which runs only at d = 2. The search's
 restarts climb together, and one solver call scores several steps ahead of
 every live restart, their rewards built straight from the stacked
-isometries. There every qubit problem, with any number of guesses, goes
-first to an exact closed form (the Bloch-vector dual solved over its active
-sets, pairs first, ``_qubit_optimum``), one call for the whole batch; only
-the problems whose closed-form gap check fails go on to the certified path
-above. The winner is scored once more the same way: its value is achieved
-by the returned POVM and its bound is the outward-rounded dual, so it
-carries its own certificate. Only the see-saw and the memoryless optimum
-enter the closed form.
+isometries; with n <= 2 its qubit problems have at most four guesses, so
+they take the closed form. The winner is scored once more the same way: its
+value is achieved by the returned POVM and its bound is the outward-rounded
+dual, so it carries its own certificate.
 """
 
 from __future__ import annotations
@@ -826,7 +827,7 @@ def _pruned(g: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     return f, y
 
 
-def _discriminate_batch(g: np.ndarray, tol: float = 1e-9, qubit_first: bool = False,
+def _discriminate_batch(g: np.ndarray, tol: float = 1e-9
                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
     """Batched certified discrimination.
 
@@ -836,26 +837,19 @@ def _discriminate_batch(g: np.ndarray, tol: float = 1e-9, qubit_first: bool = Fa
     lifted dual-feasible operator, both evaluated on the full ``g``, and
     ``converged`` says whether every gap is within ``tol``.
 
-    Scalar memories take the best guess. Otherwise ``_pruned`` solves the
-    batch: dominated outcomes dropped, closed forms for one and two kept
-    outcomes, the fixed point and its fallback (one schedule, see
-    ``_fixed_point``) for the rest. With ``qubit_first`` (the see-saw's
-    scoring, and the memoryless optimum where its own singles and pairs do
-    not settle a problem) every qubit problem goes to the closed form
-    ``_qubit_optimum`` first, on all its outcomes and all in one call, and
-    only the problems whose gap there exceeds ``tol`` go on to ``_pruned``.
-    Soundness does not rest on either: a wrong drop or a wrong root can only
-    widen the certified gap.
+    The path follows the shape. On a qubit memory with at most four guesses
+    every problem goes to the closed form ``_qubit_optimum`` first, on all
+    its outcomes and all in one call: the Bloch dual has at most four active
+    guesses, so the closed form enumerates every active set there. Only the
+    problems whose gap exceeds ``tol`` go on to ``_pruned``, which solves
+    every other batch: dominated outcomes dropped (on a scalar memory that
+    leaves the best guess), closed forms for one and two kept outcomes, the
+    fixed point and its fallback (one schedule, see ``_fixed_point``) for
+    the rest. Soundness does not rest on either: a wrong drop or a wrong
+    root can only widen the certified gap.
     """
-    b, k, d, _ = g.shape
-    if d == 1:
-        vals = g[:, :, 0, 0].real
-        best = vals.argmax(axis=1)
-        f = np.zeros_like(g)
-        f[np.arange(b), best, 0, 0] = 1.0
-        top = vals.max(axis=1)
-        return top, top, f, True
-    if d == 2 and qubit_first:
+    _, k, d, _ = g.shape
+    if d == 2 and k <= 4:
         f, y = _qubit_optimum(g)
         lower = np.einsum("bkij,bkji->b", f, g).real
         upper = _dual_upper(g, y)
@@ -1190,7 +1184,7 @@ def _memoryless_optimum(ctx: _GameContext) -> tuple[np.ndarray, list[float], flo
     if povm is None:
         t = ctx.table
         w = (t[0][:, None] + t[1][None, :]).reshape(-1, *t.shape[2:]) / 2
-        _, up, f, converged = _discriminate_batch(w[None], qubit_first=True)
+        _, up, f, converged = _discriminate_batch(w[None])
         povm, upper = f[0], float(up[0])
     values = np.einsum("fab,tfba->t", povm, ctx.table[_BASES, _TABLE_GUESSES]).real.tolist()
     return povm, values, max(0.0, upper - (values[0] + values[1]) / 2), converged
@@ -1458,8 +1452,7 @@ def _search_values(ctx: _GameContext, v: np.ndarray, d: int) -> np.ndarray:
     """The see-saw's objective for a stack of isometries ``v``, shape (c, d*M,
     Din), in one solver call: each one's winning probability, on qubit
     memories from the closed form, so the value is exact to roundoff."""
-    lower, _, _, _ = _discriminate_batch(ctx.isometry_rewards(v, d),
-                                         tol=_SEARCH_TOL, qubit_first=True)
+    lower, _, _, _ = _discriminate_batch(ctx.isometry_rewards(v, d), tol=_SEARCH_TOL)
     return lower.reshape(len(v), len(ctx.thetas), -1).sum(axis=2).mean(axis=1)
 
 
@@ -1549,7 +1542,7 @@ def seesaw_search(device: DeviceModel, n: int, d: int, restarts: int = 4,
             if step[r] < _MIN_STEP or not left[r]:
                 live.remove(r)
     enc = GeneralEncoding.from_isometry(v[int(np.argmax(val))], d)
-    lower, upper, _, conv = _discriminate_batch(ctx.rewards(enc), qubit_first=True)
+    lower, upper, _, conv = _discriminate_batch(ctx.rewards(enc))
     return ctx.result(lower, upper, conv), enc
 
 

@@ -60,7 +60,6 @@ __all__ = [
     "binary_entropy",
     "bound_perfect",
     "bound_perfect_raw",
-    "bound_perfect_log2",
     "bound_perfect_sumform",
     "bound_perfect_sumform_log2",
     "bound_imperfect",
@@ -88,19 +87,31 @@ _T_INF = 10 ** 18
 _D_MAX = sys.float_info.max
 
 
-def _validate(n: int, d: int, zeta: float, gamma: float = 0.0) -> None:
-    if n < 1 or int(n) != n:
+def _integral(x) -> bool:
+    """Whether x is a whole number: an int, or a float such as 5.0 (nan and
+    inf are not)."""
+    try:
+        return int(x) == x
+    except (ValueError, OverflowError):
+        return False
+
+
+def _validate(n: int, d: int, zeta: float, gamma: float = 0.0) -> tuple[int, int]:
+    """Check one point; returns n and d as ints, which an integral float
+    such as 5.0 passes as, so that every path sees an int."""
+    if not (n >= 1 and _integral(n)):
         raise DomainError(f"n must be a positive integer, got {n!r}")
     # compared before any conversion, in O(1) even for a huge int, and not
     # printed: a large enough int has no decimal string
     if d > _D_MAX:
         raise DomainError(f"d must be at most {_D_MAX!r}, the largest float")
-    if d < 1 or int(d) != d:
+    if not (d >= 1 and _integral(d)):
         raise DomainError(f"d must be a positive integer, got {d!r}")
     if not 0.0 <= zeta <= 1.0:
         raise DomainError(f"zeta must lie in [0, 1], got {zeta!r}")
     if not 0.0 <= gamma <= 0.5:
         raise DomainError(f"gamma must lie in [0, 0.5], got {gamma!r}")
+    return int(n), int(d)
 
 
 @dataclass(frozen=True)
@@ -150,7 +161,7 @@ def threshold(d: int, zeta: float) -> int:
     For zeta = 1 the divisor vanishes; the limit is 0 for d = 1 and +infinity
     for d >= 2, represented by a huge sentinel that every consumer clips to n.
     """
-    _validate(1, d, zeta)
+    _, d = _validate(1, d, zeta)
     return 0 if d == 1 else _threshold(d, zeta)
 
 
@@ -352,13 +363,8 @@ def _curve(d: int, zeta: float, form=_ClosedForm):
 def _bound(n: int, d: int, zeta: float, gamma: float = 0.0, form=_ClosedForm) -> _Bound:
     """B and B' at one point: what every public B/B' function and
     ``bound_report`` return a part of."""
-    _validate(n, d, zeta, gamma)
+    n, d = _validate(n, d, zeta, gamma)
     return _curve(d, zeta, form)(n, binary_entropy(gamma))
-
-
-def bound_perfect_log2(n: int, d: int, zeta: float) -> float:
-    """log2 of the raw (pre-clamp) closed-form bound B(n, d, zeta)."""
-    return _bound(n, d, zeta).log2_b
 
 
 def bound_perfect_raw(n: int, d: int, zeta: float) -> float:
@@ -461,9 +467,11 @@ def security_region(s_grid, gamma_grid) -> SecurityRegion:
 
 def hamming_ball(n: int, radius: int) -> int:
     """Exact number of strings within Hamming distance ``radius`` of a point."""
-    if not 0 <= radius <= n:
-        raise DomainError(f"radius must lie in [0, {n}], got {radius!r}")
-    return sum(math.comb(n, k) for k in range(radius + 1))
+    if not (n >= 0 and _integral(n)):
+        raise DomainError(f"n must be a nonnegative integer, got {n!r}")
+    if not (0 <= radius <= n and _integral(radius)):
+        raise DomainError(f"radius must be an integer in [0, {n}], got {radius!r}")
+    return sum(math.comb(int(n), k) for k in range(int(radius) + 1))
 
 
 def min_rounds(d: int, zeta: float, gamma: float, eps_target: float,
@@ -477,7 +485,7 @@ def min_rounds(d: int, zeta: float, gamma: float, eps_target: float,
     """
     if not 0.0 < eps_target < 1.0:
         raise DomainError(f"eps_target must lie in (0, 1), got {eps_target!r}")
-    _validate(1, d, zeta, gamma)
+    _, d = _validate(1, d, zeta, gamma)
     if not decay_condition(zeta, gamma):
         return INSECURE
     log2_eps = math.log2(eps_target)
@@ -509,21 +517,13 @@ def min_rounds(d: int, zeta: float, gamma: float, eps_target: float,
     return n_star
 
 
-def bound_report(n: int, d: int, zeta: float | None = None,
-                 gamma: float = 0.0, s: float | None = None,
+def bound_report(n: int, d: int, zeta: float, gamma: float = 0.0,
                  kind: str = "guessing") -> BoundReport:
-    """Assemble the full report for one parameter point.
-
-    Exactly one of ``zeta`` or ``s`` must be given; ``s`` is converted with
-    the certificate map first.
-    """
-    if (zeta is None) == (s is None):
-        raise DomainError("provide exactly one of zeta or S")
-    if s is not None:
-        zeta = zeta_from_violation(s)
+    """Assemble the full report for one parameter point."""
     if kind not in ("guessing", "wse_ne", "pv"):
         raise DomainError(f"unknown report kind {kind!r}")
     bound = _bound(n, d, zeta, gamma)
+    n, d = int(n), int(d)               # validated as integral by _bound
     log2_bi = bound.log2_b_prime
     rate = 0.0 if log2_bi >= 0.0 else -log2_bi / n
     return BoundReport(n=n, d=d, zeta=zeta, gamma=gamma,

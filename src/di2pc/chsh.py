@@ -1,12 +1,11 @@
-"""CHSH operator, exact violation, certificate map, and sampled estimation.
+"""Exact CHSH violation, certificate map, and sampled estimation.
 
-The testing protocol estimates S = tr(W rho) for the operator
-
-    W = A0 x T0 + A0 x T1 + A1 x T0 - A1 x T1
-
-and converts it into the certificate zeta = S/4 * sqrt(8 - S^2), an upper
-bound on the effective absolute anti-commutator of the main device's two
-measurements whenever S >= 2.
+The testing protocol measures S = E00 + E01 + E10 - E11, where E_ab is the
+correlator of Alice's observable A_a against the testing observable T_b on
+the device's state, and converts it into the certificate zeta = S/4 *
+sqrt(8 - S^2), an upper bound on the effective absolute anti-commutator of
+the main device's two measurements whenever S >= 2. The exact value and the
+sampled estimate read one joint-outcome table (``_test_table``).
 
 Sampled estimation cycles the four setting pairs deterministically with an
 equal number of rounds each, so the only randomness is the Born-rule outcome
@@ -20,28 +19,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionCapError, DomainError, NonphysicalViolationError, ShapeError
-from .matcore import (
-    Array,
-    RandomSuite,
-    _herm,
-    _kron,
-    check_binary_observable,
-    check_density_operator,
-    dagger,
-    operator_norm,
-    tensor_product,
-)
+from .errors import DimensionCapError, DomainError, NonphysicalViolationError
+from .matcore import Array, RandomSuite, _herm, _kron, dagger
 
 __all__ = [
     "TSIRELSON",
-    "ChshSetup",
     "ChshEstimate",
-    "ZetaCertificate",
-    "chsh_operator",
     "chsh_value",
     "zeta_from_violation",
-    "zeta_certificate",
     "estimate_chsh",
     "half_width",
 ]
@@ -52,31 +37,8 @@ TSIRELSON = 2.0 * math.sqrt(2.0)
 # fits the int64 the multinomial draw takes).
 _ROUNDS_CAP = 2 ** 53
 
-
-@dataclass(frozen=True)
-class ChshSetup:
-    """Two binary observables per side plus the shared state."""
-
-    a0: Array
-    a1: Array
-    t0: Array
-    t1: Array
-    state: Array
-
-    def __post_init__(self):
-        a0 = check_binary_observable(self.a0)
-        a1 = check_binary_observable(self.a1)
-        t0 = check_binary_observable(self.t0)
-        t1 = check_binary_observable(self.t1)
-        state = check_density_operator(self.state)
-        if a0.shape != a1.shape or t0.shape != t1.shape:
-            raise ShapeError("observables on one side must share a dimension")
-        if state.shape[0] != a0.shape[0] * t0.shape[0]:
-            raise ShapeError(
-                f"state dimension {state.shape[0]} != "
-                f"{a0.shape[0]} x {t0.shape[0]}")
-        for name, m in (("a0", a0), ("a1", a1), ("t0", t0), ("t1", t1), ("state", state)):
-            object.__setattr__(self, name, m)
+# The sign (-1)^(x + y) of each joint outcome (x, y), in the table's order.
+_SIGNS = (1, -1, -1, 1)
 
 
 @dataclass(frozen=True)
@@ -99,42 +61,16 @@ class ChshEstimate:
 
     @property
     def zeta_conservative(self) -> float:
-        return zeta_certificate(min(self.s_conservative, TSIRELSON)).zeta
+        return zeta_from_violation(min(self.s_conservative, TSIRELSON))
 
 
-@dataclass(frozen=True)
-class ZetaCertificate:
-    """Certificate value with a flag marking whether S >= 2 backed it."""
-
-    zeta: float
-    certified: bool
-
-
-def chsh_operator(setup: ChshSetup) -> Array:
-    """W = A0xT0 + A0xT1 + A1xT0 - A1xT1; Hermitian with norm <= 2*sqrt(2)."""
-    w = (tensor_product(setup.a0, setup.t0) + tensor_product(setup.a0, setup.t1)
-         + tensor_product(setup.a1, setup.t0) - tensor_product(setup.a1, setup.t1))
-    norm = operator_norm(w)
-    if norm > TSIRELSON + 1e-9:
-        raise DomainError(f"CHSH operator norm {norm!r} exceeds the Tsirelson bound")
-    return w
-
-
-def chsh_value(setup: ChshSetup) -> float:
-    """Exact S = tr(W rho) for the given setup."""
-    s = float(np.trace(chsh_operator(setup) @ setup.state).real)
-    if abs(s) > TSIRELSON + 1e-9:
-        raise DomainError(f"CHSH value {s!r} exceeds the Tsirelson bound")
-    return s
-
-
-def zeta_certificate(s: float) -> ZetaCertificate:
+def zeta_from_violation(s: float) -> float:
     """Map a CHSH value onto the anti-commutator certificate.
 
     For s >= 2 the certificate is zeta = s/4 * sqrt(8 - s^2), clamped to
-    [0, 1]. Below 2 the lemma gives nothing, so zeta = 1 is returned with
-    ``certified=False``. Values above 2*sqrt(2) (plus tolerance) raise, and
-    so does nan, which the clamp would otherwise turn into zeta = 0.
+    [0, 1]. Below 2 the lemma gives nothing, so zeta = 1. Values above
+    2*sqrt(2) (plus tolerance) raise, and so does nan, which the clamp would
+    otherwise turn into zeta = 0.
     """
     s = float(s)
     if math.isnan(s):
@@ -143,13 +79,9 @@ def zeta_certificate(s: float) -> ZetaCertificate:
         raise NonphysicalViolationError(
             f"CHSH value {s!r} exceeds the quantum maximum 2*sqrt(2)")
     if s < 2.0:
-        return ZetaCertificate(1.0, False)
+        return 1.0
     zeta = s / 4.0 * math.sqrt(max(0.0, 8.0 - s * s))
-    return ZetaCertificate(min(1.0, max(0.0, zeta)), True)
-
-
-def zeta_from_violation(s: float) -> float:
-    return zeta_certificate(s).zeta
+    return min(1.0, max(0.0, zeta))
 
 
 def half_width(rounds_per_setting: int, delta: float) -> float:
@@ -185,6 +117,30 @@ def _outcome_table(proj_a: np.ndarray, proj_b: np.ndarray, state: Array) -> np.n
     return table / sums[:, :, None, None]
 
 
+def _test_table(device) -> np.ndarray:
+    """The testing protocol's joint outcome pmf: Alice's two observables
+    against the two testing observables on sigma_AB, indexed [a, b, x, y].
+
+    Projectors from the observables' eigenvectors, not the device's stored
+    p0/p1: the two differ by roundoff, which the multinomial draw turns into
+    other counts, and so into other `chsh` output.
+    """
+    proj_a = np.array([_eigenprojectors(m.observable)
+                       for m in (device.alice_meas_0, device.alice_meas_1)])
+    proj_t = np.array([_eigenprojectors(t) for t in (device.test_t0, device.test_t1)])
+    return _outcome_table(proj_a, proj_t, device.sigma_ab)
+
+
+def chsh_value(device) -> float:
+    """Exact S = E00 + E01 + E10 - E11 of the device's testing protocol, the
+    Born-rule mean of what ``estimate_chsh`` samples."""
+    e00, e01, e10, e11 = (_test_table(device).reshape(4, 4) @ _SIGNS).tolist()
+    s = e00 + e01 + e10 - e11
+    if abs(s) > TSIRELSON + 1e-9:
+        raise DomainError(f"CHSH value {s!r} exceeds the Tsirelson bound")
+    return s
+
+
 def estimate_chsh(device, rounds_per_setting: int, delta: float,
                   seed=0) -> ChshEstimate:
     """Monte-Carlo estimate of S from the device's testing observables.
@@ -198,17 +154,9 @@ def estimate_chsh(device, rounds_per_setting: int, delta: float,
         raise DimensionCapError(
             f"estimate_chsh is capped at {_ROUNDS_CAP} rounds per setting, "
             f"got {rounds_per_setting}")
-    # Projectors from the observables' eigenvectors, not the device's stored
-    # p0/p1: the two differ by roundoff, which the multinomial draw turns
-    # into other counts, and so into other `chsh` output.
-    proj_a = np.array([_eigenprojectors(m.observable)
-                       for m in (device.alice_meas_0, device.alice_meas_1)])
-    proj_t = np.array([_eigenprojectors(t) for t in (device.test_t0, device.test_t1)])
-    table = _outcome_table(proj_a, proj_t, device.sigma_ab)
     rng = RandomSuite(seed).rng
-    # joint outcome (x, y) counts with the sign (-1)^(x + y)
-    correlators = [int(np.dot(rng.multinomial(rounds_per_setting, probs), (1, -1, -1, 1)))
-                   / rounds_per_setting for probs in table.reshape(4, 4)]
+    correlators = [int(np.dot(rng.multinomial(rounds_per_setting, probs), _SIGNS))
+                   / rounds_per_setting for probs in _test_table(device).reshape(4, 4)]
     e00, e01, e10, e11 = correlators
     s_hat = e00 + e01 + e10 - e11
     return ChshEstimate(s_hat=s_hat, rounds_per_setting=rounds_per_setting,

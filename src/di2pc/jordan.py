@@ -166,9 +166,6 @@ class JordanDecomposition:
             out += b.projector_p1()
         return out
 
-    def angles(self) -> list[float]:
-        return [b.angle_beta for b in self.blocks]
-
 
 def _orthonormal_columns(vectors: list[Array], dim: int) -> Array:
     if not vectors:

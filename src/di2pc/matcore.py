@@ -367,9 +367,8 @@ class RandomSuite:
         v = self.ginibre(dim, 1)[:, 0]
         return v / np.linalg.norm(v)
 
-    def density_operator(self, dim: int, rank: int | None = None) -> Array:
-        rank = dim if rank is None else int(rank)
-        g = self.ginibre(dim, rank)
+    def density_operator(self, dim: int) -> Array:
+        g = self.ginibre(dim, dim)
         rho = g @ dagger(g)
         return rho / np.trace(rho).real
 

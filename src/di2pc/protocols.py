@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionCapError, DomainError, ShapeError
-from .chsh import ChshSetup, _outcome_table, estimate_chsh
+from .chsh import _outcome_table, estimate_chsh
 from .jordan import BinaryMeasurement
 from .matcore import (
     Array,
@@ -98,9 +98,6 @@ class DeviceModel:
         object.__setattr__(self, "test_t0", t0)
         object.__setattr__(self, "test_t1", t1)
 
-    def alice_measurement(self, basis: int) -> BinaryMeasurement:
-        return self.alice_meas_0 if basis == 0 else self.alice_meas_1
-
     # sigma_ab was checked (or, for a drawn device, built) as a density
     # operator of dimension dim_a * dim_b, so its marginals skip the checks
 
@@ -118,12 +115,6 @@ class DeviceModel:
             return self.sigma_ab
         mixed_b = tensor_product(self.sigma_a, np.eye(self.dim_b) / self.dim_b)
         return (1.0 - self.noise_q) * self.sigma_ab + self.noise_q * mixed_b
-
-    def chsh_setup(self) -> ChshSetup:
-        """Testing configuration: Alice's observables against the test device."""
-        return ChshSetup(
-            a0=self.alice_meas_0.observable, a1=self.alice_meas_1.observable,
-            t0=self.test_t0, t1=self.test_t1, state=self.sigma_ab)
 
     def outcome_table(self, noisy: bool = True) -> np.ndarray:
         """Joint outcome pmf, indexed [theta_a, theta_b, x, x'].
@@ -404,10 +395,13 @@ def run_pv(device: DeviceModel, cfg: PvConfig, seed: int = 0,
                         accepted=accepted, zeta_conservative=zeta)
 
 
-def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054) -> tuple[float, float]:
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     """Wilson 95% score interval for a binomial proportion."""
     if trials < 1:
         raise DomainError("trials must be at least 1")
+    if not 0 <= successes <= trials:
+        raise DomainError(f"successes must lie in [0, {trials}], got {successes!r}")
+    z = 1.959963984540054                   # two-sided 95% normal quantile
     p = successes / trials
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom

@@ -20,7 +20,6 @@ from di2pc.bounds import (
     bound_imperfect,
     bound_imperfect_log2,
     bound_perfect,
-    bound_perfect_log2,
     bound_perfect_raw,
     bound_perfect_sumform,
     bound_perfect_sumform_log2,
@@ -32,7 +31,7 @@ from di2pc.bounds import (
     security_region,
     threshold,
 )
-from di2pc.chsh import TSIRELSON
+from di2pc.chsh import TSIRELSON, zeta_from_violation
 from di2pc.errors import CapExceededError, DomainError
 
 COS2_PI8 = math.cos(math.pi / 8) ** 2          # 0.8535533905932737
@@ -117,7 +116,7 @@ def test_log_space_forms_match_mpmath(n):
             corr = mpmath.fsum(mpmath.binomial(n, k) * (mpmath.sqrt(d) * q ** k - 1)
                                for k in range(t + 1)) / mpmath.mpf(2) ** n
             expect = float(mpmath.log(main - corr, 2))
-            assert abs(bound_perfect_log2(n, d, zeta) - expect) <= 1e-9
+            assert abs(bound_imperfect_log2(n, d, zeta, 0.0) - expect) <= 1e-9
             assert abs(bound_perfect_sumform_log2(n, d, zeta) - expect) <= 1e-9
 
 
@@ -295,7 +294,8 @@ def test_minentropy_rate_reference_point():
 def test_bound_report_fields_consistent():
     # n = 1000 and 1001 sit on either side of the linear / log-space split
     for n in (100, 1000, 1001):
-        rep = bound_report(n=n, d=2, s=TSIRELSON, gamma=0.0, kind="pv")
+        rep = bound_report(n=n, d=2, zeta=zeta_from_violation(TSIRELSON), gamma=0.0,
+                           kind="pv")
         assert rep.zeta == pytest.approx(0.0, abs=1e-12)
         assert rep.threshold_t == min(threshold(2, rep.zeta), n)
         assert rep.b_imperfect >= rep.b_perfect - 1e-15
@@ -335,7 +335,6 @@ def test_bound_is_exactly_one_where_every_weight_is_one():
                 points += n > 1000
                 assert bound_perfect_raw(n, d, zeta) == 1.0
                 assert bound_perfect_sumform(n, d, zeta) == 1.0
-                assert bound_perfect_log2(n, d, zeta) == 0.0
                 assert bound_perfect_sumform_log2(n, d, zeta) == 0.0
                 assert bound_imperfect(n, d, zeta, 0.0) == 1.0
                 assert bound_imperfect_log2(n, d, zeta, 0.0) == 0.0
@@ -369,13 +368,46 @@ def test_memory_dimension_past_float_range_rejected():
     assert bound_perfect(2000, 2 ** 1000, 0.5) == 1.0
 
 
+@pytest.mark.parametrize("n", [5, 5000])
+def test_integral_float_arguments_read_as_ints(n):
+    # n = 5.0 passed validation and then raised TypeError in the exact
+    # binomials; every path now sees the int, on both sides of the split
+    funcs = [bound_perfect, bound_perfect_raw, bound_perfect_sumform,
+             bound_perfect_sumform_log2,
+             lambda n, d, zeta: bound_imperfect(n, d, zeta, 0.05),
+             lambda n, d, zeta: bound_imperfect_log2(n, d, zeta, 0.05)]
+    for d, zeta in ((2, 0.1), (16, 0.5), (2 ** 20, 0.0)):
+        for f in funcs:
+            want = f(n, d, zeta).hex()
+            assert f(float(n), d, zeta).hex() == want
+            assert f(n, float(d), zeta).hex() == want
+        want = bound_report(n=n, d=d, zeta=zeta, gamma=0.05)
+        got = bound_report(n=float(n), d=float(d), zeta=zeta, gamma=0.05)
+        assert got.to_dict() == want.to_dict()
+        assert type(got.n) is type(got.d) is int
+    assert threshold(16.0, 0.5) == threshold(16, 0.5)
+    assert min_rounds(16.0, 0.5, 0.0, 1e-6) == min_rounds(16, 0.5, 0.0, 1e-6)
+    assert hamming_ball(float(n), 2.0) == hamming_ball(n, 2)
+    # non-integral, nan and inf are refused as the domain, not by int()
+    for bad in (5.5, -1, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            hamming_ball(bad, 0)
+        with pytest.raises(DomainError):
+            bound_perfect(bad, 2, 0.1)
+        with pytest.raises(DomainError):
+            bound_perfect(5, bad, 0.1)
+    for bad in (1.5, math.nan):
+        with pytest.raises(DomainError):
+            hamming_ball(5, bad)
+
+
 def test_bound_report_one_code_path_three_labels():
     reports = [bound_report(n=50, d=2, zeta=0.1, gamma=0.01, kind=k)
                for k in ("guessing", "wse_ne", "pv")]
     assert len({r.b_imperfect for r in reports}) == 1
     with pytest.raises(DomainError):
         bound_report(n=50, d=2, zeta=0.1, kind="other")
-    with pytest.raises(DomainError):
+    with pytest.raises(TypeError):        # zeta is required; --S converts in the CLI
         bound_report(n=50, d=2)
 
 
@@ -420,7 +452,7 @@ def _bound_digest() -> str:
         zeta = float(rng.choice([0.0, 1.0, rng.random(), rng.random() / 10]))
         gamma = float(rng.choice([0.0, rng.random() / 2, rng.random() / 40]))
         put(n, d, zeta, gamma,
-            bound_perfect_raw(n, d, zeta), bound_perfect_log2(n, d, zeta),
+            bound_perfect_raw(n, d, zeta), bound_imperfect_log2(n, d, zeta, 0.0),
             bound_perfect_sumform(n, d, zeta),
             bound_imperfect(n, d, zeta, gamma),
             bound_imperfect_log2(n, d, zeta, gamma))
@@ -470,7 +502,7 @@ def test_closed_form_cancellation_raises_domain_error():
     # stops rather than answer from neighbouring probes that read low
     for call in (lambda: bound_report(n=250, d=2 ** 215, zeta=0.1),
                  lambda: bound_imperfect(250, 2 ** 215, 0.1, 0.0),
-                 lambda: bound_perfect_log2(250, 2 ** 215, 0.1),
+                 lambda: bound_imperfect_log2(250, 2 ** 215, 0.1, 0.0),
                  lambda: min_rounds(2 ** 300, 0.3, 0.0, 1e-6)):
         with pytest.raises(DomainError, match=r"at n = \d+, d = .*cancellation"):
             call()
@@ -600,5 +632,5 @@ def test_log_space_probes_skip_the_correction_sum(monkeypatch):
     assert min_rounds(2 ** 10, 0.3, 0.0, 2.0 ** -64) == 470
     assert min_rounds(2 ** 10, 0.3, 0.0, 2.0 ** -200) == 1395
     assert len(probes) == 13 and not calls
-    bound_perfect_log2(1500, 2 ** 764, 0)
+    bound_imperfect_log2(1500, 2 ** 764, 0, 0.0)
     assert calls == [1500]

@@ -1,4 +1,4 @@
-"""Tests for the CHSH operator, certificate map, and sampled estimation."""
+"""Tests for the exact CHSH value, the certificate map, and sampled estimation."""
 
 import math
 
@@ -8,12 +8,9 @@ import pytest
 from di2pc.chsh import (
     TSIRELSON,
     ChshEstimate,
-    ChshSetup,
-    chsh_operator,
     chsh_value,
     estimate_chsh,
     half_width,
-    zeta_certificate,
     zeta_from_violation,
 )
 from di2pc.errors import DomainError, NonphysicalViolationError
@@ -33,40 +30,64 @@ def epr_state():
     return phi @ phi.T
 
 
+def chsh_operator(a0, a1, t0, t1):
+    """The reference W = A0xT0 + A0xT1 + A1xT0 - A1xT1, whose tr(W rho) the
+    exact value must equal."""
+    return (np.kron(a0, t0) + np.kron(a0, t1) + np.kron(a1, t0) - np.kron(a1, t1))
+
+
+def reference_value(device):
+    a0, a1 = device.alice_meas_0.observable, device.alice_meas_1.observable
+    w = chsh_operator(a0, a1, device.test_t0, device.test_t1)
+    return float(np.trace(w @ device.sigma_ab).real)
+
+
+def qubit_device(a0, a1, t0, t1, state):
+    """A two-qubit device with these testing observables and state; Bob's
+    measurements, which the test does not read, are the ideal device's."""
+    ideal = ideal_bb84_device()
+    eye = np.eye(2)
+    return DeviceModel(dim_a=2, dim_b=2, sigma_ab=state,
+                       alice_meas_0=BinaryMeasurement.from_projector((eye + a0) / 2),
+                       alice_meas_1=BinaryMeasurement.from_projector((eye + a1) / 2),
+                       bob_meas_0=ideal.bob_meas_0, bob_meas_1=ideal.bob_meas_1,
+                       test_t0=t0, test_t1=t1)
+
+
 def test_operator_collapses_for_equal_settings():
-    setup = ChshSetup(a0=Z, a1=Z, t0=Z, t1=Z, state=np.eye(4) / 4)
-    w = chsh_operator(setup)
+    w = chsh_operator(Z, Z, Z, Z)
     assert np.max(np.abs(w - 2.0 * np.kron(Z, Z))) < 1e-12
     assert operator_norm(w) == pytest.approx(2.0, abs=1e-9)
 
 
 def test_operator_reaches_tsirelson():
-    setup = ChshSetup(a0=Z, a1=X, t0=T0, t1=T1, state=np.eye(4) / 4)
-    assert operator_norm(chsh_operator(setup)) == pytest.approx(TSIRELSON, abs=1e-9)
+    assert operator_norm(chsh_operator(Z, X, T0, T1)) == pytest.approx(TSIRELSON, abs=1e-9)
 
 
 def test_operator_hermitian_random_quadruples():
+    # the reference is Hermitian with norm <= 2 sqrt(2), and the exact value
+    # is its expectation
     rs = RandomSuite(211)
     for trial in range(200):
         suite = rs.child(trial)
-        setup = ChshSetup(a0=suite.observable(2), a1=suite.observable(2),
-                          t0=suite.observable(2), t1=suite.observable(2),
-                          state=suite.density_operator(4))
-        w = chsh_operator(setup)
+        obs = [suite.observable(2) for _ in range(4)]
+        w = chsh_operator(*obs)
         assert np.max(np.abs(w - w.conj().T)) < 1e-10
         assert operator_norm(w) <= TSIRELSON + 1e-9
+        device = qubit_device(*obs, suite.density_operator(4))
+        assert abs(chsh_value(device) - reference_value(device)) <= 1e-12
 
 
 def test_value_epr_optimal():
-    setup = ChshSetup(a0=Z, a1=X, t0=T0, t1=T1, state=epr_state())
-    assert chsh_value(setup) == pytest.approx(TSIRELSON, abs=1e-10)
+    device = qubit_device(Z, X, T0, T1, epr_state())
+    assert chsh_value(device) == pytest.approx(TSIRELSON, abs=1e-10)
 
 
 def test_value_product_state():
     rho = np.zeros((4, 4), dtype=complex)
     rho[0, 0] = 1.0
-    setup = ChshSetup(a0=Z, a1=X, t0=T0, t1=T1, state=rho)
-    assert chsh_value(setup) == pytest.approx(math.sqrt(2.0), abs=1e-12)
+    device = qubit_device(Z, X, T0, T1, rho)
+    assert chsh_value(device) == pytest.approx(math.sqrt(2.0), abs=1e-12)
 
 
 def test_value_classical_form_collapses():
@@ -77,11 +98,24 @@ def test_value_classical_form_collapses():
         a = suite.observable(2)
         t = suite.observable(2)
         rho = suite.density_operator(4)
-        setup = ChshSetup(a0=a, a1=a, t0=t, t1=t, state=rho)
-        s = chsh_value(setup)
+        s = chsh_value(qubit_device(a, a, t, t, rho))
         expect = 2.0 * float(np.trace(np.kron(a, t) @ rho).real)
         assert s == pytest.approx(expect, abs=1e-10)
         assert abs(s) <= 2.0 + 1e-9
+
+
+def test_value_equals_trace_of_operator():
+    # the exact value sums the joint-outcome table estimate_chsh samples;
+    # it equals tr(W sigma_AB) on the ideal device, on commuting devices
+    # (classical, |S| <= 2) and on 137 random ones of several dimensions
+    devices = [ideal_bb84_device(), qubit_device(Z, Z, Z, Z, epr_state()),
+               qubit_device(Z, Z, T0, T0, np.eye(4) / 4)]
+    devices += _estimate_devices()
+    assert len(devices) >= 100
+    for device in devices:
+        assert abs(chsh_value(device) - reference_value(device)) <= 1e-12
+    assert chsh_value(devices[0]) == pytest.approx(TSIRELSON, abs=1e-12)
+    assert chsh_value(devices[1]) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_zeta_endpoints_exact():
@@ -95,9 +129,9 @@ def test_zeta_midpoint_value():
 
 
 def test_zeta_no_certificate_below_two():
-    cert = zeta_certificate(1.5)
-    assert cert.zeta == 1.0 and not cert.certified
-    assert zeta_certificate(2.0).certified
+    assert zeta_from_violation(1.5) == 1.0
+    assert zeta_from_violation(math.nextafter(2.0, 0.0)) == 1.0
+    assert zeta_from_violation(-TSIRELSON) == 1.0
 
 
 def test_zeta_nonphysical_raises():
@@ -108,7 +142,7 @@ def test_zeta_nonphysical_raises():
 def test_zeta_rejects_nan():
     # the clamp to [0, 1] would turn nan into the strongest certificate, 0
     with pytest.raises(DomainError):
-        zeta_certificate(math.nan)
+        zeta_from_violation(math.nan)
 
 
 def test_zeta_strictly_decreasing_on_grid():
@@ -196,12 +230,11 @@ def test_certificate_soundness_on_random_devices():
         suite = rs.child(trial)
         device = (random_rotated_ideal_device(suite) if trial % 2
                   else random_qubit_device(suite))
-        s = chsh_value(device.chsh_setup())
-        cert = zeta_certificate(min(s, TSIRELSON))
+        s = chsh_value(device)
         eps = epsilon_plus_direct(device.alice_meas_0, device.alice_meas_1,
                                   device.sigma_a)
-        assert eps <= cert.zeta + 1e-9
-        certified += int(cert.certified)
+        assert eps <= zeta_from_violation(min(s, TSIRELSON)) + 1e-9
+        certified += int(s >= 2.0)
     assert certified > 100  # the rotated-ideal family does violate CHSH
 
 
@@ -228,12 +261,12 @@ def _oracle_joint_outcome_probs(obs_a, obs_t, state):
 
 
 def _oracle_estimate(device, rounds, delta, seed):
-    setup = device.chsh_setup()
     rng = RandomSuite(seed).rng
     correlators = []
-    for obs_a in (setup.a0, setup.a1):
-        for obs_t in (setup.t0, setup.t1):
-            probs, signs_a, signs_t = _oracle_joint_outcome_probs(obs_a, obs_t, setup.state)
+    for obs_a in (device.alice_meas_0.observable, device.alice_meas_1.observable):
+        for obs_t in (device.test_t0, device.test_t1):
+            probs, signs_a, signs_t = _oracle_joint_outcome_probs(obs_a, obs_t,
+                                                                  device.sigma_ab)
             counts = rng.multinomial(rounds, probs)
             correlators.append(float(np.sum(counts * signs_a * signs_t)) / rounds)
     e00, e01, e10, e11 = correlators

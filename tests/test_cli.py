@@ -7,7 +7,7 @@ import math
 import pytest
 
 from di2pc import bounds, cli
-from di2pc.chsh import TSIRELSON, estimate_chsh
+from di2pc.chsh import TSIRELSON, estimate_chsh, zeta_from_violation
 from di2pc.cli import main
 from di2pc.jordan import decompose_pair, epsilon_plus_blocks
 from di2pc.protocols import _BLOCK, DeviceModel, ideal_bb84_device, run_wse
@@ -31,7 +31,7 @@ def test_bound_matches_library(capsys):
                            "--S", f"{TSIRELSON}", "--gamma", "0")
     assert code == 0
     payload = json.loads(out)
-    rep = bounds.bound_report(n=100, d=2, s=TSIRELSON, gamma=0.0)
+    rep = bounds.bound_report(n=100, d=2, zeta=zeta_from_violation(TSIRELSON), gamma=0.0)
     assert payload["b_imperfect"] == rep.b_imperfect
     assert payload["minentropy_rate"] == rep.minentropy_rate
     assert payload["b_imperfect"] == pytest.approx(1.8775e-7, rel=1e-3)
@@ -612,6 +612,11 @@ def test_attack_byte_identical_to_golden(capsys, tmp_path, device, strategy, n, 
 # on the memoryless optimum: at (2, 1) max_ratio rose from 0.8618 to 0.9028
 # (a stronger attack), elsewhere max_ratio and worst_slack moved by at most
 # 1.1e-16 and worst_certified_gap now carries the optimum round's gap.
+# The seed-3 key-lemma digest at (n, d, gamma) = (2, 2, 0.5) was re-recorded
+# when every qubit problem with at most four guesses went to the closed form
+# first: max_ratio 0.9911068631653719 -> 0.991106863165372, worst_slack
+# 0.00889413683462803 -> 0.00889413683462792 and worst_certified_gap
+# 4.6629e-15 -> 4.6074e-15, each inside the certified gaps.
 _SHAPE_GOLDENS = [
     (None, ["bound", "--n", "300", "--d", "1024", "--S", "2.7", "--gamma", "0.01"],
      "8dc758999a2d105d8b2b113e1301f876b9a5f2e94992b98e486a172ead8c575b"),
@@ -657,7 +662,7 @@ _SHAPE_GOLDENS = [
      "3edb0a8113ce00b54e6cee76a62aeea2dfc812bbad6672fd2fb0efad2a03f027"),
     (None, ["--seed", "3", "verify", "key-lemma", "--trials", "6", "--n", "2", "--d", "2",
             "--gamma", "0.5"],
-     "14c7fd5b195078525207c31878a78ec98411b529ab4e6ecbbcfd239b425db158"),
+     "7497baf5f4f91e2c22d25f6ec54dc76f9182a3f2fa0b68cdbdeb83f1fb3d804d"),
     (None, ["--seed", "1", "verify", "all", "--trials", "4"],
      "42ad58dc9b27543eb30f46a91e9856238494dc34d4882944b0428944bb19b864"),
     (None, ["--seed", "7", "verify", "key-lemma", "--trials", "20", "--n", "1", "--d", "1"],

@@ -36,7 +36,7 @@ from di2pc.protocols import (  # noqa: E402
     run_pv,
     run_wse,
 )
-from test_adversary import _qubit_optimum_all_sets  # noqa: E402
+from test_adversary import _general_path, _qubit_optimum_all_sets  # noqa: E402
 from test_bounds import parent_closed_log2  # noqa: E402
 from test_protocols import (  # noqa: E402
     oracle_pv_obj,
@@ -57,7 +57,7 @@ def test_qubit_optimum_on_random_psd_batches(parts):
     f, y = _qubit_optimum(g)
     value = np.einsum("bkij,bkji->b", f, g).real
     assert np.all(value <= _dual_upper(g, y))
-    _, certified_upper, _, _ = _discriminate_batch(g, tol=1e-12)
+    _, certified_upper, _, _ = _general_path(g, tol=1e-12)
     assert np.all(np.abs(certified_upper - value) <= 1e-10)
 
 
@@ -104,18 +104,76 @@ _qubit_batches = st.integers(3, 5).flatmap(lambda k: st.lists(
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(_qubit_batches)
 def test_search_mode_batch_equals_separate_calls(batches):
-    # one call on the concatenation sends every problem to the closed form at
-    # once; the fixed-point fallback's stopping rules see its whole batch, so
-    # only the closed form answers bit for bit.
+    # at the see-saw's tol, one call on the concatenation sends every problem
+    # with at most four guesses to the closed form at once; the fixed-point
+    # fallback's stopping rules see its whole batch, so only the closed forms
+    # answer bit for bit.
     # Every part holds two problems or more: einsum sums the final value of a
     # one-problem batch in another order, which moves its last bit.
-    search = dict(tol=1e-7, qubit_first=True)
     with mock.patch.object(adversary, "_fixed_point",
                            wraps=adversary._fixed_point) as fallback:
-        joint = _discriminate_batch(np.concatenate(batches), **search)[0]
-        apart = np.concatenate([_discriminate_batch(g, **search)[0] for g in batches])
+        joint = _discriminate_batch(np.concatenate(batches), tol=1e-7)[0]
+        apart = np.concatenate([_discriminate_batch(g, tol=1e-7)[0] for g in batches])
     assume(not fallback.called)
     assert np.array_equal(joint, apart)
+
+
+def _psd(parts):
+    """G = A A^+ for A = parts[..., 0] + i parts[..., 1]."""
+    a = parts[..., 0] + 1j * parts[..., 1]
+    return a @ np.conj(np.swapaxes(a, -1, -2))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(hnp.arrays(np.float64, st.tuples(st.integers(2, 5), st.integers(1, 4),
+                                        st.just(2), st.just(2), st.just(2)),
+                  elements=st.floats(-1.0, 1.0)),
+       st.floats(0.0, 1.0))
+def test_solver_contract_on_qubit_problems(parts, prior):
+    # the path is set by the shape: 2 x 2 problems with at most four guesses
+    # go to the closed form, a batch of them converges, and each problem's
+    # value alone agrees with its value in the batch within the certified gap
+    g = _psd(parts)
+    with mock.patch.object(adversary, "_qubit_optimum",
+                           wraps=adversary._qubit_optimum) as closed:
+        lower, upper, f, conv = _discriminate_batch(g)
+    assert closed.call_count == 1 and conv
+    assert np.all(lower <= upper) and np.all(upper - lower <= 1e-9)
+    assert np.max(np.abs(f.sum(axis=1) - np.eye(2))) <= 1e-12
+    for i in range(len(g)):
+        alone_lower, alone_upper, _, alone_conv = _discriminate_batch(g[i:i + 1])
+        assert alone_conv
+        assert alone_lower[0] <= upper[i] and lower[i] <= alone_upper[0]
+    # two states: the Helstrom value (1 + ||p rho - (1 - p) sigma||_1) / 2
+    traces = np.einsum("bii->b", g[:2, 0]).real
+    assume(np.all(traces > 1e-9))
+    rho, sigma = g[:2, 0] / traces[:, None, None]
+    res = adversary.optimal_discrimination([(prior, rho), (1.0 - prior, sigma)])
+    helstrom = 0.5 * (1.0 + np.abs(np.linalg.eigvalsh(
+        prior * rho - (1.0 - prior) * sigma)).sum())
+    assert res.converged
+    assert abs(res.win_prob - helstrom) <= 1e-12
+    assert res.win_prob <= res.upper_bound
+
+
+@pytest.mark.parametrize("shape", [(3, 5, 2), (3, 4, 1), (3, 1, 1)])
+def test_solver_sends_larger_and_scalar_problems_to_pruned(shape):
+    # past four guesses the closed form's active sets grow as C(k, 4), and a
+    # scalar memory needs none: both go to the general path, which on a
+    # scalar keeps the best guess
+    batch, k, dim = shape
+    a = np.random.default_rng(sum(shape)).normal(size=(batch, k, dim, dim, 2))
+    g = _psd(a)
+    with mock.patch.object(adversary, "_qubit_optimum",
+                           side_effect=AssertionError("closed form reached")), \
+            mock.patch.object(adversary, "_pruned", wraps=adversary._pruned) as pruned:
+        lower, upper, f, conv = _discriminate_batch(g)
+    assert pruned.call_count == 1 and conv
+    assert np.all(lower <= upper) and np.all(upper - lower <= 1e-9)
+    if dim == 1:
+        assert np.array_equal(lower, g[:, :, 0, 0].real.max(axis=1))
+        assert np.array_equal(f[..., 0, 0].real.argmax(axis=1),
+                              g[:, :, 0, 0].real.argmax(axis=1))
 
 
 def _dense_bracket(ctx, strategy):

@@ -128,7 +128,7 @@ def oracle_devices():
 
 def test_ideal_device_reaches_tsirelson():
     device = ideal_bb84_device()
-    assert chsh_value(device.chsh_setup()) == pytest.approx(TSIRELSON, abs=1e-10)
+    assert chsh_value(device) == pytest.approx(TSIRELSON, abs=1e-10)
 
 
 def test_ideal_device_anticommuting_measurements():
@@ -302,6 +302,15 @@ def test_wilson_interval_sane():
     assert 0.0 <= lo and hi <= 1.0
     with pytest.raises(DomainError):
         wilson_interval(0, 0)
+
+
+@pytest.mark.parametrize("successes", [-1, 4, 5, 2.5e9])
+def test_wilson_interval_refuses_successes_outside_trials(successes):
+    # these used to reach sqrt of a negative: ValueError, math domain error
+    with pytest.raises(DomainError, match="successes"):
+        wilson_interval(successes, 3)
+    assert wilson_interval(0, 3)[0] == pytest.approx(0.0, abs=1e-15)
+    assert wilson_interval(3, 3)[1] == 1.0
 
 
 def test_device_json_roundtrip():
